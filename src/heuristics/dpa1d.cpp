@@ -1,162 +1,125 @@
 #include "heuristics/dpa1d.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
+#include <cstdint>
 #include <limits>
-#include <unordered_map>
+#include <memory>
+#include <optional>
+#include <vector>
 
+#include "obs/trace.hpp"
 #include "spg/sp_tree.hpp"
 #include "util/bitset.hpp"
+#include "util/rng.hpp"
 
 namespace spgcmp::heuristics {
 
 namespace {
 
-using util::DynBitset;
-using util::DynBitsetHash;
-
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// DP machinery shared by the forward pass and the backward reconstruction.
-struct Dpa1dSolver {
-  const spg::Spg& g;
-  const cmp::Platform& p;
-  double T;
-  Dpa1dHeuristic::Options opt;
+// Stage sets are raw words in topological-position space: bit `pos` stands
+// for stage by_topo[pos].
+using Words = std::vector<std::uint64_t>;
 
-  std::size_t n;
-  std::size_t r;             // cores on the line
-  double weight_cap;         // T * s_max * max scale: enumeration pruning cap
-  double cut_cap;            // T * BW: max cut volume
-  std::vector<int> topo_idx; // stage -> position in a fixed topological order
-  std::vector<spg::StageId> by_topo;
-  // Speed scale of the core at each snake position: cluster k runs on snake
-  // core k, so its weight cap and energy depend on that core's scale (1.0
-  // everywhere except on heterogeneous fabrics).
-  std::vector<double> pos_scale;
-  double max_scale = 1.0;
-  bool heterogeneous = false;
+[[nodiscard]] bool test(const std::uint64_t* w, std::size_t pos) noexcept {
+  return (w[pos >> 6] >> (pos & 63)) & 1;
+}
+void flip(std::uint64_t* w, std::size_t pos) noexcept { w[pos >> 6] ^= 1ULL << (pos & 63); }
 
-  // dp[ideal][k] = min energy to run `ideal` on exactly k+1 leading cores.
-  std::unordered_map<DynBitset, std::vector<double>, DynBitsetHash> dp;
-  std::size_t expansions = 0;
-  bool budget_blown = false;
+/// Rows of `stride` values in fixed-size blocks.  Blocks never move, so row
+/// pointers stay valid while the arena grows, and growing never holds an
+/// old and a new copy of every row at once the way a doubling vector does.
+template <typename T>
+class BlockArena {
+ public:
+  explicit BlockArena(std::size_t stride) : stride_(stride) {}
 
-  explicit Dpa1dSolver(const spg::Spg& graph, const cmp::Platform& plat, double period,
-                       Dpa1dHeuristic::Options options)
-      : g(graph), p(plat), T(period), opt(options), n(graph.size()),
-        r(static_cast<std::size_t>(plat.grid().core_count())),
-        cut_cap(period * plat.grid().bandwidth()) {
-    const auto order = g.topological_order();
-    topo_idx.assign(n, 0);
-    by_topo = order;
-    for (std::size_t pos = 0; pos < order.size(); ++pos) {
-      topo_idx[order[pos]] = static_cast<int>(pos);
+  /// Append a row with every entry `fill`; its id is the previous size().
+  T* push(T fill) {
+    if (size_ % kRowsPerBlock == 0) {
+      blocks_.push_back(std::unique_ptr<T[]>(new T[kRowsPerBlock * stride_]));
     }
-    r = std::min(r, n);  // never more clusters than stages
-    heterogeneous = p.topology.heterogeneous();
-    pos_scale.resize(r);
-    max_scale = 0.0;
-    for (std::size_t k = 0; k < r; ++k) {
-      pos_scale[k] = p.topology.core_speed_scale(
-          p.grid().core_index(p.grid().snake_core(static_cast<int>(k))));
-      max_scale = std::max(max_scale, pos_scale[k]);
+    T* row = (*this)[size_++];
+    std::fill_n(row, stride_, fill);
+    return row;
+  }
+  [[nodiscard]] T* operator[](std::size_t id) const noexcept {
+    return blocks_[id / kRowsPerBlock].get() + (id % kRowsPerBlock) * stride_;
+  }
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+
+ private:
+  static constexpr std::size_t kRowsPerBlock = 256;
+  std::size_t stride_;
+  std::size_t size_ = 0;
+  std::vector<std::unique_ptr<T[]>> blocks_;
+};
+
+enum class Outcome { Ok, Budget, Infeasible, Internal };
+constexpr const char* kOutcomeNames[] = {"ok", "budget", "infeasible", "internal"};
+
+/// DP machinery shared by the forward pass and the backward reconstruction.
+///
+/// States are the nonempty order ideals the forward pass reaches, with
+/// dense ids in insertion order.  State `id` owns a row of stage-set words
+/// and a row of r DP values in block arenas, and an open-addressing table
+/// maps a set's hash to its id.  A set's hash is the XOR of per-stage
+/// random keys, so the walk keeps the hash of G ∪ H current in O(1) per
+/// added or removed stage.
+class Dpa1dSolver {
+ public:
+  Dpa1dSolver(const spg::Spg& graph, const cmp::Platform& plat, double period,
+              Dpa1dHeuristic::Options options)
+      : g_(graph), p_(plat), T_(period), opt_(options), n_(graph.size()),
+        r_(std::min(static_cast<std::size_t>(plat.grid().core_count()), n_)),
+        nw_((n_ + 63) / 64), cut_cap_(period * plat.grid().bandwidth()), words_(nw_),
+        rows_(r_), gh_(nw_, 0), ready_(n_), pending_(n_, 0),
+        by_topo_(graph.topological_order()), key_(n_), work_(n_), succ_begin_(n_ + 1, 0),
+        table_(1024, Slot{0, kEmpty}), buckets_(n_ + 1) {
+    std::vector<std::size_t> topo_idx(n_);
+    std::uint64_t key_state = 0;
+    for (std::size_t pos = 0; pos < n_; ++pos) {
+      topo_idx[by_topo_[pos]] = pos;
+      key_[pos] = util::splitmix64(key_state);
+      work_[pos] = g_.stage(by_topo_[pos]).work;
+    }
+    // Edges stay in edge-id order, the order cut sums add in; successors
+    // are CSR by position, one entry per edge.
+    edges_.reserve(g_.edge_count());
+    for (const auto& e : g_.edges()) {
+      edges_.push_back({topo_idx[e.src], topo_idx[e.dst], e.bytes});
+      ++succ_begin_[topo_idx[e.src] + 1];
+      ++pending_[topo_idx[e.dst]];
+    }
+    for (std::size_t pos = 0; pos < n_; ++pos) succ_begin_[pos + 1] += succ_begin_[pos];
+    succ_.resize(edges_.size());
+    std::vector<std::size_t> next(succ_begin_.begin(), succ_begin_.end() - 1);
+    for (const auto& e : edges_) succ_[next[e.src]++] = e.dst;
+    // The walk starts on the empty ideal: the sources are ready.
+    for (std::size_t pos = 0; pos < n_; ++pos) {
+      if (pending_[pos] == 0) ready_.set(pos);
+    }
+
+    heterogeneous_ = p_.topology.heterogeneous();
+    pos_scale_.resize(r_);
+    max_scale_ = 0.0;
+    for (std::size_t k = 0; k < r_; ++k) {
+      pos_scale_[k] = p_.topology.core_speed_scale(
+          p_.grid().core_index(p_.grid().snake_core(static_cast<int>(k))));
+      max_scale_ = std::max(max_scale_, pos_scale_[k]);
     }
     // The enumeration prunes at the loosest per-position cap; a cluster too
     // heavy for its *specific* position is rejected by cluster_energy_at.
-    weight_cap = period * plat.speeds.max_speed() * max_scale;
+    weight_cap_ = period * plat.speeds.max_speed() * max_scale_;
   }
 
-  /// Energy of a cluster of `work` cycles on a core of speed scale `scale`:
-  /// the slowest feasible scaled mode (exactly the evaluator's downgrade
-  /// rule), infinity when even the fastest mode is too slow there.
-  [[nodiscard]] double cluster_energy(double work, double scale = 1.0) const {
-    const std::size_t k = p.speeds.slowest_feasible(work / scale, T);
-    if (k == p.speeds.mode_count()) return kInf;
-    return p.speeds.core_energy(work / scale, k, T);
-  }
-
-  /// Cluster energy at snake position `pos` (homogeneous fast path keeps
-  /// the division out of the paper-exact mesh runs).
-  [[nodiscard]] double cluster_energy_at(double work, std::size_t pos) const {
-    return heterogeneous ? cluster_energy(work, pos_scale[pos])
-                         : cluster_energy(work);
-  }
-
-  /// Bytes crossing the cut after ideal `G` (edges G -> complement).
-  [[nodiscard]] double cut_bytes(const DynBitset& G) const {
-    double b = 0;
-    for (const auto& e : g.edges()) {
-      if (G.test(e.src) && !G.test(e.dst)) b += e.bytes;
-    }
-    return b;
-  }
-
-  /// Enumerate every cluster H extending ideal G (so G|H is an ideal) with
-  /// w(H) <= weight_cap, invoking visit(G|H, w(H)) — the union is what the
-  /// DP keys on, and maintaining it incrementally avoids a bitset
-  /// allocation per candidate.  Clusters are grown in increasing
-  /// topological index, which generates each exactly once.
-  template <typename Visit>
-  void for_each_cluster_with_union(const DynBitset& G, Visit&& visit) {
-    DynBitset GH = G;  // G union H
-    auto rec = [&](auto&& self, int last_pos, double w) -> void {
-      if (budget_blown) return;
-      for (std::size_t pos = static_cast<std::size_t>(last_pos + 1); pos < n; ++pos) {
-        const spg::StageId j = by_topo[pos];
-        if (GH.test(j)) continue;
-        bool ready = true;
-        for (spg::EdgeId e : g.in_edges(j)) {
-          if (!GH.test(g.edge(e).src)) {
-            ready = false;
-            break;
-          }
-        }
-        if (!ready) continue;
-        const double w2 = w + g.stage(j).work;
-        if (w2 > weight_cap) continue;
-        if (++expansions > opt.max_expansions) {
-          budget_blown = true;
-          return;
-        }
-        GH.set(j);
-        visit(GH, w2);
-        self(self, static_cast<int>(pos), w2);
-        GH.reset(j);
-      }
-    };
-    rec(rec, -1, 0.0);
-  }
-
-  /// Mirror enumeration used for reconstruction: every filter H of ideal G
-  /// (so G \ H is an ideal) with w(H) <= weight_cap.
-  template <typename Visit>
-  void for_each_tail_cluster(const DynBitset& G, Visit&& visit) {
-    DynBitset H(n);
-    auto rec = [&](auto&& self, int last_rpos, double w) -> void {
-      // Reverse topological order: successors have larger topo index, so we
-      // grow H from the tail in decreasing index.
-      for (int pos = last_rpos - 1; pos >= 0; --pos) {
-        const spg::StageId j = by_topo[static_cast<std::size_t>(pos)];
-        if (!G.test(j) || H.test(j)) continue;
-        bool ready = true;
-        for (spg::EdgeId e : g.out_edges(j)) {
-          const spg::StageId d = g.edge(e).dst;
-          if (G.test(d) && !H.test(d)) {
-            ready = false;
-            break;
-          }
-        }
-        if (!ready) continue;
-        const double w2 = w + g.stage(j).work;
-        if (w2 > weight_cap) continue;
-        H.set(j);
-        visit(H, w2);
-        self(self, pos, w2);
-        H.reset(j);
-      }
-    };
-    rec(rec, static_cast<int>(n), 0.0);
+  [[nodiscard]] std::size_t states() const noexcept { return rows_.size(); }
+  /// Candidate clusters enumerated (see Dpa1dHeuristic::Options).
+  [[nodiscard]] std::size_t expansions() const noexcept {
+    return std::min(expansions_, opt_.max_expansions);
   }
 
   /// Forward pass.  Returns false if a budget was exceeded.
@@ -165,88 +128,88 @@ struct Dpa1dSolver {
     // stage poset (the n^ymax blowup of Theorem 1).  On SP graphs this is
     // an O(n + m) tree recurrence, so hopeless instances are rejected
     // before the DP allocates anything.
-    if (spg::ideal_count(g, opt.max_states) > opt.max_states) {
-      budget_blown = true;
-      return false;
-    }
-    const double comm_e = p.comm.energy_per_byte;
-    std::vector<std::vector<DynBitset>> buckets(n + 1);
-    const DynBitset empty(n);
+    if (spg::ideal_count(g_, opt_.max_states) > opt_.max_states) return false;
+    const double comm_e = p_.comm.energy_per_byte;
 
-    // Seed: first cluster (no incoming cut); with an empty base ideal the
+    // Seed: first cluster (no incoming cut); from the empty ideal the
     // union *is* the cluster, and it runs on snake core 0.
-    for_each_cluster_with_union(empty, [&](const DynBitset& H, double w) {
+    auto seed = [&](double w) {
       const double e = cluster_energy_at(w, 0);
       if (!std::isfinite(e)) return;
-      auto [it, inserted] = dp.try_emplace(H, std::vector<double>(r, kInf));
-      if (inserted) buckets[H.count()].push_back(H);
-      it->second[0] = std::min(it->second[0], e);
-    });
-    if (budget_blown) return false;
+      double* row = rows_[find_or_insert()];
+      row[0] = std::min(row[0], e);
+    };
+    walk(ready_.find_first(), 0.0, seed);
+    if (budget_blown_) return false;
 
-    for (std::size_t size = 1; size <= n; ++size) {
-      for (std::size_t bi = 0; bi < buckets[size].size(); ++bi) {
-        const DynBitset G = buckets[size][bi];  // copy: buckets may reallocate
-        if (G.count() == n) continue;           // complete; no expansion
-        // Copy, not reference: inserting G2 below may rehash the table.
-        const std::vector<double> row = dp.at(G);
+    // The finite entries of the expanding state's row, each with the cut
+    // energy already added: a transition from entry k costs base plus the
+    // new cluster's energy.
+    struct Source {
+      std::size_t k;
+      double base;
+    };
+    std::vector<Source> sources;
+    for (std::size_t size = 1; size < n_; ++size) {  // full ideals never expand
+      for (std::size_t bi = 0; bi < buckets_[size].size(); ++bi) {
+        const std::uint32_t id = buckets_[size][bi];
+        const std::uint64_t* G = words_[id];
         const double cut = cut_bytes(G);
-        if (cut > cut_cap * (1 + 1e-12)) continue;  // link saturated
+        if (cut > cut_cap_ * (1 + 1e-12)) continue;  // link saturated
         const double cut_energy = cut * comm_e;
+        const double* row = rows_[id];
+        sources.clear();
+        for (std::size_t k = 0; k + 1 < r_; ++k) {
+          if (std::isfinite(row[k])) sources.push_back({k, row[k] + cut_energy});
+        }
 
-        for_each_cluster_with_union(G, [&](const DynBitset& G2, double w) {
+        move_walk_to(G);
+        auto extend = [&](double w) {
           // Gate on the loosest per-position cap; the exact energy of the
           // new cluster depends on which snake position k+1 it lands on and
           // is re-derived per transition on heterogeneous fabrics.
-          const double e_loose = cluster_energy(w, max_scale);
+          const double e_loose = cluster_energy(w, max_scale_);
           if (!std::isfinite(e_loose)) return;
-          auto [it, inserted] = dp.try_emplace(G2, std::vector<double>(r, kInf));
-          if (inserted) {
-            if (dp.size() > opt.max_states) {
-              budget_blown = true;
-              return;
-            }
-            buckets[G2.count()].push_back(G2);
-          }
-          auto& row2 = it->second;
-          for (std::size_t k = 0; k + 1 < r; ++k) {
-            if (!std::isfinite(row[k])) continue;
+          double* row2 = rows_[find_or_insert()];
+          for (const auto& [k, base] : sources) {
             const double e_cluster =
-                heterogeneous && pos_scale[k + 1] != max_scale
-                    ? cluster_energy(w, pos_scale[k + 1])
+                heterogeneous_ && pos_scale_[k + 1] != max_scale_
+                    ? cluster_energy(w, pos_scale_[k + 1])
                     : e_loose;
             if (!std::isfinite(e_cluster)) continue;
-            const double cand = row[k] + cut_energy + e_cluster;
+            const double cand = base + e_cluster;
             if (cand < row2[k + 1]) row2[k + 1] = cand;
           }
-        });
-        if (budget_blown) return false;
+        };
+        walk(ready_.find_first(), 0.0, extend);
+        if (budget_blown_) return false;
       }
     }
     return true;
   }
 
-  /// Reconstruct the optimal cluster sequence from the DP table.
-  /// Returns stage -> cluster index (clusters 0..K-1 in topological order).
-  std::optional<std::vector<int>> reconstruct() {
-    DynBitset full(n);
-    for (std::size_t i = 0; i < n; ++i) full.set(i);
-    const auto it = dp.find(full);
-    if (it == dp.end()) return std::nullopt;
+  /// Backward pass: fills `cluster_of` (stage -> cluster index, clusters
+  /// 0..K-1 in topological order) from the DP table.
+  Outcome reconstruct(std::vector<int>& cluster_of) {
+    Words cur(nw_, 0);
+    for (std::size_t pos = 0; pos < n_; ++pos) flip(cur.data(), pos);
+    const auto full = find(cur.data());
+    if (!full) return Outcome::Infeasible;
 
-    std::size_t best_k = r;
+    const double* full_row = rows_[*full];
+    std::size_t best_k = r_;
     double best_e = kInf;
-    for (std::size_t k = 0; k < r; ++k) {
-      if (it->second[k] < best_e) {
-        best_e = it->second[k];
+    for (std::size_t k = 0; k < r_; ++k) {
+      if (full_row[k] < best_e) {
+        best_e = full_row[k];
         best_k = k;
       }
     }
-    if (!std::isfinite(best_e)) return std::nullopt;
+    if (!std::isfinite(best_e)) return Outcome::Infeasible;
 
-    const double comm_e = p.comm.energy_per_byte;
-    std::vector<int> cluster_of(n, -1);
-    DynBitset cur = full;
+    const double comm_e = p_.comm.energy_per_byte;
+    cluster_of.assign(n_, -1);
+    Words prev(nw_);
     std::size_t k = best_k;
     double target = best_e;
     const auto close = [](double a, double b) {
@@ -254,41 +217,276 @@ struct Dpa1dSolver {
     };
 
     while (k > 0) {
-      bool found = false;
-      for_each_tail_cluster(cur, [&](const DynBitset& H, double w) {
-        if (found) return;
+      const bool found = for_each_tail_cluster(cur, [&](const Words& H, double w) {
         // The peeled cluster is the one at snake position k.
         const double e_cluster = cluster_energy_at(w, k);
-        if (!std::isfinite(e_cluster)) return;
-        const DynBitset G = cur - H;
-        const auto pit = dp.find(G);
-        if (pit == dp.end() || !std::isfinite(pit->second[k - 1])) return;
-        const double cut = cut_bytes(G);
-        if (cut > cut_cap * (1 + 1e-12)) return;
-        if (!close(pit->second[k - 1] + cut * comm_e + e_cluster, target)) return;
-        H.for_each([&](std::size_t i) { cluster_of[i] = static_cast<int>(k); });
-        target = pit->second[k - 1];
-        cur = G;
-        found = true;
+        if (!std::isfinite(e_cluster)) return false;
+        for (std::size_t i = 0; i < nw_; ++i) prev[i] = cur[i] & ~H[i];
+        const auto id = find(prev.data());
+        if (!id || !std::isfinite(rows_[*id][k - 1])) return false;
+        const double cut = cut_bytes(prev.data());
+        if (cut > cut_cap_ * (1 + 1e-12)) return false;
+        if (!close(rows_[*id][k - 1] + cut * comm_e + e_cluster, target)) return false;
+        for (std::size_t pos = 0; pos < n_; ++pos) {
+          if (test(H.data(), pos)) cluster_of[by_topo_[pos]] = static_cast<int>(k);
+        }
+        target = rows_[*id][k - 1];
+        return true;
       });
-      if (!found) return std::nullopt;  // numerical mismatch; treat as failure
+      // Every finite entry came from some transition, so a miss means the
+      // table and this replay disagree: a bug, not an infeasible instance.
+      if (!found) return Outcome::Internal;
+      cur.swap(prev);
       --k;
     }
-    cur.for_each([&](std::size_t i) { cluster_of[i] = 0; });
-    return cluster_of;
+    for (std::size_t pos = 0; pos < n_; ++pos) {
+      if (test(cur.data(), pos)) cluster_of[by_topo_[pos]] = 0;
+    }
+    return Outcome::Ok;
   }
+
+ private:
+  struct PosEdge {
+    std::size_t src, dst;  // topological positions
+    double bytes;
+  };
+  struct Slot {
+    std::uint64_t hash;
+    std::uint32_t id;
+  };
+  static constexpr std::uint32_t kEmpty = std::numeric_limits<std::uint32_t>::max();
+
+  /// Energy of a cluster of `work` cycles on a core of speed scale `scale`:
+  /// the slowest feasible scaled mode (exactly the evaluator's downgrade
+  /// rule), infinity when even the fastest mode is too slow there.
+  [[nodiscard]] double cluster_energy(double work, double scale = 1.0) const {
+    const std::size_t k = p_.speeds.slowest_feasible(work / scale, T_);
+    if (k == p_.speeds.mode_count()) return kInf;
+    return p_.speeds.core_energy(work / scale, k, T_);
+  }
+
+  /// Cluster energy at snake position `pos` (homogeneous fast path keeps
+  /// the division out of the paper-exact mesh runs).
+  [[nodiscard]] double cluster_energy_at(double work, std::size_t pos) const {
+    return heterogeneous_ ? cluster_energy(work, pos_scale_[pos]) : cluster_energy(work);
+  }
+
+  /// Bytes crossing the cut after ideal `G` (edges G -> complement).
+  [[nodiscard]] double cut_bytes(const std::uint64_t* G) const {
+    double b = 0;
+    for (const auto& e : edges_) {
+      if (test(G, e.src) && !test(G, e.dst)) b += e.bytes;
+    }
+    return b;
+  }
+
+  /// Add stage `pos`, which must be ready, to G ∪ H.
+  void add(std::size_t pos) {
+    flip(gh_.data(), pos);
+    gh_hash_ ^= key_[pos];
+    ++gh_count_;
+    ready_.reset(pos);
+    for (std::size_t s = succ_begin_[pos]; s < succ_begin_[pos + 1]; ++s) {
+      if (--pending_[succ_[s]] == 0) ready_.set(succ_[s]);
+    }
+  }
+
+  /// Remove stage `pos`, which must have no successor in G ∪ H.
+  void undo(std::size_t pos) {
+    for (std::size_t s = succ_begin_[pos]; s < succ_begin_[pos + 1]; ++s) {
+      if (pending_[succ_[s]]++ == 0) ready_.reset(succ_[s]);
+    }
+    ready_.set(pos);
+    --gh_count_;
+    gh_hash_ ^= key_[pos];
+    flip(gh_.data(), pos);
+  }
+
+  /// Move the walk from the ideal it stands on to ideal `G`.  Stages
+  /// leaving go in decreasing position and stages joining in increasing
+  /// position, so every intermediate set is an ideal and add/undo keep the
+  /// pending counts and the ready frontier exact.
+  void move_walk_to(const std::uint64_t* G) {
+    for (std::size_t wi = nw_; wi-- > 0;) {
+      for (std::uint64_t out = gh_[wi] & ~G[wi]; out != 0;) {
+        const auto bit = static_cast<std::size_t>(63 - __builtin_clzll(out));
+        out ^= 1ULL << bit;
+        undo(wi * 64 + bit);
+      }
+    }
+    for (std::size_t wi = 0; wi < nw_; ++wi) {
+      for (std::uint64_t in = G[wi] & ~gh_[wi]; in != 0; in &= in - 1) {
+        add(wi * 64 + static_cast<std::size_t>(__builtin_ctzll(in)));
+      }
+    }
+  }
+
+  /// Enumerate every cluster H extending the ideal G the walk stands on
+  /// (so G ∪ H is an ideal) with w(H) <= weight_cap, calling visit(w(H))
+  /// with G ∪ H in gh_.  Clusters grow in increasing topological position,
+  /// which generates each exactly once; `pos` is the first ready position
+  /// after the last stage added.  A candidate costs one find_next plus the
+  /// out-degree of its stage, and the walk ends back on G.
+  template <typename Visit>
+  void walk(std::size_t pos, double w, Visit& visit) {
+    for (; pos != util::DynBitset::npos; pos = ready_.find_next(pos)) {
+      const double w2 = w + work_[pos];
+      if (w2 > weight_cap_) continue;
+      if (++expansions_ > opt_.max_expansions) {
+        budget_blown_ = true;
+        return;
+      }
+      add(pos);
+      visit(w2);
+      walk(ready_.find_next(pos), w2, visit);
+      undo(pos);
+      if (budget_blown_) return;
+    }
+  }
+
+  /// Mirror enumeration used for reconstruction: every filter H of ideal
+  /// `G` (so G \ H is an ideal) with w(H) <= weight_cap, grown from the
+  /// tail in decreasing position, until visit(H, w(H)) returns true.
+  /// Returns whether it did.
+  template <typename Visit>
+  bool for_each_tail_cluster(const Words& G, Visit&& visit) const {
+    Words H(nw_, 0);
+    auto rec = [&](auto&& self, std::size_t end, double w) -> bool {
+      for (std::size_t pos = end; pos-- > 0;) {
+        if (!test(G.data(), pos)) continue;
+        bool ready = true;
+        for (std::size_t s = succ_begin_[pos]; s < succ_begin_[pos + 1]; ++s) {
+          if (test(G.data(), succ_[s]) && !test(H.data(), succ_[s])) {
+            ready = false;
+            break;
+          }
+        }
+        if (!ready) continue;
+        const double w2 = w + work_[pos];
+        if (w2 > weight_cap_) continue;
+        flip(H.data(), pos);
+        if (visit(H, w2) || self(self, pos, w2)) return true;
+        flip(H.data(), pos);
+      }
+      return false;
+    };
+    return rec(rec, n_, 0.0);
+  }
+
+  /// The slot holding set `w` of hash `hash`, or the empty slot it would
+  /// take.  Stored words are compared only on a hash match.
+  [[nodiscard]] std::size_t probe(std::uint64_t hash, const std::uint64_t* w) const {
+    const std::size_t mask = table_.size() - 1;
+    std::size_t slot = hash & mask;
+    while (table_[slot].id != kEmpty &&
+           (table_[slot].hash != hash || !std::equal(w, w + nw_, words_[table_[slot].id]))) {
+      slot = (slot + 1) & mask;
+    }
+    return slot;
+  }
+
+  /// Id of the state holding set `w`, if any.
+  [[nodiscard]] std::optional<std::uint32_t> find(const std::uint64_t* w) const {
+    std::uint64_t hash = 0;
+    for (std::size_t pos = 0; pos < n_; ++pos) {
+      if (test(w, pos)) hash ^= key_[pos];
+    }
+    const Slot& s = table_[probe(hash, w)];
+    if (s.id == kEmpty) return std::nullopt;
+    return s.id;
+  }
+
+  /// Id of the state holding G ∪ H, inserted with an all-infinite row when
+  /// new.  A new id also joins the bucket of its set size, and bucket order
+  /// is the order states expand in.
+  std::uint32_t find_or_insert() {
+    const std::size_t slot = probe(gh_hash_, gh_.data());
+    if (table_[slot].id != kEmpty) return table_[slot].id;
+    const auto id = static_cast<std::uint32_t>(states());
+    assert(id < opt_.max_states &&
+           "every state is a distinct nonempty ideal, and solve()'s pre-pass "
+           "bounds the ideal count by max_states");
+    std::copy(gh_.begin(), gh_.end(), words_.push(0));
+    rows_.push(kInf);
+    buckets_[gh_count_].push_back(id);
+    table_[slot] = {gh_hash_, id};
+    if (2 * states() > table_.size()) {  // keep the load at most 1/2
+      std::vector<Slot> old(2 * table_.size(), Slot{0, kEmpty});
+      old.swap(table_);
+      for (const Slot& s : old) {
+        if (s.id != kEmpty) table_[probe(s.hash, words_[s.id])] = s;
+      }
+    }
+    return id;
+  }
+
+  const spg::Spg& g_;
+  const cmp::Platform& p_;
+  double T_;
+  Dpa1dHeuristic::Options opt_;
+
+  std::size_t n_;
+  std::size_t r_;            // cores on the line, never more than stages
+  std::size_t nw_;           // words per stage set
+  double weight_cap_ = 0.0;  // T * s_max * max scale: enumeration pruning cap
+  double cut_cap_;           // T * BW: max cut volume
+  // Speed scale of the core at each snake position: cluster k runs on snake
+  // core k, so its weight cap and energy depend on that core's scale (1.0
+  // everywhere except on heterogeneous fabrics).
+  std::vector<double> pos_scale_;
+  double max_scale_ = 1.0;
+  bool heterogeneous_ = false;
+
+  // States: stage-set words and DP rows (rows_[id][k] = min energy to run
+  // the set on exactly k+1 leading cores).
+  BlockArena<std::uint64_t> words_;
+  BlockArena<double> rows_;
+
+  // The walk: G ∪ H with its hash and size, the ready frontier (stages
+  // outside G ∪ H whose predecessors are all in it), and per position the
+  // in-edges whose source is outside G ∪ H.
+  Words gh_;
+  std::uint64_t gh_hash_ = 0;
+  std::size_t gh_count_ = 0;
+  util::DynBitset ready_;
+  std::vector<int> pending_;
+
+  // The graph in topological-position space.
+  std::vector<spg::StageId> by_topo_;
+  std::vector<std::uint64_t> key_;
+  std::vector<double> work_;
+  std::vector<PosEdge> edges_;
+  std::vector<std::size_t> succ_begin_;
+  std::vector<std::size_t> succ_;
+
+  std::vector<Slot> table_;  // open addressing, power-of-two size
+  std::vector<std::vector<std::uint32_t>> buckets_;  // state ids by set size
+
+  std::size_t expansions_ = 0;
+  bool budget_blown_ = false;
 };
 
 }  // namespace
 
 Result Dpa1dHeuristic::run(const spg::Spg& g, const cmp::Platform& p, double T) const {
   Dpa1dSolver solver(g, p, T, options_);
-  if (!solver.solve()) {
-    return Result::fail("DPA1D: exploration budget exceeded");
+  std::vector<int> clusters;
+  Outcome outcome = Outcome::Budget;
+  {
+    obs::Span span("dpa1d.dp");
+    if (solver.solve()) outcome = solver.reconstruct(clusters);
+    if (span.active()) {
+      span.detail("states", static_cast<std::uint64_t>(solver.states()));
+      span.detail("expansions", static_cast<std::uint64_t>(solver.expansions()));
+      span.detail("outcome", kOutcomeNames[static_cast<int>(outcome)]);
+    }
   }
-  auto clusters = solver.reconstruct();
-  if (!clusters) {
-    return Result::fail("DPA1D: no feasible line partition");
+  switch (outcome) {
+    case Outcome::Ok: break;
+    case Outcome::Budget: return Result::fail("DPA1D: exploration budget exceeded");
+    case Outcome::Infeasible: return Result::fail("DPA1D: no feasible line partition");
+    case Outcome::Internal:
+      return Result::fail("DPA1D: internal: reconstruction does not match the DP table");
   }
 
   // Cluster j lives on snake core j; edges follow the snake.
@@ -296,13 +494,13 @@ Result Dpa1dHeuristic::run(const spg::Spg& g, const cmp::Platform& p, double T) 
   mapping::Mapping m;
   m.core_of.resize(g.size());
   for (spg::StageId i = 0; i < g.size(); ++i) {
-    m.core_of[i] = grid.core_index(grid.snake_core((*clusters)[i]));
+    m.core_of[i] = grid.core_index(grid.snake_core(clusters[i]));
   }
   m.edge_paths.assign(g.edge_count(), {});
   for (spg::EdgeId e = 0; e < g.edge_count(); ++e) {
     const auto& edge = g.edge(e);
-    const int a = (*clusters)[edge.src];
-    const int b = (*clusters)[edge.dst];
+    const int a = clusters[edge.src];
+    const int b = clusters[edge.dst];
     if (a != b) {
       m.edge_paths[e] = grid.snake_route(grid.snake_core(a), grid.snake_core(b));
     }

@@ -14,6 +14,9 @@
 // budgets on distinct states and on cluster enumerations; exceeding either
 // reports failure — exactly the regime where the paper's DPA1D "fails to
 // return a solution because there are too many possible splits to explore".
+// The other failures are "no feasible line partition" (no chain of
+// clusters meets the period) and "internal: ..." (the reconstruction cannot
+// replay the DP table: a bug, never an infeasible instance).
 //
 // On heterogeneous fabrics the cluster sizing is scale-aware: cluster k
 // runs on snake core k, so its weight cap and energy use that core's
@@ -28,8 +31,20 @@ namespace spgcmp::heuristics {
 class Dpa1dHeuristic final : public Heuristic {
  public:
   struct Options {
-    std::size_t max_states = 200000;       ///< distinct ideals in the DP table
-    std::size_t max_expansions = 4000000;  ///< candidate clusters enumerated
+    /// Cap on the DP table, enforced before the DP starts: the solve fails
+    /// with "budget" when the stage poset has more than max_states order
+    /// ideals (spg::ideal_count, the empty ideal included).  Every DP state
+    /// is a nonempty ideal, so the table stays below the cap.
+    std::size_t max_states = 200000;
+    /// Cap on candidate clusters.  A candidate is a cluster H added to an
+    /// ideal G such that G ∪ H is again an ideal and w(H) <= T * s_max *
+    /// (largest speed scale on the snake).  Candidates are enumerated once
+    /// from the empty ideal and once from every DP state that is not the
+    /// full stage set and whose outgoing cut fits the link bandwidth; each
+    /// counts one, whatever its energy.  The solve fails with "budget" at
+    /// candidate max_expansions + 1, so a solve that needs E candidates
+    /// succeeds exactly when max_expansions >= E.
+    std::size_t max_expansions = 4000000;
   };
 
   Dpa1dHeuristic() : Dpa1dHeuristic(Options{}) {}

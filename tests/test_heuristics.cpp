@@ -1,11 +1,19 @@
 // Tests for the five paper heuristics: validity of every returned mapping,
 // determinism, paper-documented behaviours (DPA2D wasting cores on
-// pipelines, DPA1D optimality on chains and budget failures on fat graphs)
-// and optimality comparisons against the exact solver on tiny instances.
+// pipelines, DPA1D optimality on chains and budget failures on fat graphs),
+// DPA1D against brute force over chains of ideals, its budget boundaries
+// and its trace span, and optimality comparisons against the exact solver
+// on tiny instances.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "heuristics/dpa1d.hpp"
 #include "heuristics/dpa2d.hpp"
@@ -13,11 +21,13 @@
 #include "heuristics/greedy.hpp"
 #include "heuristics/heuristic.hpp"
 #include "heuristics/random_heuristic.hpp"
+#include "obs/trace.hpp"
 #include "spg/compose.hpp"
 #include "spg/generator.hpp"
 #include "spg/streamit.hpp"
 #include "support/checkers.hpp"
 #include "support/fixtures.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -173,6 +183,182 @@ TEST(Dpa1d, BudgetFailureOnFatGraph) {
   const Result r = heuristics::Dpa1dHeuristic(opt).run(g, p, 1.0);
   EXPECT_FALSE(r.success);
   EXPECT_NE(r.failure.find("budget"), std::string::npos);
+}
+
+/// Least evaluated energy over every chain of ideals {} < I1 < ... < Ik = V
+/// with k <= min(cores, n): cluster j runs on snake core j, scored by the
+/// evaluator at the slowest feasible modes.  Infinity when no chain's
+/// mapping is valid.  Stage sets are bitmasks, so n must stay small.
+double best_ideal_chain_energy(const spg::Spg& g, const cmp::Platform& p, double T) {
+  const std::size_t n = g.size();
+  const std::uint32_t full = (1u << n) - 1;
+  std::vector<std::uint32_t> ideals;
+  for (std::uint32_t s = 1; s <= full; ++s) {
+    bool ideal = true;
+    for (const auto& e : g.edges()) {
+      if (((s >> e.dst) & 1u) != 0 && ((s >> e.src) & 1u) == 0) ideal = false;
+    }
+    if (ideal) ideals.push_back(s);
+  }
+  const cmp::Grid& grid = p.grid();
+  const std::size_t r = std::min(static_cast<std::size_t>(grid.core_count()), n);
+  mapping::Evaluator ev(g, p, T);
+  std::vector<int> cluster(n);
+  double best = std::numeric_limits<double>::infinity();
+  const auto chains = [&](const auto& self, std::uint32_t done, std::size_t k) -> void {
+    if (done == full) {
+      mapping::Mapping m;
+      m.core_of.resize(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        m.core_of[i] = grid.core_index(grid.snake_core(cluster[i]));
+      }
+      m.edge_paths.assign(g.edge_count(), {});
+      for (spg::EdgeId e = 0; e < g.edge_count(); ++e) {
+        const int a = cluster[g.edge(e).src];
+        const int b = cluster[g.edge(e).dst];
+        if (a != b) m.edge_paths[e] = grid.snake_route(grid.snake_core(a), grid.snake_core(b));
+      }
+      const Result res = heuristics::finalize_with_paths(g, p, T, std::move(m), true, ev);
+      if (res.success) best = std::min(best, res.eval.energy);
+      return;
+    }
+    if (k == r) return;
+    for (const std::uint32_t next : ideals) {
+      if ((next & done) != done || next == done) continue;
+      for (std::size_t i = 0; i < n; ++i) {
+        if (((next & ~done) >> i) & 1u) cluster[i] = static_cast<int>(k);
+      }
+      self(self, next, k + 1);
+    }
+  };
+  chains(chains, 0u, std::size_t{0});
+  return best;
+}
+
+TEST(Dpa1d, MatchesBruteForceOverIdealChains) {
+  // Theorem 1: on the snake line the DP is exact over chains of ideals, so
+  // DPA1D fails exactly when no chain is valid and otherwise finds the
+  // cheapest one.
+  const cmp::Platform platforms[] = {cmp::Platform::reference(1, 4),
+                                     cmp::Platform::reference(2, 2),
+                                     cmp::Platform::reference("hetero", 2, 2)};
+  const double ccrs[] = {0.05, 1.0, 10.0};
+  std::size_t solved = 0;
+  std::size_t infeasible = 0;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    util::Rng rng(seed);
+    const auto n = rng.uniform_int(2, 8);
+    const auto ymax = static_cast<int>(rng.uniform_int(1, std::max<std::int64_t>(1, n - 2)));
+    spg::Spg g = spg::random_spg(static_cast<std::size_t>(n), ymax, rng);
+    g.rescale_ccr(ccrs[rng.uniform_int(0, 2)]);
+    for (const auto& p : platforms) {
+      for (const double tighten : {1.0, 0.4}) {
+        const double T = pick_period(g, p) * tighten;
+        SCOPED_TRACE(::testing::Message() << "seed " << seed << ", " << p.topology.name() << " "
+                                          << p.grid().rows() << "x" << p.grid().cols()
+                                          << ", T " << T);
+        const double want = best_ideal_chain_energy(g, p, T);
+        const Result got = heuristics::Dpa1dHeuristic().run(g, p, T);
+        EXPECT_EQ(got.failure.find("internal"), std::string::npos) << got.failure;
+        ASSERT_EQ(got.success, std::isfinite(want)) << got.failure;
+        if (!got.success) {
+          ++infeasible;
+          continue;
+        }
+        ++solved;
+        EXPECT_NEAR(got.eval.energy, want, 1e-9 * want);
+      }
+    }
+  }
+  // Both verdicts are common, so neither side of the comparison is vacuous.
+  EXPECT_GT(solved, 200u);
+  EXPECT_GT(infeasible, 100u);
+}
+
+/// Budget boundaries of seeded solves (test::random_workload(seed, n, ymax,
+/// CCR 10) at pick_period): the smallest budget that still succeeds, and
+/// the energy found.  On an expansions row the boundary is the solve's
+/// exact count of candidate clusters; on the states row it is the poset's
+/// ideal count.  The rows pin the enumeration itself: they move if the set
+/// of visited clusters changes, or its size.
+struct BudgetBoundary {
+  const char* topology;
+  int rows, cols;
+  std::size_t n;
+  int ymax;
+  std::uint64_t seed;
+  bool states;  ///< boundary on states= rather than expansions=
+  std::size_t boundary;
+  double energy;
+};
+
+constexpr BudgetBoundary kBudgetBoundaries[] = {
+    {"mesh", 4, 4, 40, 3, 3, false, 52687, 0x1.64e638c2d08a3p+0},
+    {"mesh", 4, 4, 30, 4, 1, false, 21252, 0x1.b5aa0cf2683eap-1},
+    {"mesh", 6, 6, 40, 4, 3, false, 46127, 0x1.93d0ca3d00a74p+0},
+    {"mesh", 6, 6, 30, 3, 3, false, 3590, 0x1.735b8e5db33d4p+0},
+    {"hetero", 4, 4, 40, 4, 1, false, 60369, 0x1.66ef5fca4488p+0},
+    {"mesh", 4, 4, 40, 2, 1, true, 393, 0x1.4be08dc36cbedp+0},
+};
+
+TEST(Dpa1d, BudgetBoundariesPinTheEnumeration) {
+  for (const auto& b : kBudgetBoundaries) {
+    SCOPED_TRACE(::testing::Message() << b.topology << " " << b.rows << "x" << b.cols << " n"
+                                      << b.n << " ymax " << b.ymax << " seed " << b.seed);
+    const spg::Spg g = test::random_workload(b.seed, b.n, b.ymax, 10.0);
+    const auto p = cmp::Platform::reference(b.topology, b.rows, b.cols);
+    const double T = pick_period(g, p);
+    const auto run = [&](std::size_t budget) {
+      heuristics::Dpa1dHeuristic::Options opt;
+      (b.states ? opt.max_states : opt.max_expansions) = budget;
+      return heuristics::Dpa1dHeuristic(opt).run(g, p, T);
+    };
+    const Result unbounded = heuristics::Dpa1dHeuristic().run(g, p, T);
+    const Result at = run(b.boundary);
+    ASSERT_TRUE(at.success) << at.failure;
+    EXPECT_EQ(at.eval.energy, b.energy);
+    EXPECT_EQ(at.eval.energy, unbounded.eval.energy);
+    EXPECT_EQ(at.mapping.core_of, unbounded.mapping.core_of);
+    const Result below = run(b.boundary - 1);
+    EXPECT_FALSE(below.success);
+    EXPECT_NE(below.failure.find("budget"), std::string::npos) << below.failure;
+  }
+}
+
+TEST(Dpa1d, DpSpanReportsStatesExpansionsAndOutcome) {
+  const BudgetBoundary& b = kBudgetBoundaries[0];
+  constexpr double kStates = 901;  // DP states of that solve: every nonempty ideal
+  const spg::Spg g = test::random_workload(b.seed, b.n, b.ymax, 10.0);
+  const auto p = cmp::Platform::reference(b.topology, b.rows, b.cols);
+  const double T = pick_period(g, p);
+  heuristics::Dpa1dHeuristic::Options tight;
+  tight.max_expansions = b.boundary - 1;
+
+  obs::trace_start();
+  EXPECT_TRUE(heuristics::Dpa1dHeuristic().run(g, p, T).success);
+  EXPECT_FALSE(heuristics::Dpa1dHeuristic(tight).run(g, p, T).success);
+  // A period so short that no single stage fits a core.
+  EXPECT_FALSE(heuristics::Dpa1dHeuristic().run(g, p, T * 1e-3).success);
+  std::ostringstream os;
+  obs::trace_stop(os);
+
+  const auto doc = util::parse_json(os.str());
+  std::vector<util::JsonValue> args;
+  for (const auto& e : doc.at("traceEvents").as_array("traceEvents")) {
+    if (e.at("ph").as_string("ph") == "X" && e.at("name").as_string("name") == "dpa1d.dp") {
+      args.push_back(e.at("args"));
+    }
+  }
+  ASSERT_EQ(args.size(), 3u);
+  EXPECT_EQ(args[0].at("outcome").as_string("outcome"), "ok");
+  EXPECT_EQ(args[0].at("states").as_number("states"), kStates);
+  EXPECT_EQ(args[0].at("expansions").as_number("expansions"), static_cast<double>(b.boundary));
+  EXPECT_EQ(args[1].at("outcome").as_string("outcome"), "budget");
+  EXPECT_EQ(args[1].at("expansions").as_number("expansions"),
+            static_cast<double>(b.boundary - 1));
+  EXPECT_EQ(args[2].at("outcome").as_string("outcome"), "infeasible");
+  EXPECT_EQ(args[2].at("states").as_number("states"), 0.0);
+  EXPECT_EQ(args[2].at("expansions").as_number("expansions"), 0.0);
 }
 
 TEST(Dpa2d, WastesCoresOnPurePipeline) {
