@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <map>
-#include <optional>
+
+#include "obs/trace.hpp"
 
 namespace spgcmp::heuristics {
 
@@ -22,11 +24,23 @@ struct DEntry {
 
 using Distribution = std::vector<DEntry>;
 
-/// Result of solving one column block.
-struct ColumnSolution {
-  double energy = kInf;
-  std::vector<int> core_of_row;  ///< SPG row -> core row within the column
+/// Invariants of one column block [m1, m2], built once and shared by every
+/// CMP column and incoming distribution the block is solved for.  The
+/// crossing arrays price only the links of core rows u >= 1 and the bad
+/// table only boxes below full height; a one-row column (P == 1) has
+/// neither, so both stay empty.
+struct Block {
+  int m1 = 0, m2 = 0;
+  /// cross_down[t] / cross_up[t]: bytes of in-block edges crossing the
+  /// horizontal split "rows < t vs rows >= t", downward resp. upward.
+  std::vector<double> cross_down, cross_up;
+  /// bad[y1 * Y + y2] == true when the box cols [m1, m2] x rows [y1, y2] is
+  /// not convex.
+  std::vector<char> bad;
 };
+
+enum class Outcome { Ok, Infeasible, Internal };
+constexpr const char* kOutcomeNames[] = {"ok", "infeasible", "internal"};
 
 /// The full DP context for one (graph, virtual platform, T) problem.
 struct Dpa2dSolver {
@@ -51,16 +65,24 @@ struct Dpa2dSolver {
 
   /// Escaping reachable pairs: a path from `i` to `j` can use an
   /// intermediate row below min(row_i, row_j) (min_int) or above
-  /// max(row_i, row_j) (max_int).
+  /// max(row_i, row_j) (max_int).  Edges raise x, so col_i < col_j.  The
+  /// pairs are sorted by col_i; those with col_i == c start at
+  /// escapes_from[c].
   struct EscapePair {
     spg::StageId i, j;
     int min_int, max_int;  // extreme intermediate rows over all paths
   };
   std::vector<EscapePair> escapes;
+  std::vector<std::size_t> escapes_from;  // X + 1 offsets into escapes
 
-  /// Lazily built per (m1, m2): bad[y1 * Y + y2] == true when the box
-  /// cols [m1, m2] x rows [y1, y2] is not convex.
-  std::map<std::pair<int, int>, std::vector<char>> bad_boxes;
+  // Work counters, reported on the dpa2d.dp span.
+  std::uint64_t blocks = 0;   ///< build_block calls
+  std::uint64_t columns = 0;  ///< solve_column calls
+  std::uint64_t states = 0;   ///< finite outer states dp[m][v], v >= 1
+
+  // Inner-DP scratch, reused across solve_column calls.
+  std::vector<double> bd, bu, bucket, pre, col_dp;
+  std::vector<int> col_parent;
 
   Dpa2dSolver(const spg::Spg& graph, const cmp::Grid& virt,
               const cmp::SpeedModel& sm, const cmp::CommModel& cm, double period,
@@ -97,7 +119,9 @@ struct Dpa2dSolver {
       for (int y = 0; y <= Y; ++y) wp(x, y) += wp(x - 1, y);
     }
 
-    compute_escape_pairs();
+    // A full-height box cannot be escaped, so a one-row column needs no
+    // escaping pairs (see Block).
+    if (P > 1) compute_escape_pairs();
   }
 
   /// Speed scale of virtual core (row, col); 1.0 when homogeneous.
@@ -149,14 +173,50 @@ struct Dpa2dSolver {
         }
       }
     }
+    std::sort(escapes.begin(), escapes.end(), [&](const EscapePair& a, const EscapePair& b) {
+      return col_of[a.i] < col_of[b.i];
+    });
+    escapes_from.assign(static_cast<std::size_t>(X + 1), 0);
+    for (const auto& ep : escapes) ++escapes_from[static_cast<std::size_t>(col_of[ep.i] + 1)];
+    for (int c = 0; c < X; ++c) {
+      escapes_from[static_cast<std::size_t>(c + 1)] += escapes_from[static_cast<std::size_t>(c)];
+    }
   }
 
-  /// Bad-box table for a column range, built from escaping pairs via 2D
-  /// difference rectangles.
-  const std::vector<char>& bad_table(int m1, int m2) {
-    const auto key = std::make_pair(m1, m2);
-    auto it = bad_boxes.find(key);
-    if (it != bad_boxes.end()) return it->second;
+  /// Fill `b` with the invariants of column block [m1, m2]: the in-block
+  /// crossing arrays, and the bad-box table built from escaping pairs via
+  /// 2D difference rectangles.  Nothing to build when P == 1.
+  void build_block(Block& b, int m1, int m2) {
+    ++blocks;
+    b.m1 = m1;
+    b.m2 = m2;
+    if (P == 1) return;
+
+    // Difference arrays: an edge crossing rows [a+1, b] contributes to all
+    // split thresholds t in that range.
+    std::vector<double> dd(static_cast<std::size_t>(Y + 2), 0.0);
+    std::vector<double> du(static_cast<std::size_t>(Y + 2), 0.0);
+    for (const auto& e : g.edges()) {
+      if (col_of[e.src] < m1 || col_of[e.src] > m2) continue;
+      if (col_of[e.dst] < m1 || col_of[e.dst] > m2) continue;
+      const int rs = row_of[e.src], rd = row_of[e.dst];
+      if (rs < rd) {
+        dd[static_cast<std::size_t>(rs + 1)] += e.bytes;
+        dd[static_cast<std::size_t>(rd + 1)] -= e.bytes;
+      } else if (rd < rs) {
+        du[static_cast<std::size_t>(rd + 1)] += e.bytes;
+        du[static_cast<std::size_t>(rs + 1)] -= e.bytes;
+      }
+    }
+    b.cross_down.resize(static_cast<std::size_t>(Y + 1));
+    b.cross_up.resize(static_cast<std::size_t>(Y + 1));
+    double run_d = 0.0, run_u = 0.0;
+    for (int t = 0; t <= Y; ++t) {
+      run_d += dd[static_cast<std::size_t>(t)];
+      run_u += du[static_cast<std::size_t>(t)];
+      b.cross_down[static_cast<std::size_t>(t)] = run_d;
+      b.cross_up[static_cast<std::size_t>(t)] = run_u;
+    }
 
     std::vector<int> diff(static_cast<std::size_t>((Y + 1) * (Y + 1)), 0);
     const auto mark = [&](int y1_lo, int y1_hi, int y2_lo, int y2_hi) {
@@ -166,9 +226,12 @@ struct Dpa2dSolver {
       diff[static_cast<std::size_t>((y1_hi + 1) * (Y + 1) + y2_lo)] -= 1;
       diff[static_cast<std::size_t>((y1_hi + 1) * (Y + 1) + y2_hi + 1)] += 1;
     };
-    for (const auto& ep : escapes) {
-      if (col_of[ep.i] < m1 || col_of[ep.i] > m2) continue;
-      if (col_of[ep.j] < m1 || col_of[ep.j] > m2) continue;
+    // The pairs inside the block: col_i in [m1, m2], then col_j <= m2.
+    // Marks are integer counts, so their order does not matter.
+    for (std::size_t k = escapes_from[static_cast<std::size_t>(m1)];
+         k < escapes_from[static_cast<std::size_t>(m2 + 1)]; ++k) {
+      const auto& ep = escapes[k];
+      if (col_of[ep.j] > m2) continue;
       const int lo = std::min(row_of[ep.i], row_of[ep.j]);
       const int hi = std::max(row_of[ep.i], row_of[ep.j]);
       // Escape below: intermediate row min_int < y1 <= lo.
@@ -176,80 +239,52 @@ struct Dpa2dSolver {
       // Escape above: intermediate row max_int > y2 >= hi.
       if (ep.max_int > hi) mark(0, lo, hi, ep.max_int - 1);
     }
-    std::vector<char> bad(static_cast<std::size_t>(Y * Y), 0);
+    b.bad.assign(static_cast<std::size_t>(Y * Y), 0);
     // Prefix-sum the difference rectangles.
     std::vector<int> acc(static_cast<std::size_t>((Y + 1) * (Y + 1)), 0);
-    for (int a = 0; a < Y; ++a) {
-      for (int b = 0; b < Y; ++b) {
-        int v = diff[static_cast<std::size_t>(a * (Y + 1) + b)];
-        v += (a > 0 ? acc[static_cast<std::size_t>((a - 1) * (Y + 1) + b)] : 0);
-        v += (b > 0 ? acc[static_cast<std::size_t>(a * (Y + 1) + b - 1)] : 0);
-        v -= (a > 0 && b > 0
-                  ? acc[static_cast<std::size_t>((a - 1) * (Y + 1) + b - 1)]
+    for (int y1 = 0; y1 < Y; ++y1) {
+      for (int y2 = 0; y2 < Y; ++y2) {
+        int v = diff[static_cast<std::size_t>(y1 * (Y + 1) + y2)];
+        v += (y1 > 0 ? acc[static_cast<std::size_t>((y1 - 1) * (Y + 1) + y2)] : 0);
+        v += (y2 > 0 ? acc[static_cast<std::size_t>(y1 * (Y + 1) + y2 - 1)] : 0);
+        v -= (y1 > 0 && y2 > 0
+                  ? acc[static_cast<std::size_t>((y1 - 1) * (Y + 1) + y2 - 1)]
                   : 0);
-        acc[static_cast<std::size_t>(a * (Y + 1) + b)] = v;
-        bad[static_cast<std::size_t>(a * Y + b)] = v > 0;
+        acc[static_cast<std::size_t>(y1 * (Y + 1) + y2)] = v;
+        b.bad[static_cast<std::size_t>(y1 * Y + y2)] = v > 0;
       }
     }
-    return bad_boxes.emplace(key, std::move(bad)).first->second;
   }
 
-  /// Solve one column block [m1, m2] given incoming distribution `din`,
-  /// destined for CMP column `vcol` (0-based; decides the per-row speed
-  /// scales on heterogeneous fabrics).  Returns energy = computation energy
-  /// of the column's clusters plus the vertical link energy inside the
-  /// column, or infinity when infeasible.
-  ColumnSolution solve_column(int m1, int m2, const Distribution& din, int vcol) {
-    ColumnSolution sol;
-    const auto& bad = bad_table(m1, m2);
-
-    // cross_down[t] / cross_up[t]: bytes of in-block edges crossing the
-    // horizontal split "rows < t vs rows >= t", downward resp. upward.
-    std::vector<double> cross_down(static_cast<std::size_t>(Y + 1), 0.0);
-    std::vector<double> cross_up(static_cast<std::size_t>(Y + 1), 0.0);
-    {
-      // Difference arrays: an edge crossing rows [a+1, b] contributes to all
-      // split thresholds t in that range.
-      std::vector<double> dd(static_cast<std::size_t>(Y + 2), 0.0);
-      std::vector<double> du(static_cast<std::size_t>(Y + 2), 0.0);
-      for (const auto& e : g.edges()) {
-        if (col_of[e.src] < m1 || col_of[e.src] > m2) continue;
-        if (col_of[e.dst] < m1 || col_of[e.dst] > m2) continue;
-        const int rs = row_of[e.src], rd = row_of[e.dst];
-        if (rs < rd) {
-          dd[static_cast<std::size_t>(rs + 1)] += e.bytes;
-          dd[static_cast<std::size_t>(rd + 1)] -= e.bytes;
-        } else if (rd < rs) {
-          du[static_cast<std::size_t>(rd + 1)] += e.bytes;
-          du[static_cast<std::size_t>(rs + 1)] -= e.bytes;
-        }
-      }
-      double run_d = 0.0, run_u = 0.0;
-      for (int t = 0; t <= Y; ++t) {
-        run_d += dd[static_cast<std::size_t>(t)];
-        run_u += du[static_cast<std::size_t>(t)];
-        cross_down[static_cast<std::size_t>(t)] = run_d;
-        cross_up[static_cast<std::size_t>(t)] = run_u;
-      }
-    }
+  /// Solve column block `b` given incoming distribution `din`, destined for
+  /// CMP column `vcol` (0-based; decides the per-row speed scales on
+  /// heterogeneous fabrics).  Returns the computation energy of the
+  /// column's clusters plus the vertical link energy inside the column, and
+  /// fills `core_of_row` (SPG row -> core row); infinity when infeasible.
+  double solve_column(const Block& b, const Distribution& din, int vcol,
+                      std::vector<int>& core_of_row) {
+    ++columns;
+    const auto idx = [&](int gg, int uu) {
+      return static_cast<std::size_t>(gg * (P + 1) + uu);
+    };
 
     // bd[t][u]: incoming bytes with entry row <= u-1 and dest row >= t;
     // bu[t][u]: incoming bytes with entry row >= u and dest row < t.
-    // (entry rows index cores of the previous column, 0..P-1).
-    std::vector<double> bd(static_cast<std::size_t>((Y + 1) * (P + 1)), 0.0);
-    std::vector<double> bu(static_cast<std::size_t>((Y + 1) * (P + 1)), 0.0);
-    {
+    // (entry rows index cores of the previous column, 0..P-1).  Read only
+    // by the links of core rows u >= 1.
+    if (P > 1) {
+      bd.assign(static_cast<std::size_t>((Y + 1) * (P + 1)), 0.0);
+      bu.assign(static_cast<std::size_t>((Y + 1) * (P + 1)), 0.0);
       // bucket[dest_row][entry_row]
-      std::vector<double> bucket(static_cast<std::size_t>(Y * P), 0.0);
+      bucket.assign(static_cast<std::size_t>(Y * P), 0.0);
       for (const auto& d : din) {
-        if (col_of[d.dst] < m1 || col_of[d.dst] > m2) continue;
+        if (col_of[d.dst] < b.m1 || col_of[d.dst] > b.m2) continue;
         bucket[static_cast<std::size_t>(row_of[d.dst] * P + d.row)] += d.bytes;
       }
       // pre[yd][u] = sum of bucket[yd][re] over re < u.
-      std::vector<double> pre(static_cast<std::size_t>(Y * (P + 1)), 0.0);
+      pre.assign(static_cast<std::size_t>(Y * (P + 1)), 0.0);
       for (int yd = 0; yd < Y; ++yd) {
         double run = 0.0;
-        pre[static_cast<std::size_t>(yd * (P + 1))] = 0.0;
         for (int re = 0; re < P; ++re) {
           run += bucket[static_cast<std::size_t>(yd * P + re)];
           pre[static_cast<std::size_t>(yd * (P + 1) + re + 1)] = run;
@@ -261,11 +296,11 @@ struct Dpa2dSolver {
         double suffix = 0.0;
         for (int t = Y; t >= 0; --t) {
           if (t < Y) suffix += pre[static_cast<std::size_t>(t * (P + 1) + u)];
-          bd[static_cast<std::size_t>(t * (P + 1) + u)] = suffix;
+          bd[idx(t, u)] = suffix;
         }
         double prefix = 0.0;
         for (int t = 0; t <= Y; ++t) {
-          bu[static_cast<std::size_t>(t * (P + 1) + u)] = prefix;
+          bu[idx(t, u)] = prefix;
           if (t < Y) {
             const double row_total = pre[static_cast<std::size_t>(t * (P + 1) + P)];
             prefix += row_total - pre[static_cast<std::size_t>(t * (P + 1) + u)];
@@ -276,32 +311,34 @@ struct Dpa2dSolver {
 
     // dp[g][u]: rows < g assigned to cores < u; vertical links between
     // cores < u fully charged.  parent[g][u] = g' of the best transition.
-    const auto idx = [&](int gg, int uu) {
-      return static_cast<std::size_t>(gg * (P + 1) + uu);
-    };
-    std::vector<double> dp(static_cast<std::size_t>((Y + 1) * (P + 1)), kInf);
-    std::vector<int> parent(static_cast<std::size_t>((Y + 1) * (P + 1)), -1);
-    dp[idx(0, 0)] = 0.0;
+    col_dp.assign(static_cast<std::size_t>((Y + 1) * (P + 1)), kInf);
+    col_parent.assign(static_cast<std::size_t>((Y + 1) * (P + 1)), -1);
+    col_dp[idx(0, 0)] = 0.0;
 
     for (int u = 0; u < P; ++u) {
       for (int g1 = 0; g1 <= Y; ++g1) {
-        const double base = dp[idx(g1, u)];
+        const double base = col_dp[idx(g1, u)];
         if (!std::isfinite(base)) continue;
         // Link (u-1, u) cost/feasibility, independent of g2.
         double link_energy = 0.0;
         if (u >= 1) {
           const double down =
-              cross_down[static_cast<std::size_t>(g1)] + bd[idx(g1, u)];
-          const double up = cross_up[static_cast<std::size_t>(g1)] + bu[idx(g1, u)];
+              b.cross_down[static_cast<std::size_t>(g1)] + bd[idx(g1, u)];
+          const double up = b.cross_up[static_cast<std::size_t>(g1)] + bu[idx(g1, u)];
           if (down > cut_cap * (1 + 1e-12) || up > cut_cap * (1 + 1e-12)) continue;
           link_energy = (down + up) * comm.energy_per_byte;
         }
-        for (int g2 = g1; g2 <= Y; ++g2) {
+        // The last core row must take every remaining row: only dp[Y][P]
+        // is ever read.
+        for (int g2 = u + 1 == P ? Y : g1; g2 <= Y; ++g2) {
           double cal = 0.0;
           if (g2 > g1) {
-            const double w = box_work(m1, m2, g1, g2 - 1);
+            const double w = box_work(b.m1, b.m2, g1, g2 - 1);
             if (w > 0.0) {
-              if (bad[static_cast<std::size_t>(g1 * Y + (g2 - 1))]) continue;
+              // A full-height box is never bad (and has no table when P == 1).
+              if ((g1 > 0 || g2 < Y) && b.bad[static_cast<std::size_t>(g1 * Y + (g2 - 1))]) {
+                continue;
+              }
               // Rows [g1, g2) run on core (u, vcol); its speed scale caps
               // the cluster weight and prices its energy.
               const double scale = scale_at(u, vcol);
@@ -311,26 +348,26 @@ struct Dpa2dSolver {
             }
           }
           const double cand = base + link_energy + cal;
-          if (cand < dp[idx(g2, u + 1)]) {
-            dp[idx(g2, u + 1)] = cand;
-            parent[idx(g2, u + 1)] = g1;
+          if (cand < col_dp[idx(g2, u + 1)]) {
+            col_dp[idx(g2, u + 1)] = cand;
+            col_parent[idx(g2, u + 1)] = g1;
           }
         }
       }
     }
 
-    if (!std::isfinite(dp[idx(Y, P)])) return sol;
-    sol.energy = dp[idx(Y, P)];
-    sol.core_of_row.assign(static_cast<std::size_t>(Y), -1);
+    const double energy = col_dp[idx(Y, P)];
+    if (!std::isfinite(energy)) return kInf;
+    core_of_row.assign(static_cast<std::size_t>(Y), -1);
     int gg = Y;
     for (int u = P; u >= 1; --u) {
-      const int g1 = parent[idx(gg, u)];
+      const int g1 = col_parent[idx(gg, u)];
       for (int rr = g1; rr < gg; ++rr) {
-        sol.core_of_row[static_cast<std::size_t>(rr)] = u - 1;
+        core_of_row[static_cast<std::size_t>(rr)] = u - 1;
       }
       gg = g1;
     }
-    return sol;
+    return energy;
   }
 
   /// Outgoing distribution of block [m1, m2] given its row assignment and
@@ -370,11 +407,13 @@ struct Dpa2dSolver {
     return total * comm.energy_per_byte;
   }
 
-  /// Full outer DP.  On success, fills stage -> (virtual core row, col).
-  std::optional<std::vector<cmp::CoreId>> solve() {
+  /// Full outer DP, then the reconstruction of the best state.  On Ok,
+  /// `core_of_stage` holds stage -> (virtual core row, col).
+  Outcome solve(std::vector<cmp::CoreId>& core_of_stage) {
     struct OuterState {
       double energy = kInf;
-      Distribution dist;
+      double cross = kInf;  ///< crossing_energy(dist), once final
+      Distribution dist;    ///< outgoing distribution, once final
       int parent_m = -1;
     };
     // state(m, v): first m SPG columns on the first v CMP columns.
@@ -382,25 +421,47 @@ struct Dpa2dSolver {
         static_cast<std::size_t>(X + 1),
         std::vector<OuterState>(static_cast<std::size_t>(Q + 1)));
     dp[0][0].energy = 0.0;
+    dp[0][0].cross = 0.0;
 
-    for (int v = 1; v <= Q; ++v) {
-      for (int m = v; m <= X; ++m) {
-        // Block = SPG columns [m', m-1]; requires m' >= v-1 blocks before.
-        for (int mp = v - 1; mp < m; ++mp) {
+    // In (m, mp, v) order every state dp[mp][.] is final before any block
+    // starting at mp is solved, and each dp[m][v] still meets its
+    // candidates in ascending mp, so the strict < picks the same winner as
+    // a (v, m, mp) sweep.  Block = SPG columns [mp, m-1] on CMP column v-1.
+    Block block;
+    std::vector<int> rows;
+    // best_rows[v]: rows of the best block into dp[m][v] so far.
+    std::vector<std::vector<int>> best_rows(static_cast<std::size_t>(Q + 1));
+    for (int m = 1; m <= X; ++m) {
+      for (int mp = 0; mp < m; ++mp) {
+        bool built = false;
+        for (int v = 1; v <= std::min(Q, mp + 1); ++v) {
           const auto& prev = dp[static_cast<std::size_t>(mp)][static_cast<std::size_t>(v - 1)];
-          if (!std::isfinite(prev.energy)) continue;
-          const double cross = (v == 1) ? 0.0 : crossing_energy(prev.dist);
-          if (!std::isfinite(cross)) continue;
-          ColumnSolution col = solve_column(mp, m - 1, prev.dist, v - 1);
-          if (!std::isfinite(col.energy)) continue;
-          const double cand = prev.energy + cross + col.energy;
+          if (!std::isfinite(prev.energy) || !std::isfinite(prev.cross)) continue;
+          if (!built) {
+            build_block(block, mp, m - 1);
+            built = true;
+          }
+          const double col = solve_column(block, prev.dist, v - 1, rows);
+          if (!std::isfinite(col)) continue;
+          const double cand = prev.energy + prev.cross + col;
           auto& cur = dp[static_cast<std::size_t>(m)][static_cast<std::size_t>(v)];
           if (cand < cur.energy) {
             cur.energy = cand;
             cur.parent_m = mp;
-            cur.dist = block_output(mp, m - 1, col.core_of_row, prev.dist);
+            std::swap(best_rows[static_cast<std::size_t>(v)], rows);
           }
         }
+      }
+      // The states of m are final: derive what their successors read.
+      for (int v = 1; v <= std::min(Q, m); ++v) {
+        auto& cur = dp[static_cast<std::size_t>(m)][static_cast<std::size_t>(v)];
+        if (!std::isfinite(cur.energy)) continue;
+        ++states;
+        const auto& prev =
+            dp[static_cast<std::size_t>(cur.parent_m)][static_cast<std::size_t>(v - 1)];
+        cur.dist = block_output(cur.parent_m, m - 1, best_rows[static_cast<std::size_t>(v)],
+                                prev.dist);
+        cur.cross = crossing_energy(cur.dist);
       }
     }
 
@@ -413,9 +474,10 @@ struct Dpa2dSolver {
         best_v = v;
       }
     }
-    if (best_v < 0) return std::nullopt;
+    if (best_v < 0) return Outcome::Infeasible;
 
-    // Reconstruct block boundaries, then re-solve each block for rows.
+    // Reconstruct block boundaries, then re-solve each block for rows,
+    // re-adding the DP's sum in its order: it must give best_e exactly.
     std::vector<int> bounds;  // m values, from X down to 0
     int m = X;
     for (int v = best_v; v >= 1; --v) {
@@ -425,81 +487,86 @@ struct Dpa2dSolver {
     bounds.push_back(0);
     std::reverse(bounds.begin(), bounds.end());  // 0 = b0 < b1 < ... < bV = X
 
-    std::vector<cmp::CoreId> core_of_stage(g.size());
+    core_of_stage.assign(g.size(), cmp::CoreId{});
     Distribution din;  // empty before the first block
+    double energy = 0.0;
     for (int v = 0; v + 1 < static_cast<int>(bounds.size()); ++v) {
       const int m1 = bounds[static_cast<std::size_t>(v)];
       const int m2 = bounds[static_cast<std::size_t>(v + 1)] - 1;
-      ColumnSolution col = solve_column(m1, m2, din, v);
-      if (!std::isfinite(col.energy)) return std::nullopt;  // defensive
+      const double cross = v == 0 ? 0.0 : crossing_energy(din);
+      build_block(block, m1, m2);
+      const double col = solve_column(block, din, v, rows);
+      if (!std::isfinite(cross) || !std::isfinite(col)) return Outcome::Internal;
+      energy = energy + cross + col;
       for (int c = m1; c <= m2; ++c) {
         for (spg::StageId i : stages_in_col[static_cast<std::size_t>(c)]) {
-          const int row = col.core_of_row[static_cast<std::size_t>(row_of[i])];
+          const int row = rows[static_cast<std::size_t>(row_of[i])];
           core_of_stage[i] = cmp::CoreId{row, v};
         }
       }
-      din = block_output(m1, m2, col.core_of_row, din);
+      din = block_output(m1, m2, rows, din);
     }
-    return core_of_stage;
+    return energy == best_e ? Outcome::Ok : Outcome::Internal;
   }
 };
 
 }  // namespace
 
 Result Dpa2dHeuristic::run(const spg::Spg& g, const cmp::Platform& p, double T) const {
-  // Per-virtual-core speed scales: virtual (row, col) is physical (row,
-  // col) in Grid2D mode and snake core `col` in Line1D mode.  Homogeneous
-  // platforms pass an empty table (scale 1.0 everywhere, the paper path).
-  const bool hetero = p.topology.heterogeneous();
-
-  if (mode_ == Mode::Grid2D) {
-    std::vector<double> scales;
-    if (hetero) {
-      scales.resize(static_cast<std::size_t>(p.grid().core_count()));
-      for (int c = 0; c < p.grid().core_count(); ++c) {
-        scales[static_cast<std::size_t>(c)] = p.topology.core_speed_scale(c);
-      }
-    }
-    Dpa2dSolver solver(g, p.grid(), p.speeds, p.comm, T, std::move(scales));
-    auto cores = solver.solve();
-    if (!cores) return Result::fail("DPA2D: no feasible column partition");
-    mapping::Mapping m;
-    m.core_of.resize(g.size());
-    for (spg::StageId i = 0; i < g.size(); ++i) {
-      m.core_of[i] = p.grid().core_index((*cores)[i]);
-    }
-    return finalize_with_routes(g, p, T, std::move(m));
-  }
-
-  // DPA2D1D: virtual 1 x (p*q) line, then embed along the snake.
-  const int r = p.grid().core_count();
-  const cmp::Grid line(1, r, p.grid().bandwidth());
+  // DPA2D solves on the real grid; DPA2D1D on a virtual 1 x (p*q) line that
+  // is then embedded along the snake.  Per-virtual-core speed scales:
+  // virtual (row, col) is physical (row, col) in Grid2D mode and snake core
+  // `col` in Line1D mode.  Homogeneous platforms pass an empty table (scale
+  // 1.0 everywhere, the paper path).
+  const bool grid2d = mode_ == Mode::Grid2D;
+  const cmp::Grid& grid = p.grid();
+  const int r = grid.core_count();
+  const cmp::Grid line(1, r, grid.bandwidth());
   std::vector<double> scales;
-  if (hetero) {
+  if (p.topology.heterogeneous()) {
     scales.resize(static_cast<std::size_t>(r));
-    for (int k = 0; k < r; ++k) {
-      scales[static_cast<std::size_t>(k)] =
-          p.topology.core_speed_scale(p.grid().core_index(p.grid().snake_core(k)));
+    for (int c = 0; c < r; ++c) {
+      const int phys = grid2d ? c : grid.core_index(grid.snake_core(c));
+      scales[static_cast<std::size_t>(c)] = p.topology.core_speed_scale(phys);
     }
   }
-  Dpa2dSolver solver(g, line, p.speeds, p.comm, T, std::move(scales));
-  auto cores = solver.solve();
-  if (!cores) return Result::fail("DPA2D1D: no feasible line partition");
+  Dpa2dSolver solver(g, grid2d ? grid : line, p.speeds, p.comm, T, std::move(scales));
+  std::vector<cmp::CoreId> cores;
+  Outcome outcome = Outcome::Internal;
+  {
+    obs::Span span("dpa2d.dp");
+    outcome = solver.solve(cores);
+    if (span.active()) {
+      span.detail("blocks", solver.blocks);
+      span.detail("columns", solver.columns);
+      span.detail("states", solver.states);
+      span.detail("outcome", kOutcomeNames[static_cast<int>(outcome)]);
+    }
+  }
+  switch (outcome) {
+    case Outcome::Ok: break;
+    case Outcome::Infeasible:
+      return Result::fail(grid2d ? "DPA2D: no feasible column partition"
+                                 : "DPA2D1D: no feasible line partition");
+    case Outcome::Internal:
+      return Result::fail(name() + ": internal: reconstruction does not match the DP table");
+  }
 
   mapping::Mapping m;
   m.core_of.resize(g.size());
+  if (grid2d) {
+    for (spg::StageId i = 0; i < g.size(); ++i) m.core_of[i] = grid.core_index(cores[i]);
+    return finalize_with_routes(g, p, T, std::move(m));
+  }
   for (spg::StageId i = 0; i < g.size(); ++i) {
-    m.core_of[i] = p.grid().core_index(p.grid().snake_core((*cores)[i].col));
+    m.core_of[i] = grid.core_index(grid.snake_core(cores[i].col));
   }
   m.edge_paths.assign(g.edge_count(), {});
   for (spg::EdgeId e = 0; e < g.edge_count(); ++e) {
     const auto& edge = g.edge(e);
-    const int a = (*cores)[edge.src].col;
-    const int b = (*cores)[edge.dst].col;
-    if (a != b) {
-      m.edge_paths[e] =
-          p.grid().snake_route(p.grid().snake_core(a), p.grid().snake_core(b));
-    }
+    const int a = cores[edge.src].col;
+    const int b = cores[edge.dst].col;
+    if (a != b) m.edge_paths[e] = grid.snake_route(grid.snake_core(a), grid.snake_core(b));
   }
   return finalize_with_paths(g, p, T, std::move(m), /*downgrade=*/true);
 }

@@ -19,7 +19,22 @@
 // Cluster validity inside the DP uses the convexity filter (no path between
 // two box stages may leave the box); with x-monotone edges a path can only
 // escape a box *vertically*, so per-block "bad (y1,y2)" tables are built
-// from precomputed escaping pairs in O(1) per DP transition.
+// from precomputed escaping pairs, for O(1) lookups per DP transition.
+//
+// The outer DP runs in (m, mp, v) order, so each block [mp, m-1] builds its
+// bad table and in-block crossing arrays once, in the outer loop, and
+// shares them across every CMP column v and incoming distribution it is
+// solved for.  A one-row column (P == 1: DPA2D1D's line) builds neither,
+// and no escaping pairs: its only core row takes the full-height box, which
+// no path can escape, and the crossing arrays price only the links between
+// core rows.
+//
+// Work is reported on one "dpa2d.dp" trace span per solve: `blocks` (blocks
+// set up, i.e. reached from a finite state; empty set-ups when P == 1),
+// `columns` (inner-DP runs), `states` (finite outer states) and `outcome`
+// (ok, infeasible, internal).  `blocks` and `columns` include the
+// reconstruction's re-solve of each chosen block, whose energies must
+// re-add to the DP's optimum exactly, or the solve fails as internal.
 
 #include "heuristics/heuristic.hpp"
 

@@ -25,7 +25,7 @@ void MemoCache::insert(const std::string& key, std::string payload) {
     return;
   }
   lru_.emplace_front(key, std::move(payload));
-  index_.emplace(key, lru_.begin());
+  index_.emplace(lru_.front().first, lru_.begin());
   while (lru_.size() > capacity_) {
     index_.erase(lru_.back().first);
     lru_.pop_back();

@@ -14,6 +14,7 @@
 #include <list>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 
@@ -53,7 +54,9 @@ class MemoCache {
   mutable util::Mutex mutex_;
   const std::size_t capacity_;  // immutable after construction, unguarded
   std::list<Entry> lru_ SPGCMP_GUARDED_BY(mutex_);  // front = most recent
-  std::unordered_map<std::string, std::list<Entry>::iterator> index_
+  // Keys are views of the list's own keys (list nodes never move), so a
+  // canonical key, often several kB, is held once per entry.
+  std::unordered_map<std::string_view, std::list<Entry>::iterator> index_
       SPGCMP_GUARDED_BY(mutex_);
   std::uint64_t hits_ SPGCMP_GUARDED_BY(mutex_) = 0;
   std::uint64_t misses_ SPGCMP_GUARDED_BY(mutex_) = 0;

@@ -1,6 +1,7 @@
 #include "util/json.hpp"
 
 #include <cassert>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -35,20 +36,27 @@ std::string json_escape(std::string_view s) {
 
 std::string json_number(double value) {
   if (!std::isfinite(value)) return "null";
-  // Shortest representation that round-trips: try increasing precision.
+  // The shortest round-trip form has P significant digits, so no %g with
+  // fewer digits round-trips.  %.Pg (general format at precision P) is the
+  // correctly rounded P-digit form, which near a power of two can miss
+  // where the shortest form does not; the first precision from P up whose
+  // %g parses back exactly is the shortest %g that round-trips.
   char buf[40];
-  for (int prec = 1; prec <= 17; ++prec) {
-    std::snprintf(buf, sizeof buf, "%.*g", prec, value);
+  const char* end = std::to_chars(buf, buf + sizeof buf, value,
+                                  std::chars_format::scientific).ptr;
+  int prec = 0;
+  for (const char* c = buf; c != end && *c != 'e'; ++c) {
+    if (*c >= '0' && *c <= '9') ++prec;
+  }
+  for (; prec <= 17; ++prec) {  // 17 digits always round-trip
+    end = std::to_chars(buf, buf + sizeof buf, value, std::chars_format::general, prec).ptr;
     double back = 0.0;
-    std::sscanf(buf, "%lf", &back);
+    std::from_chars(buf, end, back);
     if (back == value) break;
   }
-  std::string s = buf;
   // %g may produce "1e+05"; that is valid JSON.  "nan"/"inf" were excluded
-  // above.  Ensure a leading digit for values like ".5" (never produced by
-  // %g, but cheap to assert).
-  assert(!s.empty());
-  return s;
+  // above.
+  return std::string(buf, static_cast<std::size_t>(end - buf));
 }
 
 JsonWriter::JsonWriter(std::ostream& os, int indent) : os_(os), indent_(indent) {}

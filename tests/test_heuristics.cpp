@@ -2,14 +2,16 @@
 // determinism, paper-documented behaviours (DPA2D wasting cores on
 // pipelines, DPA1D optimality on chains and budget failures on fat graphs),
 // DPA1D against brute force over chains of ideals, its budget boundaries
-// and its trace span, and optimality comparisons against the exact solver
-// on tiny instances.
+// and its trace span, DPA2D/DPA2D1D byte goldens on every topology and
+// their trace span, and optimality comparisons against the exact solver on
+// tiny instances.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -423,6 +425,176 @@ TEST(Dpa2d1d, MatchesDpa1dOnChains) {
   ASSERT_TRUE(a.success) << a.failure;
   ASSERT_TRUE(b.success) << b.failure;
   EXPECT_LE(a.eval.energy, b.eval.energy * (1 + 1e-9));
+}
+
+TEST(Dpa2d, DpSpanReportsBlocksColumnsStatesAndOutcome) {
+  // A 3-stage chain has X = 3 SPG columns.  The outer DP builds each block
+  // [mp, m-1] that has a live predecessor and solves it once per CMP column
+  // reachable from there; the reconstruction builds and solves each of the
+  // V chosen blocks once more.
+  //   Grid2D on 2x2 (Q = 2): blocks 6, columns 6, states 5;
+  //   Line1D on 2x2 (a 1x4 line, Q = 4): block [2, 2] is solved after 1 and
+  //   after 2 columns, so columns 7, and states 6.
+  // When no single column fits, only the X blocks [0, m-1] are reached.
+  using Mode = heuristics::Dpa2dHeuristic::Mode;
+  const spg::Spg g = spg::chain(3, 2e8, 1e3);
+  const auto p = cmp::Platform::reference(2, 2);
+  struct Want {
+    Mode mode;
+    double blocks, columns, states;
+  };
+  for (const Want& want : {Want{Mode::Grid2D, 6, 6, 5}, Want{Mode::Line1D, 6, 7, 6}}) {
+    obs::trace_start();
+    const Result ok = heuristics::Dpa2dHeuristic(want.mode).run(g, p, 1.0);
+    const Result infeasible = heuristics::Dpa2dHeuristic(want.mode).run(g, p, 1e-3);
+    std::ostringstream os;
+    obs::trace_stop(os);
+    ASSERT_TRUE(ok.success) << ok.failure;
+    EXPECT_FALSE(infeasible.success);
+
+    // V = blocks in the chosen partition = CMP columns (line cores) used.
+    std::vector<int> used;
+    for (const int c : ok.mapping.core_of) {
+      used.push_back(want.mode == Mode::Grid2D ? p.grid().core_at(c).col : c);
+    }
+    std::sort(used.begin(), used.end());
+    const auto v = static_cast<double>(std::unique(used.begin(), used.end()) - used.begin());
+
+    const auto doc = util::parse_json(os.str());
+    std::vector<util::JsonValue> args;
+    for (const auto& e : doc.at("traceEvents").as_array("traceEvents")) {
+      if (e.at("ph").as_string("ph") == "X" && e.at("name").as_string("name") == "dpa2d.dp") {
+        args.push_back(e.at("args"));
+      }
+    }
+    ASSERT_EQ(args.size(), 2u);
+    EXPECT_EQ(args[0].at("outcome").as_string("outcome"), "ok");
+    EXPECT_EQ(args[0].at("blocks").as_number("blocks"), want.blocks + v);
+    EXPECT_EQ(args[0].at("columns").as_number("columns"), want.columns + v);
+    EXPECT_EQ(args[0].at("states").as_number("states"), want.states);
+    EXPECT_EQ(args[1].at("outcome").as_string("outcome"), "infeasible");
+    EXPECT_EQ(args[1].at("blocks").as_number("blocks"), 3.0);
+    EXPECT_EQ(args[1].at("columns").as_number("columns"), 3.0);
+    EXPECT_EQ(args[1].at("states").as_number("states"), 0.0);
+  }
+}
+
+/// FNV-1a 64 over what a solve returns: success, failure text, the bits of
+/// eval.energy and core_of.
+std::uint64_t result_digest(const Result& r) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](const void* data, std::size_t size) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < size; ++i) h = (h ^ bytes[i]) * 0x100000001b3ULL;
+  };
+  const unsigned char ok = r.success ? 1 : 0;
+  mix(&ok, 1);
+  mix(r.failure.data(), r.failure.size());
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &r.eval.energy, sizeof bits);
+  mix(&bits, sizeof bits);
+  for (const int c : r.mapping.core_of) {
+    const auto v = static_cast<std::int64_t>(c);
+    mix(&v, sizeof v);
+  }
+  return h;
+}
+
+/// Byte goldens of DPA2D and DPA2D1D on seeded random workloads
+/// (test::random_workload(seed, n, ymax, ccr)).  Each digest folds
+/// result_digest over both modes, the 4x4 and 6x6 grids of one topology
+/// and three periods (pick_period x 0.5, 1, 2), in that nesting order, so
+/// any change to a DP value, a tie-break or a verdict moves it.  hetero is
+/// the one topology whose speed scales make the inner DP depend on the CMP
+/// column.
+struct Dpa2dGolden {
+  std::size_t n;
+  int ymax;
+  double ccr;
+  std::uint64_t seed;
+  std::uint64_t digest[4];  ///< per topology, in kGoldenTopologies order
+};
+
+constexpr const char* kGoldenTopologies[] = {"mesh", "hetero", "torus", "snake"};
+
+constexpr Dpa2dGolden kDpa2dGoldens[] = {
+    {50, 1, 0.1, 1, {0x95e778787039c314, 0xdce2b56208a0ccd3, 0x95e778787039c314, 0x95e778787039c314}},
+    {50, 1, 1.0, 2, {0x7d936ea32b72d7fb, 0xaa6d78734db3cdab, 0x7d936ea32b72d7fb, 0x7d936ea32b72d7fb}},
+    {50, 1, 10.0, 3, {0x1c936a1f704742d3, 0x38b46156fb1c99f9, 0x1c936a1f704742d3, 0x1c936a1f704742d3}},
+    {50, 3, 0.1, 4, {0x13775677c9c8cc94, 0x4fb267822a3d0411, 0x13775677c9c8cc94, 0xdaa84f940a6d3b64}},
+    {50, 3, 1.0, 5, {0xae3bb25ecd8fbb13, 0xa1ff5c63a57ccf8a, 0xae3bb25ecd8fbb13, 0x4e3c0f89d00b12bb}},
+    {50, 3, 10.0, 6, {0xa8e421333c535549, 0x6e3aa1ed0cb15996, 0xccbd9774c6ca9f19, 0x5d9636dee09ec0b9}},
+    {50, 8, 0.1, 7, {0x6ea55d852e08793, 0x2738a224e0dbec75, 0xca385103d1c9822d, 0xb15049e91507eafc}},
+    {50, 8, 1.0, 8, {0x2af5de5717936d48, 0x4653c60ddd75084d, 0x9f78722115543361, 0x6f8d4cde1fd25a80}},
+    {50, 8, 10.0, 9, {0x8b4d0310f072cd72, 0x78e520d242dbbf68, 0x263d2767a3627ba1, 0x2acbeb083cb6a3ca}},
+    {50, 16, 0.1, 10, {0x28775ad1c5d413b3, 0xfb294b6d80a29342, 0x8e0af0a8343dbfed, 0xbbc32ab26a78195d}},
+    {50, 16, 1.0, 11, {0x44445f46c8c98c85, 0x95035990c0146a38, 0x19747c0556fd6000, 0xdde0cadfa76602a2}},
+    {50, 16, 10.0, 12, {0x8e90894c0a605e92, 0x754859f68488fb36, 0xf1f8223f10ba1faf, 0xc0701173f878f473}},
+    {50, 1, 0.1, 13, {0x7fbd09981296d941, 0x7b0fc811f4f6cc3e, 0x7fbd09981296d941, 0x7fbd09981296d941}},
+    {50, 1, 1.0, 14, {0x20f61a40ad859172, 0x22dd3ff5038e2f7c, 0x20f61a40ad859172, 0x20f61a40ad859172}},
+    {50, 1, 10.0, 15, {0x90f6beb1fa5ac908, 0xb0948b35eb678d62, 0x90f6beb1fa5ac908, 0x90f6beb1fa5ac908}},
+    {50, 3, 0.1, 16, {0xc060672d6be1e0b7, 0xeaac87008674e90a, 0x69defc7ad535cf49, 0xde00ddb07195d7f5}},
+    {50, 3, 1.0, 17, {0x18eea34a2ffce89f, 0x2f52c6cc940052e0, 0x8fa9e5eb355299c9, 0x744c4d667f8f785c}},
+    {50, 3, 10.0, 18, {0x3a5c6f259d372705, 0xb2e5ced18a4dfc9e, 0x3a5c6f259d372705, 0x6f57aff3339a68cf}},
+    {50, 8, 0.1, 19, {0xd860dc66417c031e, 0x1008210d9f877d63, 0xdd80f86e1af9e068, 0x6c64ee30c932f486}},
+    {50, 8, 1.0, 20, {0x78ce495b2a4cbef8, 0x6943cdea02cf8d33, 0x7a3f725156560cfc, 0x7e8835bec8bb215e}},
+    {50, 8, 10.0, 21, {0x1e5643074a13f690, 0x625a39d8980ddc71, 0xf29551fa433c9250, 0x8a4ef520cc87dfe5}},
+    {50, 16, 0.1, 22, {0xcbc77694694fb9c1, 0xad8f374d6935a3ec, 0xd17883c6a540876b, 0xd9a10a58f4995076}},
+    {50, 16, 1.0, 23, {0x5618606c710ab920, 0xc83da8d411f773e8, 0x25087bd2cdef9e04, 0xbbe3524cb1ae0d81}},
+    {50, 16, 10.0, 24, {0xc9708687e7866d61, 0x8f01bace682c9026, 0xcc5ea2e70f2834b9, 0x2a732a40ccc4f27f}},
+    {50, 1, 0.1, 25, {0x878d7af9e8bda00f, 0x678326c22029cba9, 0x878d7af9e8bda00f, 0x878d7af9e8bda00f}},
+    {50, 1, 1.0, 26, {0x4f6e3af8a28d43c1, 0x633c128f2769df6, 0x4f6e3af8a28d43c1, 0x4f6e3af8a28d43c1}},
+    {50, 1, 10.0, 27, {0x8320f505f79e90b4, 0x7c1f6d0d20de784a, 0x8320f505f79e90b4, 0x8320f505f79e90b4}},
+    {50, 3, 0.1, 28, {0x194ff3548b0ede4c, 0x164edbddf86a6cb8, 0x194ff3548b0ede4c, 0x52601fa895f47730}},
+    {50, 3, 1.0, 29, {0x69edf4b923e62aa9, 0xa678ddeebec3b110, 0xb25cfd6ceca23b76, 0x1df2fc58a9722ef4}},
+    {50, 3, 10.0, 30, {0x1f96360e9e141527, 0x2a66b50c22fb4744, 0xde2322e380cb6fb3, 0x3f3e5d45bc01aa5d}},
+    {50, 8, 0.1, 31, {0xec9c43e7f07221b8, 0x53aef5a9eac3a7e7, 0x1d686226a6c16ad3, 0x97788bb54f95c4b7}},
+    {50, 8, 1.0, 32, {0x1b08800e0934bb4b, 0x4c3e1535554c9ee8, 0x1b08800e0934bb4b, 0x23d4054748a2e376}},
+    {50, 8, 10.0, 33, {0x21c77feb6daeb9f5, 0x789463b5977f0684, 0x52a25670f83d9f4d, 0x5605307aa06fe503}},
+    {50, 16, 0.1, 34, {0x110d5f82b4f0dfdb, 0x5c7313f6261d14de, 0xb1a18ffef94551c6, 0xddba23b8450b37c2}},
+    {50, 16, 1.0, 35, {0x53c555508670a645, 0x436d3f8cfb26fe76, 0xac28200e8a2dcf65, 0xd38bd09379c4f713}},
+    {50, 16, 10.0, 36, {0x92490b31c6e052f3, 0xf45a257c48865ea0, 0x5667c7684778a9dc, 0xa1f06331b358eb34}},
+    {150, 3, 0.1, 101, {0xcec2610f6f03def0, 0x2687ba6c646aafc5, 0xcec2610f6f03def0, 0x54dda9a6be1dd1ac}},
+    {150, 3, 1.0, 102, {0xfa0398d0e7765a89, 0x991b6a0dd6db1ed8, 0xfa0398d0e7765a89, 0xa80fad4d9f06762e}},
+    {150, 3, 10.0, 103, {0x98e1ba320d1f0346, 0x2b9046389e7c8567, 0x98e1ba320d1f0346, 0xcf1339eb90cfeed}},
+    {150, 6, 0.1, 104, {0x2ab68b5afabf198c, 0x4fdf5b7003a37111, 0x8a5c49427767a5a4, 0x500b57994d16de42}},
+    {150, 6, 1.0, 105, {0xaad9226a7eca55f3, 0xe09dcecc05f558f8, 0x449c2db40797efd8, 0x40f1159fcc04b7a0}},
+    {150, 6, 10.0, 106, {0xb752d16298188219, 0x81c93fff924b779, 0x6555803fb84716f5, 0x5de8d91520cd61a4}},
+    {150, 12, 0.1, 107, {0xd49eb16959e5046e, 0xc636f7f4e3715804, 0x7b357da20d3c4c09, 0xe405b53748afea7b}},
+    {150, 12, 1.0, 108, {0xa07ba9af65b7f3e, 0xe19030d0462e3bbc, 0x7e859b43ef8dafc3, 0x1f6310647ca60a20}},
+    {150, 12, 10.0, 109, {0x2ec57ab93fde83d1, 0x8e2d0441b6e875aa, 0xd89ab4b48b50d2df, 0x7bc2133a733fb5a0}},
+    {150, 24, 0.1, 110, {0x4be3b4bcfd0b945e, 0x26ec9d66b1a3fdc1, 0xb62ba5064d3db56e, 0x922ed2c4bbd24cba}},
+    {150, 24, 1.0, 111, {0x95e62e1b4c0586d4, 0xdc3673def91b40df, 0x4f84665c971d94f0, 0x2ff97b01cd3e51d3}},
+    {150, 24, 10.0, 112, {0x3c205a8194e314e7, 0xf3d2c564ccef85ed, 0x84b8d26f998cc43, 0xf7b22eb061d74546}},
+};
+
+TEST(Dpa2d, ByteGoldensOnEveryTopology) {
+  using Mode = heuristics::Dpa2dHeuristic::Mode;
+  std::size_t solved = 0;
+  std::size_t failed = 0;
+  for (const auto& row : kDpa2dGoldens) {
+    const spg::Spg g = test::random_workload(row.seed, row.n, row.ymax, row.ccr);
+    for (std::size_t t = 0; t < 4; ++t) {
+      SCOPED_TRACE(::testing::Message() << kGoldenTopologies[t] << " n" << row.n << " ymax "
+                                        << row.ymax << " ccr " << row.ccr << " seed " << row.seed);
+      std::uint64_t h = 0xcbf29ce484222325ULL;
+      for (const Mode mode : {Mode::Grid2D, Mode::Line1D}) {
+        for (const int side : {4, 6}) {
+          const auto p = cmp::Platform::reference(kGoldenTopologies[t], side, side);
+          for (const double scale : {0.5, 1.0, 2.0}) {
+            const Result r = heuristics::Dpa2dHeuristic(mode).run(g, p, pick_period(g, p) * scale);
+            EXPECT_EQ(r.failure.find("internal"), std::string::npos) << r.failure;
+            ++(r.success ? solved : failed);
+            h = (h ^ result_digest(r)) * 0x100000001b3ULL;
+          }
+        }
+      }
+      EXPECT_EQ(h, row.digest[t]) << std::hex << "0x" << h;
+    }
+  }
+  // Both verdicts occur, so the goldens pin infeasibility as well as mappings.
+  EXPECT_GT(solved, 0u);
+  EXPECT_GT(failed, 0u);
 }
 
 class VsExact : public ::testing::TestWithParam<std::uint64_t> {};

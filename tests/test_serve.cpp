@@ -245,6 +245,20 @@ TEST(MemoCache, LruEvictionOrderAndCounters) {
   EXPECT_EQ(stats.capacity, 2u);
 }
 
+TEST(MemoCache, OwnsItsKeys) {
+  // The index views the cache's own copy of each key, never the caller's.
+  serve::MemoCache cache(2);
+  const auto key = [](char c) { return std::string(200, c); };  // past SSO
+  cache.insert(key('a'), "A");
+  cache.insert(key('b'), "B");
+  cache.insert(key('a'), "stale");  // a refresh keeps the first payload
+  cache.insert(key('c'), "C");      // evicts b
+  EXPECT_EQ(cache.lookup(key('a')).value_or(""), "A");
+  EXPECT_FALSE(cache.lookup(key('b')).has_value());
+  EXPECT_EQ(cache.lookup(key('c')).value_or(""), "C");
+  EXPECT_EQ(cache.stats().size, 2u);
+}
+
 TEST(MemoCache, CapacityZeroDisablesCaching) {
   serve::MemoCache cache(0);
   cache.insert("a", "A");

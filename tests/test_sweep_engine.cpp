@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdio>
 #include <limits>
 #include <set>
 #include <sstream>
@@ -18,6 +20,7 @@
 #include "support/checkers.hpp"
 #include "support/fixtures.hpp"
 #include "util/json.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -156,6 +159,46 @@ TEST(Json, NumberFormattingRoundTripsAndIsStable) {
   }
   EXPECT_EQ(util::json_number(std::numeric_limits<double>::infinity()), "null");
   EXPECT_EQ(util::json_number(std::nan("1")), "null");
+}
+
+/// json_number's former algorithm, the reference it must match byte for
+/// byte: the first %.Pg, P = 1..17, that sscanf parses back exactly.
+std::string json_number_reference(double value) {
+  if (!std::isfinite(value)) return "null";
+  char buf[40];
+  for (int prec = 1; prec <= 17; ++prec) {
+    std::snprintf(buf, sizeof buf, "%.*g", prec, value);
+    double back = 0.0;
+    std::sscanf(buf, "%lf", &back);
+    if (back == value) break;
+  }
+  return buf;
+}
+
+TEST(Json, NumberFormattingMatchesTheShortestPrintfLoop) {
+  std::vector<double> values = {0.0, -0.0, 1.0, 0.1, 5e-324, -5e-324, 2.2250738585072014e-308,
+                                std::numeric_limits<double>::max(),
+                                std::numeric_limits<double>::lowest()};
+  // Every power of two and its neighbours: where the correctly rounded
+  // P-digit form can miss the value although a P-digit form round-trips.
+  for (int e = -1074; e <= 1023; ++e) {
+    const double x = std::ldexp(1.0, e);
+    values.insert(values.end(), {x, std::nextafter(x, 0.0), std::nextafter(x, 2 * x), -x});
+  }
+  // Short decimals, as periods, weights and bandwidths are written.
+  for (int k = 1; k <= 2000; ++k) {
+    for (const double scale : {1e-9, 1e-3, 0.1, 1.0, 1e3, 1e9}) values.push_back(k * scale);
+  }
+  // Random bit patterns (non-finite ones included: both sides give null).
+  util::Rng rng(2024);
+  for (int i = 0; i < 40000; ++i) values.push_back(std::bit_cast<double>(rng.next()));
+  std::size_t mismatches = 0;
+  for (const double v : values) {
+    if (util::json_number(v) != json_number_reference(v) && ++mismatches <= 10) {
+      ADD_FAILURE() << json_number_reference(v) << " became " << util::json_number(v);
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
 }
 
 TEST(Json, EscapesControlAndQuoteCharacters) {
