@@ -32,14 +32,17 @@
 #include <cstdio>
 #include <iostream>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "heuristics/exact.hpp"
 #include "obs/trace.hpp"
 #include "mapping/evaluator.hpp"
-#include "serve/server.hpp"
+#include "serve/cache.hpp"
+#include "serve/engine.hpp"
 #include "solve/solve.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -295,102 +298,6 @@ int main(int argc, char** argv) try {
     rep.cells.push_back(std::move(cell));
   }
 
-  // Frozen-closure scalar moves: evaluate_move caches the detached-base
-  // closure per (stage, source core), so consecutive probes of the same
-  // stage answer the DAG check with O(deg) word operations instead of a
-  // fresh shift/acyclic/shift-back.  "scatter" changes stage every probe
-  // (a closure rebuild each time); "sweep" scores every target for one
-  // stage before moving on (one rebuild per stage).  Both orders cover the
-  // identical (stage, target) multiset, and a sweep is cross-checked
-  // bit-for-bit against evaluate_move_batch — the cache's contract.
-  util::Table closure_table(
-      {"scenario", "scatter (us)", "sweep (us)", "speedup"});
-  {
-    rep.meta.emplace_back("move_closure_cells", "scatter_us, sweep_us, speedup");
-    util::Rng rng(harness::instance_seed(seed, 150 * 100 + 6));
-    spg::Spg g = spg::random_spg(150, 6, rng);
-    g.rescale_ccr(1.0);
-    const auto p = cmp::Platform::reference(6, 6);
-    const auto seeded = find_seed(g, p);
-    const double T = seeded.T;
-    const int cores = p.grid().core_count();
-
-    mapping::Mapping bound = seeded.m;
-    mapping::attach_routes(g, p.topology, bound);
-    (void)mapping::assign_slowest_modes(g, p, T, bound);
-    mapping::Evaluator evaluator(g, p, T);
-    evaluator.bind(bound);
-
-    const std::size_t rounds =
-        std::max<std::size_t>(1, moves / static_cast<std::size_t>(cores));
-    std::vector<spg::StageId> stages(rounds);
-    spg::StageId prev = static_cast<spg::StageId>(g.size());  // no match
-    for (auto& s : stages) {
-      do {
-        s = static_cast<spg::StageId>(
-            rng.uniform_int(0, static_cast<std::int64_t>(g.size()) - 1));
-      } while (s == prev);  // scatter order must really change stage
-      prev = s;
-    }
-
-    // Cross-check: one full sweep (first probe rebuilds the closure, the
-    // rest reuse it) against the batch scorer, bit-for-bit.
-    {
-      std::vector<int> targets;
-      for (int c = 0; c < cores; ++c) {
-        if (c != bound.core_of[stages[0]]) targets.push_back(c);
-      }
-      const std::vector<mapping::BatchScore> batch =
-          evaluator.evaluate_move_batch(stages[0], targets);
-      for (std::size_t k = 0; k < targets.size(); ++k) {
-        const auto& sc2 = evaluator.evaluate_move(stages[0], targets[k]);
-        if (batch[k].energy != sc2.energy || batch[k].valid() != sc2.valid()) {
-          std::fprintf(stderr,
-                       "MISMATCH move_closure target %zu: batch (%d, %.17g) "
-                       "vs scalar (%d, %.17g)\n",
-                       k, batch[k].valid(), batch[k].energy, sc2.valid(),
-                       sc2.energy);
-          return 1;
-        }
-      }
-    }
-
-    std::size_t ops = 0;
-    const auto t0 = Clock::now();
-    for (int c = 0; c < cores; ++c) {
-      for (const auto s : stages) {
-        if (c == bound.core_of[s]) continue;
-        sink += evaluator.evaluate_move(s, c).energy;
-        ++ops;
-      }
-    }
-    const auto scatter_dt = Clock::now() - t0;
-
-    const auto t1 = Clock::now();
-    for (const auto s : stages) {
-      for (int c = 0; c < cores; ++c) {
-        if (c == bound.core_of[s]) continue;
-        sink += evaluator.evaluate_move(s, c).energy;
-      }
-    }
-    const auto sweep_dt = Clock::now() - t1;
-
-    const double scatter_us = us_per_op(scatter_dt, ops);
-    const double sweep_us = us_per_op(sweep_dt, ops);
-    const double speedup = sweep_us > 0.0 ? scatter_us / sweep_us : 0.0;
-    closure_table.add_row({"move_closure n=150 6x6",
-                           util::fmt_double(scatter_us, 3),
-                           util::fmt_double(sweep_us, 3),
-                           util::fmt_double(speedup, 2)});
-    harness::BenchCell cell;
-    cell.labels = {{"scenario", "move_closure"}, {"n", "150"}, {"grid", "6x6"}};
-    cell.period = T;
-    cell.values = {scatter_us, sweep_us, speedup};
-    cell.failures = {0, 0, 0};
-    cell.workloads = ops;
-    rep.cells.push_back(std::move(cell));
-  }
-
   // Disabled-tracing overhead: the incremental evaluate_move probe loop on
   // the n=150 / 6x6 scenario, plain versus wrapped in a per-probe
   // obs::Span while tracing is off.  The span must cost one relaxed atomic
@@ -615,7 +522,7 @@ int main(int argc, char** argv) try {
     }
   }
 
-  // Serve-daemon memoization: the same request through serve::Server twice.
+  // Serve-daemon memoization: the same request through serve::Engine twice.
   // The frames carry per-request wall time, so cold-vs-hit cost comes
   // straight from the daemon's own accounting; the hit must cost zero
   // evaluator calls or the run fails like the evaluator cross-checks above.
@@ -644,25 +551,23 @@ int main(int argc, char** argv) try {
       w.kv("period", T);
       w.end_object();
     }
-    serve::Server server(serve::ServerOptions{/*threads=*/1,
-                                              /*cache_capacity=*/1024,
-                                              /*max_inflight=*/0,
-                                              /*log_path=*/{}});
-    std::istringstream in(request.str() + "\n" + request.str() + "\n");
-    std::ostringstream out;
-    const auto summary = server.serve(in, out);
-    std::istringstream lines(out.str());
-    std::string cold_line, hit_line;
-    std::getline(lines, cold_line);
-    std::getline(lines, hit_line);
-    const auto cold = util::parse_json(cold_line);
-    const auto hit = util::parse_json(hit_line);
-    if (summary.hits != 1 || hit.at("cache").as_string("cache") != "hit" ||
+    util::ThreadPool pool(1);
+    serve::MemoCache cache(1024);
+    serve::Engine engine(pool, cache, nullptr);
+    serve::Engine::Result results[2];
+    for (auto& r : results) {
+      engine.submit(request.str(), /*log_line=*/false, nullptr,
+                    [&r](serve::Engine::Result done) { r = std::move(done); });
+    }
+    engine.wait_idle();
+    const auto cold = util::parse_json(results[0].line);
+    const auto hit = util::parse_json(results[1].line);
+    if (results[1].kind != serve::ResponseKind::OkHit ||
         hit.at("request_evals").as_number("request_evals") != 0.0) {
       std::fprintf(stderr,
                    "MISMATCH serve_cache: repeated request was not a free "
-                   "cache hit (hits=%llu)\n",
-                   static_cast<unsigned long long>(summary.hits));
+                   "cache hit: %s\n",
+                   results[1].line.c_str());
       return 1;
     }
     const double cold_us = cold.at("wall_us").as_number("wall_us");
@@ -686,9 +591,6 @@ int main(int argc, char** argv) try {
   std::cout << "\nBatched placement scoring: scalar candidate loop vs "
                "evaluate_placement_batch\n";
   batch_table.print(std::cout);
-  std::cout << "\nFrozen-closure scalar moves: per-probe closure rebuild vs "
-               "same-stage sweep\n";
-  closure_table.print(std::cout);
   std::cout << "\nDisabled-tracing overhead: evaluate_move probes, plain vs "
                "per-probe obs::Span\n";
   trace_table.print(std::cout);

@@ -11,9 +11,7 @@
 #include "util/json.hpp"
 #include "util/jsonl.hpp"
 
-#ifndef _WIN32
 #include <unistd.h>
-#endif
 
 namespace spgcmp::campaign {
 
@@ -29,12 +27,8 @@ namespace {
 std::string unique_tmp_path(const std::string& base) {
   static std::atomic<unsigned> tmp_seq{0};
   const unsigned seq = tmp_seq.fetch_add(1, std::memory_order_relaxed);
-#ifndef _WIN32
   return base + ".tmp." + std::to_string(static_cast<long>(::getpid())) + "." +
          std::to_string(seq);
-#else
-  return base + ".tmp." + std::to_string(seq);
-#endif
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <ostream>
 #include <sstream>
+#include <stdexcept>
 #include <vector>
 
 namespace spgcmp::heuristics {
@@ -41,6 +42,11 @@ std::string cv(int d, std::size_t i, std::size_t j, int u, int v) {
 
 IlpStats emit_ilp(const spg::Spg& g, const cmp::Platform& p, double T,
                   std::ostream& os) {
+  if (p.topology.kind() != cmp::TopologyKind::Mesh) {
+    throw std::invalid_argument(
+        "ilp: only the homogeneous XY mesh is modelled, not '" +
+        p.topology.name() + "'");
+  }
   const std::size_t n = g.size();
   const std::size_t m = p.speeds.mode_count();
   const int P = p.grid().rows();

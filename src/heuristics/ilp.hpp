@@ -26,6 +26,8 @@ struct IlpStats {
 };
 
 /// Emit the MinEnergy(T) ILP for (g, p, T) to `os`; returns counts.
+/// Throws std::invalid_argument unless `p` is the homogeneous XY mesh the
+/// formulation models.
 IlpStats emit_ilp(const spg::Spg& g, const cmp::Platform& p, double T,
                   std::ostream& os);
 

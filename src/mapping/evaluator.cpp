@@ -209,7 +209,6 @@ const Evaluation& Evaluator::evaluate_full(const Mapping& m) {
   count_eval(&EvalCounters::full, &EvalCounterSink::full);
   bound_ = false;
   have_pending_ = false;
-  move_closure_.valid = false;
   reset_scalars(ev_);
 
   const auto& grid = p_->grid();
@@ -292,7 +291,6 @@ const Evaluation& Evaluator::evaluate_placement(
   count_eval(&EvalCounters::placement, &EvalCounterSink::placement);
   bound_ = false;
   have_pending_ = false;
-  move_closure_.valid = false;
   reset_scalars(ev_);
 
   const auto& grid = p_->grid();
@@ -434,56 +432,12 @@ const Evaluation& Evaluator::evaluate_move(spg::StageId s, int to) {
     epoch_ = 1;
   }
 
-  // Acyclicity via the frozen bound-state closure: the first move of a
-  // stage detaches its quotient edges, snapshots the base closure with one
-  // acyclic(), and re-attaches; every further candidate for the same stage
-  // answers with O(deg) word operations against the frozen rows instead of
-  // a fresh shift/acyclic/shift-back — bit-identical, since the test is
-  // exactly the batch paths' per-candidate case analysis.
-  if (!move_closure_.valid || move_closure_.stage != s ||
-      move_closure_.from != from) {
-    move_edges_.clear();
-    for (const spg::EdgeId e : g_->in_edges(s)) {
-      move_edges_.emplace_back(m_.core_of[g_->edge(e).src], true);
-    }
-    for (const spg::EdgeId e : g_->out_edges(s)) {
-      move_edges_.emplace_back(m_.core_of[g_->edge(e).dst], false);
-    }
-    for (const auto& [other, incoming] : move_edges_) {
-      if (other == from) continue;
-      if (incoming) q_.remove_edge(other, from); else q_.remove_edge(from, other);
-    }
-    move_closure_.base_acyclic = q_.acyclic();
-    for (const auto& [other, incoming] : move_edges_) {
-      if (other == from) continue;
-      if (incoming) q_.add_edge(other, from); else q_.add_edge(from, other);
-    }
-    move_pred_ =
-        util::DynBitset(static_cast<std::size_t>(p_->grid().core_count()));
-    for (const auto& [other, incoming] : move_edges_) {
-      if (incoming) move_pred_.set(static_cast<std::size_t>(other));
-    }
-    move_closure_.stage = s;
-    move_closure_.from = from;
-    move_closure_.valid = true;
-  }
-  bool dag_ok = move_closure_.base_acyclic;
-  if (dag_ok) {
-    const auto kt = static_cast<std::size_t>(to);
-    const bool pred_t = move_pred_.test(kt);
-    if (pred_t) move_pred_.reset(kt);  // a colocated edge, never added
-    if (q_.closure_row(to).intersects(move_pred_)) dag_ok = false;
-    for (const auto& [other, incoming] : move_edges_) {
-      if (!dag_ok) break;
-      if (incoming || other == to) continue;
-      const auto& rv = q_.closure_row(other);
-      if (rv.test(kt) || move_pred_.test(static_cast<std::size_t>(other)) ||
-          rv.intersects(move_pred_)) {
-        dag_ok = false;
-      }
-    }
-    if (pred_t) move_pred_.set(kt);
-  }
+  // Acyclicity: shift the stage's quotient edges to `to`, test, shift back
+  // — the same answer the batch paths get from their frozen closure, by
+  // an independent route.
+  shift_quotient(s, from, to);
+  const bool dag_ok = q_.acyclic();
+  shift_quotient(s, to, from);
 
   // Link deltas: the moved stage's incident edges lose their bound paths
   // and gain topology default routes, with every touched link journaled
@@ -586,7 +540,6 @@ const Evaluation& Evaluator::commit_move() {
 
   copy_scalars(ev_, move_ev_);
   have_pending_ = false;
-  move_closure_.valid = false;  // the mapping (and quotient) changed
   return ev_;
 }
 
@@ -600,7 +553,6 @@ void Evaluator::apply_move(spg::StageId s, int to) {
     throw std::invalid_argument("Evaluator: stage already on the target core");
   }
   have_pending_ = false;  // a pending evaluate_move is invalidated
-  move_closure_.valid = false;
 
   shift_quotient(s, from, to);
   // No journaling: the change is permanent, there is nothing to roll back.
@@ -628,7 +580,6 @@ const Evaluation& Evaluator::refresh() {
   if (!bound_) throw std::logic_error("Evaluator: refresh without bind");
   count_eval(&EvalCounters::incremental, &EvalCounterSink::incremental);
   have_pending_ = false;
-  move_closure_.valid = false;  // acyclic() below rewrites the closure rows
   accumulate_work(m_.core_of);
   const int cores = p_->grid().core_count();
   for (int c = 0; c < cores; ++c) {
@@ -639,6 +590,39 @@ const Evaluation& Evaluator::refresh() {
   // The maintained quotient already reflects every applied move.
   ev_.dag_partition_ok = q_.acyclic();
   return aggregate_scalars(ev_, m_.mode_of_core);
+}
+
+bool Evaluator::freeze_batch_closure() {
+  batch_pred_ =
+      util::DynBitset(static_cast<std::size_t>(p_->grid().core_count()));
+  for (const auto& be : batch_edges_) {
+    if (be.incoming) batch_pred_.set(static_cast<std::size_t>(be.other));
+  }
+  return q_.acyclic();
+}
+
+bool Evaluator::batch_stays_acyclic(int t) {
+  // Every candidate edge is incident to t, so placing the stage there
+  // creates a cycle iff t's closure row hits a predecessor u (u -> t
+  // closes t ->* u), some successor v reaches t (t -> v closes v ->* t),
+  // or a successor is / reaches a predecessor (u -> t -> v closes
+  // v ->* u) — O(deg) word ops against the frozen closure instead of a
+  // per-candidate fixpoint.
+  const auto kt = static_cast<std::size_t>(t);
+  const bool pred_t = batch_pred_.test(kt);
+  if (pred_t) batch_pred_.reset(kt);  // a colocated edge, never added
+  bool ok = !q_.closure_row(t).intersects(batch_pred_);
+  for (const auto& be : batch_edges_) {
+    if (!ok) break;
+    if (be.incoming || be.other == t) continue;
+    const auto& rv = q_.closure_row(be.other);
+    if (rv.test(kt) || batch_pred_.test(static_cast<std::size_t>(be.other)) ||
+        rv.intersects(batch_pred_)) {
+      ok = false;
+    }
+  }
+  if (pred_t) batch_pred_.set(kt);
+  return ok;
 }
 
 const std::vector<BatchScore>& Evaluator::evaluate_placement_batch(
@@ -664,7 +648,6 @@ const std::vector<BatchScore>& Evaluator::evaluate_placement_batch(
   count_eval_n(targets.size(), &EvalCounters::batch, &EvalCounterSink::batch);
   bound_ = false;
   have_pending_ = false;
-  move_closure_.valid = false;
 
   // Per-core work in scalar accumulation order, twice: excluding stage s
   // (the base), and with s's work added at its stage position (the value a
@@ -750,17 +733,7 @@ const std::vector<BatchScore>& Evaluator::evaluate_placement_batch(
   std::sort(batch_edges_.begin(), batch_edges_.end(),
             [](const BatchEdge& a, const BatchEdge& b) { return a.id < b.id; });
 
-  // Base acyclicity and reachability closure, once per batch.  Every
-  // candidate edge is incident to its target t, so a candidate creates a
-  // cycle iff t's closure row hits a predecessor u (u -> t closes t ->* u),
-  // some successor v reaches t (t -> v closes v ->* t), or a successor is /
-  // reaches a predecessor (u -> t -> v closes v ->* u) — O(deg) word ops
-  // against the frozen closure instead of a per-candidate fixpoint.
-  const bool base_acyclic = q_.acyclic();
-  batch_pred_ = util::DynBitset(kc);
-  for (const auto& be : batch_edges_) {
-    if (be.incoming) batch_pred_.set(static_cast<std::size_t>(be.other));
-  }
+  const bool base_acyclic = freeze_batch_closure();
 
   ev_.core_work = batch_base_work_;
 
@@ -769,22 +742,7 @@ const std::vector<BatchScore>& Evaluator::evaluate_placement_batch(
     const int t = targets[ci];
     const auto kt = static_cast<std::size_t>(t);
 
-    bool dag_ok = base_acyclic;
-    if (dag_ok) {
-      const bool pred_t = batch_pred_.test(kt);
-      if (pred_t) batch_pred_.reset(kt);  // a colocated edge, never added
-      if (q_.closure_row(t).intersects(batch_pred_)) dag_ok = false;
-      for (const auto& be : batch_edges_) {
-        if (!dag_ok) break;
-        if (be.incoming || be.other == t) continue;
-        const auto& rv = q_.closure_row(be.other);
-        if (rv.test(kt) || batch_pred_.test(static_cast<std::size_t>(be.other)) ||
-            rv.intersects(batch_pred_)) {
-          dag_ok = false;
-        }
-      }
-      if (pred_t) batch_pred_.set(kt);
-    }
+    const bool dag_ok = base_acyclic && batch_stays_acyclic(t);
 
     // Incident link contributions in edge-id order; touched links journal
     // their base load for the rollback.
@@ -860,7 +818,6 @@ const std::vector<BatchScore>& Evaluator::evaluate_move_batch(
   }
   count_eval_n(targets.size(), &EvalCounters::batch, &EvalCounterSink::batch);
   have_pending_ = false;  // any pending evaluate_move is invalidated
-  move_closure_.valid = false;  // this batch re-detaches and reruns acyclic()
 
   // Cache the incident edges in the scalar processing order (in-edges, then
   // out-edges) with their bound drop operations precompiled from the bound
@@ -894,13 +851,7 @@ const std::vector<BatchScore>& Evaluator::evaluate_move_batch(
     if (be.incoming) q_.remove_edge(be.other, from); else q_.remove_edge(from, be.other);
   }
 
-  // Base closure with s's edges detached — same O(deg)-per-candidate cycle
-  // test as the placement batch (see there for the case analysis).
-  const bool base_acyclic = q_.acyclic();
-  batch_pred_ = util::DynBitset(static_cast<std::size_t>(cores));
-  for (const auto& be : batch_edges_) {
-    if (be.incoming) batch_pred_.set(static_cast<std::size_t>(be.other));
-  }
+  const bool base_acyclic = freeze_batch_closure();
 
   // Source-core work / mode are candidate-independent: pre-apply them.
   const double w = g_->stage(s).work;
@@ -917,22 +868,7 @@ const std::vector<BatchScore>& Evaluator::evaluate_move_batch(
     const int t = targets[ci];
     const auto kt = static_cast<std::size_t>(t);
 
-    bool dag_ok = base_acyclic;
-    if (dag_ok) {
-      const bool pred_t = batch_pred_.test(kt);
-      if (pred_t) batch_pred_.reset(kt);  // a colocated edge, never added
-      if (q_.closure_row(t).intersects(batch_pred_)) dag_ok = false;
-      for (const auto& be : batch_edges_) {
-        if (!dag_ok) break;
-        if (be.incoming || be.other == t) continue;
-        const auto& rv = q_.closure_row(be.other);
-        if (rv.test(kt) || batch_pred_.test(static_cast<std::size_t>(be.other)) ||
-            rv.intersects(batch_pred_)) {
-          dag_ok = false;
-        }
-      }
-      if (pred_t) batch_pred_.set(kt);
-    }
+    const bool dag_ok = base_acyclic && batch_stays_acyclic(t);
 
     // Link replay, interleaved drop/add per edge like the scalar path.
     journal_links_.clear();

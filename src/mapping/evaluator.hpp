@@ -228,6 +228,13 @@ class Evaluator {
   /// Rewrite the moved stage's incident edge paths to the topology default
   /// routes its links were charged with (m_.core_of[s] must already be `to`).
   void materialize_default_routes(spg::StageId s, int to);
+  /// Both batch paths, once the batched stage's quotient edges are
+  /// detached: load its predecessor cores into batch_pred_ and freeze the
+  /// base reachability closure; returns whether the base is acyclic.
+  bool freeze_batch_closure();
+  /// Whether placing the batched stage on core `t` keeps the quotient
+  /// acyclic, given an acyclic frozen base.
+  bool batch_stays_acyclic(int t);
 
   const spg::Spg* g_;
   const cmp::Platform* p_;
@@ -297,25 +304,6 @@ class Evaluator {
   /// Cores feeding the batched stage (its quotient predecessors), as a
   /// bitset probed against the base closure for the per-candidate cycle test.
   util::DynBitset batch_pred_;
-
-  /// Scalar-move closure cache: evaluate_move freezes the bound quotient's
-  /// closure once per (stage, from) — detach the stage's quotient edges,
-  /// one acyclic() to snapshot the base closure, re-attach — and answers
-  /// every subsequent candidate for that stage with O(deg) word operations
-  /// against the frozen rows, the scalar analogue of the batch paths' cycle
-  /// test.  Invalidated by anything that mutates the quotient or recomputes
-  /// its closure snapshot (bind, full/placement evaluation, commit/apply,
-  /// refresh, either batch entry point).
-  struct MoveClosure {
-    bool valid = false;
-    spg::StageId stage = 0;
-    int from = -1;
-    bool base_acyclic = false;
-  };
-  MoveClosure move_closure_;
-  util::DynBitset move_pred_;  ///< cores feeding the cached stage
-  /// (other endpoint's core, incoming) per incident edge of the cached stage.
-  std::vector<std::pair<int, bool>> move_edges_;
 
   // Move journal / pending move.
   struct LinkDelta {

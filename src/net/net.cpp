@@ -1,7 +1,5 @@
 #include "net/net.hpp"
 
-#ifndef _WIN32
-
 #include <cerrno>
 #include <cstring>
 
@@ -194,5 +192,3 @@ int connect_to(const Address& addr) {
 }
 
 }  // namespace spgcmp::net
-
-#endif  // !_WIN32

@@ -1,9 +1,8 @@
 #pragma once
 
-// Dependency-free socket plumbing for the serve daemon's network
+// Dependency-free POSIX socket plumbing for the serve daemon's network
 // transport: address parsing, listening sockets and blocking client
-// connections, POSIX only (the daemon's socket transport is compiled out
-// on _WIN32, matching the FIFO input path).
+// connections.
 //
 // Address grammar (the --listen= / --connect= value):
 //
@@ -23,8 +22,6 @@
 #include <string>
 
 namespace spgcmp::net {
-
-#ifndef _WIN32
 
 /// Malformed address string or socket-layer failure (bind, listen,
 /// connect, resolve).  The daemon maps these to its usage exit code.
@@ -74,7 +71,5 @@ class Listener {
 /// Connect to a serve daemon (blocking); throws NetError on failure.
 /// The returned fd is blocking and close-on-exec; callers own it.
 [[nodiscard]] int connect_to(const Address& addr);
-
-#endif  // !_WIN32
 
 }  // namespace spgcmp::net

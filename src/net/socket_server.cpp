@@ -1,7 +1,5 @@
 #include "net/socket_server.hpp"
 
-#ifndef _WIN32
-
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
@@ -32,18 +30,53 @@ void set_nonblocking(int fd) {
   ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
 }
 
+/// Requests handed to the engine and not yet completed, all connections.
+obs::Gauge& inflight_gauge() {
+  static auto& g = obs::Registry::instance().gauge("serve.inflight");
+  return g;
+}
+
 int ms_between(Clock::time_point from, Clock::time_point to) {
   return static_cast<int>(
       std::chrono::duration_cast<std::chrono::milliseconds>(to - from).count());
 }
 
-/// One client connection.  Owned by the loop thread; `ready`, `wbuf` and
-/// `inflight` are also touched by engine completion callbacks, always
-/// under Loop::mutex.
+/// Puts the stream's borrowed fds into nonblocking mode for one run() and
+/// restores the file-status flags it found.  Both are saved before either
+/// is changed, so two fds sharing one open file description (a terminal
+/// on stdin and stdout) both restore to the original.
+class BorrowedFds {
+ public:
+  explicit BorrowedFds(const std::optional<Stream>& stream) {
+    if (!stream) return;
+    saved_[0] = {stream->in_fd, ::fcntl(stream->in_fd, F_GETFL, 0)};
+    saved_[1] = {stream->out_fd, ::fcntl(stream->out_fd, F_GETFL, 0)};
+    for (const auto& [fd, flags] : saved_) {
+      if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
+    }
+  }
+  ~BorrowedFds() {
+    for (const auto& [fd, flags] : saved_) {
+      if (flags >= 0) ::fcntl(fd, F_SETFL, flags);
+    }
+  }
+  BorrowedFds(const BorrowedFds&) = delete;
+  BorrowedFds& operator=(const BorrowedFds&) = delete;
+
+ private:
+  std::pair<int, int> saved_[2] = {{-1, -1}, {-1, -1}};  ///< (fd, flags)
+};
+
+/// One connection: an accepted socket, or the stream.  Owned by the loop
+/// thread; `ready`, `wbuf` and `inflight` are also touched by engine
+/// completion callbacks, always under Loop::mutex.
 struct Conn {
-  int fd = -1;
+  int fd = -1;      ///< read side: the socket, or the stream's input
+  int out_fd = -1;  ///< write side: the socket again, or the stream's output
+  bool stream = false;  ///< the borrowed stream, not an accepted socket
+  bool log = true;      ///< mirror request lines to the engine's log
   std::string rbuf;   ///< partial-frame accumulator
-  std::string wbuf;   ///< bytes waiting for the socket to accept them
+  std::string wbuf;   ///< bytes waiting for the fd to accept them
   std::uint64_t next_submit = 0;  ///< per-connection request sequence
   std::uint64_t next_emit = 0;    ///< next sequence to append to wbuf
   std::map<std::uint64_t, serve::Engine::Result> ready;  ///< out-of-order done
@@ -68,6 +101,8 @@ struct Loop {
   util::Mutex mutex;
   std::map<std::uint64_t, std::unique_ptr<Conn>> conns SPGCMP_GUARDED_BY(mutex);
   std::uint64_t next_conn_id SPGCMP_GUARDED_BY(mutex) = 0;
+  /// Open socket connections: what max_connections caps (not the stream).
+  std::size_t sockets SPGCMP_GUARDED_BY(mutex) = 0;
   /// Requests handed to the engine whose completion callback has not
   /// fired yet.  Callbacks reference this struct, so run() only returns
   /// once this reaches zero — even for requests whose connection died.
@@ -101,19 +136,21 @@ struct Loop {
     const std::uint64_t s = c.next_submit++;
     ++c.inflight;
     ++engine_inflight;
+    inflight_gauge().add(1);
     ++summary.serve.accepted;
-    engine.submit(line, /*log_line=*/true, stop,
+    engine.submit(line, c.log, stop,
                   [this, conn_id, s](serve::Engine::Result result) {
-                    {
-                      const util::MutexLock lk(mutex);
-                      --engine_inflight;
-                      const auto it = conns.find(conn_id);
-                      if (it != conns.end()) {
-                        // A vanished client's answer has no destination.
-                        it->second->ready.emplace(s, std::move(result));
-                        drain_ready(*it->second);
-                      }
+                    const util::MutexLock lk(mutex);
+                    --engine_inflight;
+                    inflight_gauge().add(-1);
+                    const auto it = conns.find(conn_id);
+                    if (it != conns.end()) {
+                      // A vanished client's answer has no destination.
+                      it->second->ready.emplace(s, std::move(result));
+                      drain_ready(*it->second);
                     }
+                    // Still under the lock: once engine_inflight can read
+                    // zero, run() may return and close the self-pipe.
                     wake();
                   });
   }
@@ -128,9 +165,21 @@ struct Loop {
     drain_ready(c);
   }
 
-  /// Frame and submit everything complete in the read accumulator.
-  /// `final_flush` also submits a torn trailing frame (EOF mid-line),
-  /// matching the stream transport's last-line handling.
+  [[nodiscard]] bool oversize(std::size_t bytes) const {
+    return opt.max_frame_bytes != 0 && bytes > opt.max_frame_bytes;
+  }
+
+  void submit_oversize(Conn& c) SPGCMP_REQUIRES(mutex) {
+    submit_error(c, serve::render_error(
+                        "null", 2,
+                        "request line exceeds " +
+                            std::to_string(opt.max_frame_bytes) + " bytes"));
+  }
+
+  /// Frame and submit everything complete in the read accumulator; blank
+  /// lines are skipped, and a line over the cap is answered code 2 whether
+  /// it arrived in one chunk or many.  `final_flush` also submits a torn
+  /// trailing frame (EOF mid-line).
   void process_rbuf(std::uint64_t conn_id, Conn& c, bool final_flush)
       SPGCMP_REQUIRES(mutex) {
     std::size_t start = 0;
@@ -139,18 +188,17 @@ struct Loop {
       if (nl == std::string::npos) break;
       if (c.discarding) {
         c.discarding = false;  // oversize frame ends here; resync
+      } else if (oversize(nl - start)) {
+        submit_oversize(c);
       } else if (nl > start) {
         submit_line(conn_id, c, c.rbuf.substr(start, nl - start));
       }
       start = nl + 1;
     }
     c.rbuf.erase(0, start);
-    if (!c.discarding && opt.max_frame_bytes != 0 &&
-        c.rbuf.size() > opt.max_frame_bytes) {
-      submit_error(c, serve::render_error(
-                          "null", 2,
-                          "request line exceeds " +
-                              std::to_string(opt.max_frame_bytes) + " bytes"));
+    if (!c.discarding && oversize(c.rbuf.size())) {
+      // No newline yet: answer now and skip the rest of the frame.
+      submit_oversize(c);
       c.rbuf.clear();
       c.discarding = true;
     }
@@ -166,7 +214,11 @@ struct Loop {
 
 SocketServer::SocketServer(Listener& listener, serve::Engine& engine,
                            SocketServerOptions opt)
-    : listener_(listener), engine_(engine), opt_(opt) {}
+    : SocketServer(&listener, std::nullopt, engine, opt) {}
+
+SocketServer::SocketServer(Listener* listener, std::optional<Stream> stream,
+                           serve::Engine& engine, SocketServerOptions opt)
+    : listener_(listener), stream_(stream), engine_(engine), opt_(opt) {}
 
 SocketSummary SocketServer::run(const std::atomic<bool>* stop) {
   static auto& m_conns = obs::Registry::instance().counter("net.connections");
@@ -182,7 +234,18 @@ SocketSummary SocketServer::run(const std::atomic<bool>* stop) {
   set_nonblocking(wake[0]);
   set_nonblocking(wake[1]);
 
+  const BorrowedFds borrowed(stream_);
   Loop loop{engine_, opt_, stop, wake[1]};
+  if (stream_) {
+    auto conn = std::make_unique<Conn>();
+    conn->fd = stream_->in_fd;
+    conn->out_fd = stream_->out_fd;
+    conn->stream = true;
+    conn->log = stream_->log;
+    const util::MutexLock lk(loop.mutex);
+    loop.conns.emplace(++loop.next_conn_id, std::move(conn));
+  }
+  const bool listening = listener_ != nullptr;
   bool draining = false;
 
   std::vector<pollfd> fds;
@@ -195,9 +258,9 @@ SocketSummary SocketServer::run(const std::atomic<bool>* stop) {
         stop != nullptr && stop->load(std::memory_order_relaxed);
     if (stopping && !draining) {
       draining = true;
-      // Reading stops here: partial frames are abandoned, exactly like
-      // FIFO input unread past the signal.  In-flight requests drain
-      // through the engine (code-3 refusals for fresh solves).
+      // Reading stops here: partial frames are abandoned.  In-flight
+      // requests drain through the engine (code-3 refusals for fresh
+      // solves).
       const util::MutexLock lk(loop.mutex);
       for (auto& [id, c] : loop.conns) {
         c->read_closed = true;
@@ -206,14 +269,16 @@ SocketSummary SocketServer::run(const std::atomic<bool>* stop) {
     }
 
     // Build the poll set and find the nearest idle deadline.
+    const bool accepting = listening && !draining;
     fds.clear();
     fd_conn.clear();
     fds.push_back({wake[0], POLLIN, 0});
     fd_conn.push_back(0);
-    if (!draining) {
-      fds.push_back({listener_.fd(), POLLIN, 0});
+    if (accepting) {
+      fds.push_back({listener_->fd(), POLLIN, 0});
       fd_conn.push_back(0);
     }
+    const std::size_t first_conn = fds.size();
     int timeout = opt_.poll_interval_ms;
     bool all_drained;
     {
@@ -223,22 +288,34 @@ SocketSummary SocketServer::run(const std::atomic<bool>* stop) {
           opt_.max_inflight != 0 && loop.engine_inflight >= opt_.max_inflight;
       const auto now = Clock::now();
       for (auto& [id, c] : loop.conns) {
-        short events = 0;
-        if (!c->read_closed && !gate_reads) events |= POLLIN;
-        if (!c->wbuf.empty()) events |= POLLOUT;
-        if (!c->read_closed || !c->wbuf.empty() || c->inflight != 0) {
+        const bool want_read = !c->read_closed && !gate_reads;
+        const bool want_write = !c->wbuf.empty();
+        if (!c->read_closed || want_write || c->inflight != 0) {
           all_drained = false;
+        }
+        if (c->stream) {
+          // Two adjacent entries, and a side it does not want is not
+          // polled at all: a FIFO whose writer left reports POLLHUP
+          // whatever the events ask for.
+          fds.push_back({want_read ? c->fd : -1, POLLIN, 0});
+          fds.push_back({want_write ? c->out_fd : -1, POLLOUT, 0});
+          fd_conn.push_back(id);
+          fd_conn.push_back(id);
+          continue;
         }
         if (opt_.idle_timeout_ms > 0 && !c->read_closed) {
           const int left =
               opt_.idle_timeout_ms - ms_between(c->last_activity, now);
           timeout = std::min(timeout, std::max(left, 0));
         }
+        const short events = static_cast<short>((want_read ? POLLIN : 0) |
+                                                (want_write ? POLLOUT : 0));
         fds.push_back({c->fd, events, 0});
         fd_conn.push_back(id);
       }
     }
-    if (draining && all_drained) break;
+    // Without a listener, the stream's end is the server's end.
+    if ((draining || !listening) && all_drained) break;
 
     const int rc = ::poll(fds.data(), static_cast<nfds_t>(fds.size()), timeout);
     if (rc < 0 && errno != EINTR) {
@@ -251,24 +328,26 @@ SocketSummary SocketServer::run(const std::atomic<bool>* stop) {
       }
     }
 
-    // Accept new connections (fds[1] is the listener while not draining).
-    if (!draining && rc > 0 && (fds[1].revents & POLLIN) != 0) {
+    // Accept new connections (fds[1] is the listener while accepting).
+    if (accepting && rc > 0 && (fds[1].revents & POLLIN) != 0) {
       while (true) {
-        const int cfd = listener_.accept_one();
+        const int cfd = listener_->accept_one();
         if (cfd < 0) break;
         bool refused = false;
         {
           const util::MutexLock lk(loop.mutex);
           if (opt_.max_connections != 0 &&
-              loop.conns.size() >= opt_.max_connections) {
+              loop.sockets >= opt_.max_connections) {
             ++loop.summary.refused_connections;
             refused = true;
           } else {
             set_nonblocking(cfd);
             auto conn = std::make_unique<Conn>();
             conn->fd = cfd;
+            conn->out_fd = cfd;
             conn->last_activity = Clock::now();
             loop.conns.emplace(++loop.next_conn_id, std::move(conn));
+            ++loop.sockets;
             ++loop.summary.connections;
           }
         }
@@ -296,13 +375,17 @@ SocketSummary SocketServer::run(const std::atomic<bool>* stop) {
     dead.clear();
     {
       const util::MutexLock lk(loop.mutex);
-      for (std::size_t i = draining ? 1 : 2; i < fds.size(); ++i) {
+      for (std::size_t i = first_conn; i < fds.size(); ++i) {
         const auto it = loop.conns.find(fd_conn[i]);
         if (it == loop.conns.end()) continue;
         Conn& c = *it->second;
+        const bool readable = (fds[i].events & POLLIN) != 0 &&
+                              (fds[i].revents & (POLLIN | POLLHUP)) != 0;
+        short revents = fds[i].revents;
+        if (c.stream) revents |= fds[++i].revents;  // its output entry
         bool kill = false;
 
-        if ((fds[i].revents & POLLIN) != 0) {
+        if (readable) {
           while (true) {
             const ssize_t n = ::read(c.fd, buf, sizeof buf);
             if (n > 0) {
@@ -311,13 +394,18 @@ SocketSummary SocketServer::run(const std::atomic<bool>* stop) {
               // Frame per chunk so an endless unterminated blast hits the
               // oversize answer instead of growing the accumulator.
               loop.process_rbuf(it->first, c, /*final_flush=*/false);
+              // One chunk a cycle for the stream: a regular file never
+              // says EAGAIN, and the read gate must get its say.
+              if (c.stream) break;
               continue;
             }
-            if (n == 0) {
+            if (n < 0 && errno == EINTR) continue;
+            // A stream's read error ends its input like EOF would: poll
+            // reports a broken fd readable forever.
+            if (n == 0 ||
+                (c.stream && errno != EAGAIN && errno != EWOULDBLOCK)) {
               c.read_closed = true;
               loop.process_rbuf(it->first, c, /*final_flush=*/true);
-            } else if (errno == EINTR) {
-              continue;
             }
             // EAGAIN, EOF handled, or a hard error poll surfaces later.
             break;
@@ -329,7 +417,9 @@ SocketSummary SocketServer::run(const std::atomic<bool>* stop) {
           // this cycle's poll set was armed.
           while (!c.wbuf.empty()) {
             const ssize_t n =
-                ::send(c.fd, c.wbuf.data(), c.wbuf.size(), MSG_NOSIGNAL);
+                c.stream ? ::write(c.out_fd, c.wbuf.data(), c.wbuf.size())
+                         : ::send(c.out_fd, c.wbuf.data(), c.wbuf.size(),
+                                  MSG_NOSIGNAL);
             if (n > 0) {
               c.wbuf.erase(0, static_cast<std::size_t>(n));
               c.last_activity = Clock::now();
@@ -337,20 +427,20 @@ SocketSummary SocketServer::run(const std::atomic<bool>* stop) {
             }
             if (n < 0 && errno == EINTR) continue;
             if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-            // Broken pipe: the client disconnected without reading its
-            // answers.  Drop the connection; still-solving requests find
-            // it gone and are discarded.
+            // Broken pipe: the reader went away without its answers.
+            // Drop the connection; still-solving requests find it gone
+            // and are discarded.
             kill = true;
             break;
           }
         }
 
-        if ((fds[i].revents & (POLLERR | POLLNVAL)) != 0) kill = true;
+        if ((revents & (POLLERR | POLLNVAL)) != 0) kill = true;
 
         const bool drained =
             c.read_closed && c.wbuf.empty() && c.inflight == 0;
-        if (!kill && !drained && opt_.idle_timeout_ms > 0 && !c.read_closed &&
-            c.inflight == 0 && c.wbuf.empty() &&
+        if (!kill && !drained && !c.stream && opt_.idle_timeout_ms > 0 &&
+            !c.read_closed && c.inflight == 0 && c.wbuf.empty() &&
             ms_between(c.last_activity, Clock::now()) >= opt_.idle_timeout_ms) {
           ++loop.summary.idle_closed;
           m_idle.inc();
@@ -360,10 +450,12 @@ SocketSummary SocketServer::run(const std::atomic<bool>* stop) {
       }
       for (const std::uint64_t id : dead) {
         const auto it = loop.conns.find(id);
-        if (it == loop.conns.end()) continue;
-        ::close(it->second->fd);
+        if (!it->second->stream) {  // the stream's fds are borrowed
+          ::close(it->second->fd);
+          --loop.sockets;
+          g_open.add(-1);
+        }
         loop.conns.erase(it);
-        g_open.add(-1);
       }
     }
   }
@@ -372,6 +464,7 @@ SocketSummary SocketServer::run(const std::atomic<bool>* stop) {
   {
     const util::MutexLock lk(loop.mutex);
     for (auto& [id, c] : loop.conns) {
+      if (c->stream) continue;
       ::close(c->fd);
       g_open.add(-1);
     }
@@ -388,5 +481,3 @@ SocketSummary SocketServer::run(const std::atomic<bool>* stop) {
 }
 
 }  // namespace spgcmp::net
-
-#endif  // !_WIN32

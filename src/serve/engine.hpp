@@ -6,11 +6,11 @@
 // response lines: parse, coalesce identical in-flight requests
 // deterministically, memoize solved reports in the shared MemoCache, and
 // answer in-band {"stats":true} control frames from live state.  It knows
-// nothing about where lines come from or where responses go — the stream
-// transport (serve::Server, stdin/file/FIFO) and the socket transport
-// (net::SocketServer) both submit lines and receive completions through
-// the same Engine, so cache hits are byte-identical across transports and
-// the coalescing order stays deterministic even with both active.
+// nothing about where lines come from or where responses go: its one
+// transport, net::SocketServer, submits the lines of every connection —
+// sockets and the stdin/file/FIFO stream alike — and receives completions
+// through it, so cache hits are byte-identical whichever way a request
+// arrived and the coalescing order stays deterministic.
 //
 // submit() assigns each line a global sequence number under a lock that
 // also orders the pool enqueue, so pool workers start requests in
@@ -18,10 +18,9 @@
 // registration wait rests on (a task waiting for its registration turn
 // only waits on earlier tasks, which are all already running).
 //
-// Transports keep their own response ordering (the stream server a global
-// reorder buffer, the socket server a per-connection one) and their own
-// per-run summaries; the Engine keeps process-lifetime counters that back
-// the "summary" section of the stats document.
+// The transport keeps response ordering (a reorder map per connection)
+// and the per-run summary; the Engine keeps process-lifetime counters
+// that back the "summary" section of the stats document.
 
 #include <atomic>
 #include <cstdint>
@@ -42,7 +41,7 @@ namespace spgcmp::serve {
 /// Classification of one rendered response line.
 enum class ResponseKind { OkMiss, OkHit, Error, Shutdown, Stats };
 
-/// What one serve run (stream or socket) did.
+/// What one serve run (every connection of one SocketServer::run) did.
 struct ServerSummary {
   std::uint64_t accepted = 0;   ///< non-blank request lines read
   std::uint64_t answered = 0;   ///< response lines written
@@ -55,8 +54,7 @@ struct ServerSummary {
   MemoCache::Stats cache;       ///< cache counters at return time
 };
 
-/// Count one emitted response into a per-run summary.  Shared by both
-/// transports so their summaries classify identically.
+/// Count one emitted response into a per-run summary.
 void count_response(ResponseKind kind, ServerSummary& summary);
 
 /// Render the stats document shared by the in-band {"stats":true} answer,
@@ -77,7 +75,7 @@ class Engine {
   };
 
   /// `log` (optional) receives every submitted line that asks to be
-  /// logged, under an internal lock so concurrent transports interleave
+  /// logged, under an internal lock so concurrent submitters interleave
   /// whole lines.
   Engine(util::ThreadPool& pool, MemoCache& cache, util::JsonlWriter* log);
 
@@ -95,8 +93,8 @@ class Engine {
 
   /// Process-lifetime view of everything this engine answered (the
   /// "summary" section of the stats document).  `interrupted` is always
-  /// false here: a live scrape happens before any transport has drained,
-  /// and per-run interruption belongs to the transports' summaries.
+  /// false here: a live scrape happens before the transport has drained,
+  /// and per-run interruption belongs to the transport's summary.
   [[nodiscard]] ServerSummary lifetime() const;
 
   /// The stats document from live engine state; every call advances the

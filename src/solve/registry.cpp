@@ -1,7 +1,6 @@
 #include "solve/registry.hpp"
 
 #include <ostream>
-#include <sstream>
 #include <utility>
 
 #include "heuristics/anneal.hpp"
@@ -9,13 +8,10 @@
 #include "heuristics/dpa2d.hpp"
 #include "heuristics/exact.hpp"
 #include "heuristics/greedy.hpp"
-#include "heuristics/ilp.hpp"
 #include "heuristics/peft.hpp"
 #include "heuristics/random_heuristic.hpp"
 #include "heuristics/refine.hpp"
 #include "spg/spg.hpp"
-
-#include <fstream>
 
 namespace spgcmp::solve {
 
@@ -71,38 +67,6 @@ class RefineSolver final : public Heuristic {
  private:
   std::unique_ptr<Heuristic> base_;
   heuristics::RefineOptions opt_;
-};
-
-/// Adapter exposing the Section 4.4 ILP emitter through the solver API.
-/// No LP solver is linked, so run() emits the model (to `out`, or counts it
-/// against a discarding stream) and reports failure with the model size —
-/// useful for exporting instances, and honest inside sweeps.  A fixed
-/// `out` path is only sensible for one-shot CLI runs, not parallel sweeps.
-class IlpSolver final : public Heuristic {
- public:
-  explicit IlpSolver(std::string out) : out_(std::move(out)) {}
-
-  [[nodiscard]] std::string name() const override { return "ILP"; }
-
-  [[nodiscard]] Result run(const spg::Spg& g, const cmp::Platform& p,
-                           double T) const override {
-    heuristics::IlpStats stats;
-    if (out_.empty()) {
-      std::ostringstream sink;
-      stats = heuristics::emit_ilp(g, p, T, sink);
-    } else {
-      std::ofstream os(out_);
-      if (!os) return Result::fail("ilp: cannot open '" + out_ + "' for writing");
-      stats = heuristics::emit_ilp(g, p, T, os);
-    }
-    return Result::fail(
-        "ilp: model emitted (" + std::to_string(stats.variables) +
-        " variables, " + std::to_string(stats.constraints) +
-        " constraints); no LP solver is linked — use the exact solver");
-  }
-
- private:
-  std::string out_;
 };
 
 void register_builtins(SolverRegistry& reg) {
@@ -191,16 +155,6 @@ void register_builtins(SolverRegistry& reg) {
             opt.require_dag_partition = o.get_bool("dag", true);
             opt.use_incremental = o.get_bool("incremental", true);
             return std::make_unique<heuristics::ExactSolver>(opt);
-          });
-
-  reg.add({"ilp",
-           "emit the Section 4.4 MinEnergy(T) ILP in LP format (no LP solver "
-           "linked; always reports failure)",
-           {{"out", "", "LP file path; empty discards the model"}},
-           false},
-          [](const SolverOptions& o, const SolveContext&,
-             std::unique_ptr<Heuristic>) -> std::unique_ptr<Heuristic> {
-            return std::make_unique<IlpSolver>(o.get_string("out", ""));
           });
 
   reg.add({"anneal",

@@ -11,7 +11,7 @@
 //   base+post(...)            post-pass composition:  dpa2d+refine(rounds=4)
 //
 // Built-ins (in listing order): random, greedy, dpa2d, dpa1d, dpa2d1d,
-// exact, ilp, and refine as a composable post-pass.  Third-party solvers
+// exact, anneal, peft, and refine as a composable post-pass.  Third-party solvers
 // register through SolverRegistrar at static-initialization time (~20
 // lines; see README "Solver API") and are then addressable everywhere a
 // built-in is: --heuristics= flags, campaign `heuristics` spec lines,

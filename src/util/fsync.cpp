@@ -3,16 +3,12 @@
 #include <filesystem>
 #include <stdexcept>
 
-#ifndef _WIN32
 #include <cerrno>
 #include <cstring>
 #include <fcntl.h>
 #include <unistd.h>
-#endif
 
 namespace spgcmp::util {
-
-#ifndef _WIN32
 
 namespace {
 
@@ -45,12 +41,5 @@ void fsync_parent_dir(const std::string& path) {
   fsync_path(parent.empty() ? std::string(".") : parent.string(),
              /*dir_ok=*/true);
 }
-
-#else  // _WIN32: no POSIX fsync; the rename is still atomic, just not durable.
-
-void fsync_file(const std::string&) {}
-void fsync_parent_dir(const std::string&) {}
-
-#endif
 
 }  // namespace spgcmp::util

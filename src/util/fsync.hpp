@@ -7,7 +7,6 @@
 // itself (a directory mutation) is flushed afterwards.  std::ofstream
 // flushes to the kernel, not the platter, so callers that promise a valid
 // file after a crash must fsync both the file and its parent directory.
-// On platforms without POSIX fsync semantics these degrade to no-ops.
 
 #include <string>
 

@@ -24,8 +24,7 @@ extern "C" void on_stop_signal(int sig) {
 std::atomic<bool>& stop_flag() noexcept { return g_stop; }
 
 void install_stop_handlers() {
-#ifndef _WIN32
-  // sigaction without SA_RESTART: blocking reads must fail with EINTR so
+  // sigaction without SA_RESTART: blocking calls must fail with EINTR so
   // the serving loop wakes up and sees the flag.
   struct sigaction sa = {};
   sa.sa_handler = &on_stop_signal;
@@ -33,10 +32,6 @@ void install_stop_handlers() {
   sa.sa_flags = 0;
   sigaction(SIGINT, &sa, nullptr);
   sigaction(SIGTERM, &sa, nullptr);
-#else
-  std::signal(SIGINT, &on_stop_signal);
-  std::signal(SIGTERM, &on_stop_signal);
-#endif
 }
 
 void clear_stop_flag() noexcept {

@@ -9,8 +9,8 @@
 //
 // Two deliberate choices:
 //   * handlers are installed *without* SA_RESTART, so a signal arriving
-//     during a blocking read (stdin, a request FIFO) fails the read with
-//     EINTR and the loop observes the flag instead of blocking forever;
+//     during a blocking call (the serve loop's poll) fails it with EINTR
+//     and the loop observes the flag at once;
 //   * a second signal restores the default disposition and re-raises, so
 //     an impatient operator still gets a hard kill — which the JSONL
 //     torn-tail recovery is designed to survive.

@@ -9,10 +9,8 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
-#ifndef _WIN32
 #include <csignal>
 #include <pthread.h>
-#endif
 
 namespace spgcmp::util {
 
@@ -81,27 +79,22 @@ ThreadPool::ThreadPool(std::size_t threads) {
     threads = std::thread::hardware_concurrency();
     if (threads == 0) threads = 1;
   }
-#ifndef _WIN32
-  // Workers inherit a mask blocking SIGINT/SIGTERM, so a process-directed
-  // stop signal is always delivered to the spawning (intake) thread and
-  // interrupts its blocking read — without this, the kernel may pick a
-  // worker, the stop flag is set, and a daemon blocked reading a FIFO
-  // never notices until its next input line.  SIGUSR1 (the serve daemon's
-  // stats-dump request) is blocked for the same reason.
+  // Workers inherit a mask blocking SIGINT, SIGTERM and SIGUSR1, so a
+  // process-directed signal lands on a thread that is not solving: in the
+  // serve daemon the main thread (the SIGUSR1 dump loop) or the poll loop,
+  // whose poll(2) then returns EINTR and re-checks the stop flag at once
+  // rather than at its next poll interval.
   sigset_t block, prev;
   sigemptyset(&block);
   sigaddset(&block, SIGINT);
   sigaddset(&block, SIGTERM);
   sigaddset(&block, SIGUSR1);
   pthread_sigmask(SIG_BLOCK, &block, &prev);
-#endif
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
   }
-#ifndef _WIN32
   pthread_sigmask(SIG_SETMASK, &prev, nullptr);
-#endif
 }
 
 ThreadPool::~ThreadPool() {

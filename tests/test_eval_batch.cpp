@@ -192,6 +192,37 @@ TEST(EvalBatch, PlacementBatchHandlesCyclicQuotientCandidates) {
   }
 }
 
+TEST(EvalBatch, MoveBatchHandlesCyclicQuotientCandidates) {
+  // diamond bound on {0,1,0,1}: moving stage 3 to core 0 turns its 1 -> 3
+  // edge into a 1 -> 0 quotient edge, closing 0 -> 1 -> 0.  The scalar
+  // path finds it by shift + acyclic(), the batch by its frozen closure.
+  const spg::Spg g = test::diamond();
+  const cmp::Platform p = test::grid2x2();
+  const double T = test::pick_period(g, p);
+  Mapping m;
+  m.core_of = {0, 1, 0, 1};
+  m.mode_of_core.assign(4, 0);
+  m.edge_paths.assign(g.edge_count(), {});
+  ASSERT_TRUE(mapping::assign_slowest_modes(g, p, T, m));
+  mapping::attach_routes(g, p.topology, m);
+  Evaluator ev(g, p, T);
+  const Evaluation& bound = ev.bind(m);
+  ASSERT_TRUE(bound.error.empty()) << bound.error;
+  ASSERT_TRUE(bound.dag_partition_ok);
+
+  const std::vector<int> targets = {0, 2, 3};
+  const std::vector<BatchScore> batch = ev.evaluate_move_batch(3, targets);
+  ASSERT_EQ(batch.size(), targets.size());
+  EXPECT_FALSE(batch[0].dag_partition_ok);  // the cycle
+  EXPECT_TRUE(batch[1].dag_partition_ok);
+  EXPECT_TRUE(batch[2].dag_partition_ok);
+
+  for (std::size_t k = 0; k < targets.size(); ++k) {
+    expect_bitwise(batch[k], ev.evaluate_move(3, targets[k]),
+                   "diamond move to " + std::to_string(targets[k]));
+  }
+}
+
 TEST(EvalBatch, PlacementBatchHandlesOverPeriodCandidates) {
   // A period nobody can meet: every candidate fails meets_period, and the
   // clamped-mode scores must still match the scalar path bit for bit.

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
 
 #include "heuristics/ilp.hpp"
 #include "spg/compose.hpp"
@@ -37,6 +38,20 @@ TEST(Ilp, EmitsWellFormedLp) {
   EXPECT_GT(stats.constraints, 0u);
   // Every constraint line is numbered c0..cK.
   EXPECT_NE(lp.find(" c0: "), std::string::npos);
+}
+
+TEST(Ilp, RejectsTopologiesTheModelDoesNotDescribe) {
+  // The formulation routes XY on a homogeneous mesh; any other topology
+  // would silently get a mesh model.
+  const auto g = spg::chain(3, 1e8, 1e3);
+  for (const char* topo : {"torus", "snake", "hetero"}) {
+    std::ostringstream os;
+    EXPECT_THROW((void)heuristics::emit_ilp(
+                     g, cmp::Platform::reference(topo, 2, 2), 1.0, os),
+                 std::invalid_argument)
+        << topo;
+    EXPECT_TRUE(os.str().empty()) << topo;
+  }
 }
 
 TEST(Ilp, ConstraintCountGrowsWithPlatform) {

@@ -8,8 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#ifndef _WIN32
-
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
@@ -26,8 +24,10 @@
 
 #include "net/net.hpp"
 #include "net/socket_server.hpp"
-#include "serve/server.hpp"
+#include "serve/cache.hpp"
+#include "serve/engine.hpp"
 #include "util/json.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -78,16 +78,16 @@ class SocketDaemon {
                ("spgcmp_net_" + std::to_string(::getpid()) + "_" +
                 std::to_string(next_id_++) + ".sock"))
                   .string()),
-        server_(serve::ServerOptions{threads, /*cache_capacity=*/1024,
-                                     /*max_inflight=*/0, /*log_path=*/{}}),
+        pool_(threads),
+        engine_(pool_, cache_, nullptr),
         listener_(net::parse_address(path_)),
-        sock_(listener_, server_.engine(), opt),
+        sock_(listener_, engine_, opt),
         thread_([this] { summary_ = sock_.run(&stop_); }) {}
 
   ~SocketDaemon() { (void)finish(); }
 
   [[nodiscard]] const std::string& path() const { return path_; }
-  [[nodiscard]] serve::Engine& engine() { return server_.engine(); }
+  [[nodiscard]] serve::Engine& engine() { return engine_; }
 
   /// Raise the stop flag, join the loop, return its summary (idempotent).
   net::SocketSummary finish() {
@@ -99,7 +99,9 @@ class SocketDaemon {
  private:
   static std::atomic<int> next_id_;
   std::string path_;
-  serve::Server server_;
+  util::ThreadPool pool_;
+  serve::MemoCache cache_{1024};
+  serve::Engine engine_;
   net::Listener listener_;
   net::SocketServer sock_;
   std::atomic<bool> stop_{false};
@@ -274,8 +276,8 @@ TEST(SocketServer, OversizedFrameAnsweredCode2AndConnectionResyncs) {
 TEST(SocketServer, TornFinalFrameAnsweredCode2ThenEof) {
   SocketDaemon daemon;
   Client c(daemon.path());
-  // Client dies mid-line: the torn frame is processed like the stream
-  // transport's unterminated last line — malformed JSON, code 2.
+  // Client dies mid-line: the torn frame is submitted like any other
+  // line — malformed JSON, code 2.
   c.send(R"({"solver": "greedy", "per)");
   c.shutdown_write();
   const auto err = c.recv_line();
@@ -373,5 +375,3 @@ TEST(SocketServer, DrainOnStopAnswersAcceptedRequestsThenCloses) {
 }
 
 }  // namespace
-
-#endif  // !_WIN32

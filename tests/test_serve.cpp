@@ -1,28 +1,43 @@
 // Tests for the serve subsystem: canonical-key round-trips (re-seeded and
 // stage-permuted spellings of the same problem collide, genuinely distinct
 // problems do not), solver-spec normalization, LRU eviction order, the
-// request protocol's exit-2-style diagnostics, byte-identical cache hits
-// at 1 and 4 pool threads, request-log replay, and the shutdown drain
-// (every accepted request is answered, never hung or dropped).
+// request protocol's exit-2-style diagnostics, and the request stream as
+// net::SocketServer serves it for spgcmp_serve's --in/stdin and --replay:
+// byte-identical cache hits at 1 and 4 pool threads, request-log replay,
+// the shutdown drain (every accepted request is answered, never hung or
+// dropped), the frame cap, a FIFO opened before its writer, one cache
+// shared with a socket client, and borrowed fds handed back as found.
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/socket.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <atomic>
+#include <chrono>
 #include <csignal>
 #include <filesystem>
+#include <fstream>
+#include <optional>
 #include <sstream>
-#include <streambuf>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "net/net.hpp"
+#include "net/socket_server.hpp"
 #include "serve/cache.hpp"
 #include "serve/canonical.hpp"
+#include "serve/engine.hpp"
 #include "serve/protocol.hpp"
-#include "serve/server.hpp"
 #include "spg/generator.hpp"
 #include "util/json.hpp"
+#include "util/jsonl.hpp"
 #include "util/rng.hpp"
 #include "util/stop_signal.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -65,23 +80,110 @@ std::string gen_request(int id, std::uint64_t seed, const std::string& solver,
   return os.str();
 }
 
+/// A fresh path under the system temp dir, removed on destruction.
+class TempPath {
+ public:
+  explicit TempPath(const std::string& tag)
+      : path_(fs::temp_directory_path() /
+              ("spgcmp_serve_" + std::to_string(::getpid()) + "_" +
+               std::to_string(next_id_++) + "_" + tag)) {
+    fs::remove(path_);
+  }
+  ~TempPath() { fs::remove(path_); }
+  TempPath(const TempPath&) = delete;
+  TempPath& operator=(const TempPath&) = delete;
+  [[nodiscard]] std::string str() const { return path_.string(); }
+
+ private:
+  static inline std::atomic<int> next_id_{0};
+  fs::path path_;
+};
+
+/// The stack spgcmp_serve builds: a solve pool, a memo cache, an optional
+/// request log, and the engine over them.
+struct Stack {
+  explicit Stack(std::size_t threads, const std::string& log_path = {})
+      : pool(threads),
+        log(log_path.empty()
+                ? std::nullopt
+                : std::optional<util::JsonlWriter>(std::in_place, log_path)),
+        engine(pool, cache, log ? &*log : nullptr) {}
+
+  serve::MemoCache cache{1024};
+  util::ThreadPool pool;
+  std::optional<util::JsonlWriter> log;
+  serve::Engine engine;
+};
+
+int open_out(const TempPath& path) {
+  return ::open(path.str().c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+}
+
+/// Poll `done` until it holds, for at most 30 s.
+template <typename Pred>
+void wait_until(Pred done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!done() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
+std::vector<std::string> read_lines(const std::string& path) {
+  std::ifstream is(path);
+  std::vector<std::string> lines;
+  std::string line;
+  while (std::getline(is, line)) lines.push_back(line);
+  return lines;
+}
+
 struct ServeRun {
   serve::ServerSummary summary;
   std::vector<std::string> lines;
 };
 
-ServeRun run_lines(serve::Server& server, const std::vector<std::string>& requests,
-              const std::atomic<bool>* stop = nullptr) {
+/// Serve `text` as the request stream, regular files on both fds, and
+/// collect the response lines.
+ServeRun run_text(serve::Engine& engine, const std::string& text,
+                  const std::atomic<bool>* stop = nullptr,
+                  net::SocketServerOptions opt = {}) {
+  const TempPath in_path("in"), out_path("out");
+  std::ofstream(in_path.str()) << text;
+  const int in = ::open(in_path.str().c_str(), O_RDONLY);
+  const int out = open_out(out_path);
+  EXPECT_GE(in, 0);
+  EXPECT_GE(out, 0);
+  net::SocketServer server(nullptr, net::Stream{in, out}, engine, opt);
+  ServeRun run;
+  run.summary = server.run(stop).serve;
+  ::close(in);
+  ::close(out);
+  run.lines = read_lines(out_path.str());
+  return run;
+}
+
+ServeRun run_lines(serve::Engine& engine,
+                   const std::vector<std::string>& requests,
+                   const std::atomic<bool>* stop = nullptr) {
   std::string text;
   for (const auto& r : requests) text += r + "\n";
-  std::istringstream in(text);
-  std::ostringstream out;
-  ServeRun run;
-  run.summary = server.serve(in, out, stop);
-  std::istringstream lines(out.str());
-  std::string line;
-  while (std::getline(lines, line)) run.lines.push_back(line);
-  return run;
+  return run_text(engine, text, stop);
+}
+
+/// spgcmp_serve --replay: the log itself as the stream, answers to
+/// /dev/null, lines not logged again.
+serve::ServerSummary replay(serve::Engine& engine,
+                            const std::string& log_path) {
+  const int in = ::open(log_path.c_str(), O_RDONLY);
+  const int out = ::open("/dev/null", O_WRONLY);
+  EXPECT_GE(in, 0);
+  EXPECT_GE(out, 0);
+  net::SocketServer server(nullptr, net::Stream{in, out, /*log=*/false},
+                           engine, {});
+  const serve::ServerSummary summary = server.run(nullptr).serve;
+  ::close(in);
+  ::close(out);
+  return summary;
 }
 
 /// The raw "report":{...} tail of a response line (byte-identity checks).
@@ -266,19 +368,17 @@ TEST(MemoCache, CapacityZeroDisablesCaching) {
   EXPECT_EQ(cache.stats().size, 0u);
 }
 
-// --------------------------------------------------------------- server --
+// --------------------------------------------------------------- stream --
 
-TEST(Server, HitsAreFreeAndByteIdenticalAcrossThreadCounts) {
+TEST(Stream, HitsAreFreeAndByteIdenticalAcrossThreadCounts) {
   const std::vector<std::string> requests = {
       gen_request(1, 5, "greedy"), gen_request(2, 5, "greedy"),
       gen_request(3, 9, "greedy")};
 
   std::vector<ServeRun> runs;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    serve::ServerOptions opt;
-    opt.threads = threads;
-    serve::Server server(opt);
-    runs.push_back(run_lines(server, requests));
+    Stack stack(threads);
+    runs.push_back(run_lines(stack.engine, requests));
   }
 
   for (const auto& run : runs) {
@@ -309,12 +409,10 @@ TEST(Server, HitsAreFreeAndByteIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(Server, StatsRequestAnswersLiveSnapshotInOrder) {
-  serve::ServerOptions opt;
-  opt.threads = 2;
-  serve::Server server(opt);
-  const auto run = run_lines(server, {gen_request(1, 5, "greedy"),
-                                      R"({"id":2,"stats":true})"});
+TEST(Stream, StatsRequestAnswersLiveSnapshotInOrder) {
+  Stack stack(2);
+  const auto run = run_lines(stack.engine, {gen_request(1, 5, "greedy"),
+                                            R"({"id":2,"stats":true})"});
 
   ASSERT_EQ(run.lines.size(), 2u);
   EXPECT_EQ(run.summary.accepted, 2u);
@@ -330,8 +428,9 @@ TEST(Server, StatsRequestAnswersLiveSnapshotInOrder) {
   EXPECT_EQ(stats.at("status").as_string("status"), "ok");
   const auto& body = stats.at("stats");
   const auto& cache = body.at("cache");
-  // One solve ran before the stats request was answered (in-order reorder
-  // buffer), so the cache already counts its miss.
+  // One solve ran before the stats request was answered (the engine
+  // snapshots only after every earlier request), so the cache already
+  // counts its miss.
   EXPECT_EQ(cache.at("misses").as_number("misses"), 1.0);
   EXPECT_EQ(cache.at("size").as_number("size"), 1.0);
   // The embedded metrics snapshot is the live registry document; the
@@ -343,14 +442,12 @@ TEST(Server, StatsRequestAnswersLiveSnapshotInOrder) {
   EXPECT_NE(counters->find("serve.requests"), nullptr);
 }
 
-TEST(Server, AnswersMalformedRequestsInOrderWithCode2) {
-  serve::ServerOptions opt;
-  opt.threads = 2;
-  serve::Server server(opt);
+TEST(Stream, AnswersMalformedRequestsInOrderWithCode2) {
+  Stack stack(2);
   const auto run = run_lines(
-      server, {"this is not json", gen_request(1, 5, "greedy"),
-               gen_request(2, 5, "bogus_solver"),
-               R"({"id":"x","generator":{"n":8},"solver":"greedy"})"});
+      stack.engine, {"this is not json", gen_request(1, 5, "greedy"),
+                     gen_request(2, 5, "bogus_solver"),
+                     R"({"id":"x","generator":{"n":8},"solver":"greedy"})"});
 
   ASSERT_EQ(run.lines.size(), 4u);
   EXPECT_EQ(run.summary.errors, 3u);
@@ -377,85 +474,73 @@ TEST(Server, AnswersMalformedRequestsInOrderWithCode2) {
   EXPECT_EQ(bad_period.at("id").as_string("id"), "x");
 }
 
-TEST(Server, CachePersistsAcrossCallsAndReplayRebuildsIt) {
-  const fs::path log = fs::temp_directory_path() /
-                       ("spgcmp_serve_log_" +
-                        std::to_string(
-                            ::testing::UnitTest::GetInstance()->random_seed()) +
-                        ".jsonl");
-  fs::remove(log);
-  {
-    serve::ServerOptions opt;
-    opt.threads = 1;
-    opt.log_path = log.string();
-    serve::Server server(opt);
-    const auto first = run_lines(server, {gen_request(1, 5, "greedy")});
-    EXPECT_EQ(first.summary.hits, 0u);
-    // The cache lives on the Server, not the serve() call.
-    const auto second = run_lines(server, {gen_request(2, 5, "greedy")});
-    EXPECT_EQ(second.summary.hits, 1u);
-  }
-  // A fresh server replays the request log to warm its cache: the second
-  // logged line already hits, and a live duplicate afterwards is free.
-  serve::ServerOptions opt;
-  opt.threads = 1;
-  serve::Server server(opt);
-  const auto replayed = server.replay(log.string());
-  EXPECT_EQ(replayed.accepted, 2u);
-  EXPECT_EQ(replayed.hits, 1u);
-  const auto live = run_lines(server, {gen_request(3, 5, "greedy")});
-  EXPECT_EQ(live.summary.hits, 1u);
-  EXPECT_EQ(live.summary.cache.misses, 1u);  // only the replay's cold solve
-  fs::remove(log);
+TEST(Stream, BlankLinesSkippedAndTornLastLineSubmitted) {
+  Stack stack(1);
+  // No trailing newline: the torn last line is still a request.
+  const auto run =
+      run_text(stack.engine, "\n\n" + gen_request(1, 5, "greedy") + "\n\n" +
+                                 gen_request(2, 5, "greedy"));
+  ASSERT_EQ(run.lines.size(), 2u);
+  EXPECT_EQ(run.summary.accepted, 2u);
+  EXPECT_EQ(run.summary.hits, 1u);
+  EXPECT_EQ(util::parse_json(run.lines[1]).at("id").as_number("id"), 2.0);
 }
 
-/// Serves `text` one character at a time and raises `flag` once the
-/// trigger_line-th newline has been consumed — a deterministic way to
-/// interrupt the server mid-batch.
-class TriggerBuf final : public std::streambuf {
- public:
-  TriggerBuf(std::string text, std::size_t trigger_line,
-             std::atomic<bool>& flag)
-      : text_(std::move(text)), trigger_(trigger_line), flag_(&flag) {}
-
- protected:
-  int underflow() override {
-    if (pos_ >= text_.size()) return traits_type::eof();
-    ch_ = text_[pos_++];
-    if (ch_ == '\n' && ++newlines_ == trigger_) {
-      flag_->store(true, std::memory_order_relaxed);
-    }
-    setg(&ch_, &ch_, &ch_ + 1);
-    return traits_type::to_int_type(ch_);
+TEST(Stream, CachePersistsAcrossRunsAndReplayRebuildsItWithoutRelogging) {
+  const TempPath log("log.jsonl");
+  {
+    Stack stack(1, log.str());
+    const auto first = run_lines(stack.engine, {gen_request(1, 5, "greedy")});
+    EXPECT_EQ(first.summary.hits, 0u);
+    // The cache lives on the engine, not the run.
+    const auto second = run_lines(stack.engine, {gen_request(2, 5, "greedy")});
+    EXPECT_EQ(second.summary.hits, 1u);
   }
+  ASSERT_EQ(read_lines(log.str()).size(), 2u);
 
- private:
-  std::string text_;
-  std::size_t trigger_;
-  std::atomic<bool>* flag_;
-  std::size_t pos_ = 0;
-  std::size_t newlines_ = 0;
-  char ch_ = '\0';
-};
+  // A fresh stack on the same log replays it to warm its cache: the second
+  // logged line already hits, and a live duplicate afterwards is free.
+  Stack stack(1, log.str());
+  const auto replayed = replay(stack.engine, log.str());
+  EXPECT_EQ(replayed.accepted, 2u);
+  EXPECT_EQ(replayed.hits, 1u);
+  EXPECT_EQ(read_lines(log.str()).size(), 2u);  // replayed lines not re-logged
+  const auto live = run_lines(stack.engine, {gen_request(3, 5, "greedy")});
+  EXPECT_EQ(live.summary.hits, 1u);
+  EXPECT_EQ(live.summary.cache.misses, 1u);  // only the replay's cold solve
+  EXPECT_EQ(read_lines(log.str()).size(), 3u);  // live lines still are
+}
 
-TEST(Server, ShutdownDrainAnswersEveryAcceptedRequest) {
-  serve::ServerOptions opt;
-  opt.threads = 2;
-  serve::Server server(opt);
+TEST(Stream, ShutdownDrainAnswersEveryAcceptedRequest) {
+  Stack stack(2);
 
   // Warm the cache so a duplicate stays answerable during the drain.
-  (void)run_lines(server, {gen_request(0, 5, "greedy")});
+  (void)run_lines(stack.engine, {gen_request(0, 5, "greedy")});
 
-  // Three requests; the stop flag is raised while the last line is being
-  // read, so all three are accepted and then the server must drain.
+  // Three requests down a pipe whose write end stays open, so the run can
+  // only end by the stop flag; it is raised once the engine has all three.
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  const std::string text = gen_request(1, 5, "greedy") + "\n" +
+                           gen_request(2, 11, "greedy") + "\n" +
+                           gen_request(3, 5, "greedy") + "\n";
+  ASSERT_EQ(::write(fds[1], text.data(), text.size()),
+            static_cast<ssize_t>(text.size()));
+  const TempPath out_path("out");
+  const int out = open_out(out_path);
+  ASSERT_GE(out, 0);
+
   std::atomic<bool> stop{false};
-  std::string text = gen_request(1, 5, "greedy") + "\n" +
-                     gen_request(2, 11, "greedy") + "\n" +
-                     gen_request(3, 5, "greedy") + "\n";
-  TriggerBuf buf(text, 3, stop);
-  std::istream in(&buf);
-  std::ostringstream out;
-  const auto summary = server.serve(in, out, &stop);
+  net::SocketServer server(nullptr, net::Stream{fds[0], out}, stack.engine, {});
+  net::SocketSummary sock;
+  std::thread loop([&] { sock = server.run(&stop); });
+  wait_until([&] { return stack.engine.lifetime().accepted >= 4; });
+  stop.store(true, std::memory_order_relaxed);
+  loop.join();
+  ::close(fds[0]);
+  ::close(fds[1]);
+  ::close(out);
+  const serve::ServerSummary& summary = sock.serve;
 
   EXPECT_TRUE(summary.interrupted);
   EXPECT_EQ(summary.accepted, 3u);
@@ -465,11 +550,9 @@ TEST(Server, ShutdownDrainAnswersEveryAcceptedRequest) {
   EXPECT_EQ(summary.ok + summary.errors + summary.shutdown_refused, 3u);
   EXPECT_EQ(summary.errors, 0u);
 
-  std::istringstream lines(out.str());
-  std::string line;
-  std::size_t count = 0;
-  while (std::getline(lines, line)) {
-    ++count;
+  const auto lines = read_lines(out_path.str());
+  EXPECT_EQ(lines.size(), 3u);
+  for (const auto& line : lines) {
     const auto doc = util::parse_json(line);
     const std::string status = doc.at("status").as_string("status");
     if (status == "error") {
@@ -478,31 +561,155 @@ TEST(Server, ShutdownDrainAnswersEveryAcceptedRequest) {
       EXPECT_EQ(status, "ok");
     }
   }
-  EXPECT_EQ(count, 3u);
 
   // Duplicates of cached work are served even mid-drain: the two seed-5
   // requests hit the warm cache regardless of when the flag was seen.
   EXPECT_GE(summary.hits, 2u);
 }
 
+TEST(Stream, OversizedLineAnsweredCode2ThenResyncs) {
+  Stack stack(1);
+  net::SocketServerOptions opt;
+  opt.max_frame_bytes = 256;
+  const auto run = run_text(
+      stack.engine,
+      std::string(1024, 'x') + "\n" + gen_request(7, 5, "greedy") + "\n",
+      nullptr, opt);
+  ASSERT_EQ(run.lines.size(), 2u);
+  const auto err = util::parse_json(run.lines[0]);
+  EXPECT_EQ(err.at("code").as_number("code"), 2.0);
+  EXPECT_NE(err.at("error").as_string("error").find("exceeds 256 bytes"),
+            std::string::npos);
+  const auto ok = util::parse_json(run.lines[1]);
+  EXPECT_EQ(ok.at("status").as_string("status"), "ok");
+  EXPECT_EQ(ok.at("id").as_number("id"), 7.0);
+}
+
+TEST(Stream, FifoOpenedBeforeAnyWriterIsServedOnceOneWrites) {
+  Stack stack(1);
+  const TempPath fifo("fifo"), out_path("out");
+  ASSERT_EQ(::mkfifo(fifo.str().c_str(), 0600), 0);
+  // spgcmp_serve --in's open: nonblocking, so it returns before a writer.
+  const int in = ::open(fifo.str().c_str(), O_RDONLY | O_NONBLOCK);
+  ASSERT_GE(in, 0);
+  const int out = open_out(out_path);
+  ASSERT_GE(out, 0);
+
+  net::SocketServer server(nullptr, net::Stream{in, out}, stack.engine, {});
+  net::SocketSummary sock;
+  std::thread loop([&] { sock = server.run(nullptr); });
+  // Not synchronization: time for the loop to poll the writerless FIFO,
+  // which must not read as EOF.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  {
+    std::ofstream writer(fifo.str());
+    writer << gen_request(1, 5, "greedy") << "\n";
+  }
+  loop.join();  // the writer's close is the stream's EOF
+  ::close(in);
+  ::close(out);
+
+  EXPECT_FALSE(sock.serve.interrupted);
+  EXPECT_EQ(sock.serve.accepted, 1u);
+  const auto lines = read_lines(out_path.str());
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_EQ(util::parse_json(lines[0]).at("status").as_string("status"), "ok");
+}
+
+TEST(Stream, SharesOneCacheWithASocketClientInOneRun) {
+  Stack stack(2);
+  const TempPath sock_path("sock"), in_path("in"), out_path("out");
+  std::ofstream(in_path.str()) << gen_request(1, 5, "greedy") << "\n";
+  const int in = ::open(in_path.str().c_str(), O_RDONLY);
+  const int out = open_out(out_path);
+  ASSERT_GE(in, 0);
+  ASSERT_GE(out, 0);
+  net::Listener listener(net::parse_address(sock_path.str()));
+
+  std::atomic<bool> stop{false};
+  net::SocketServer server(&listener, net::Stream{in, out}, stack.engine, {});
+  net::SocketSummary summary;
+  std::thread loop([&] { summary = server.run(&stop); });
+
+  // The stream's solve lands first; with a listener its EOF does not end
+  // the run, and a socket client asking the same problem gets the hit.
+  wait_until([&] { return !read_lines(out_path.str()).empty(); });
+  const int fd = net::connect_to(net::parse_address(sock_path.str()));
+  const std::string req = gen_request(2, 5, "greedy") + "\n";
+  ASSERT_EQ(::send(fd, req.data(), req.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(req.size()));
+  ::shutdown(fd, SHUT_WR);
+  std::string answer;
+  char buf[4096];
+  for (ssize_t n; (n = ::recv(fd, buf, sizeof buf, 0)) > 0;) {
+    answer.append(buf, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+  stop.store(true, std::memory_order_relaxed);
+  loop.join();
+  ::close(in);
+  ::close(out);
+
+  const auto stream_lines = read_lines(out_path.str());
+  ASSERT_EQ(stream_lines.size(), 1u);
+  ASSERT_FALSE(answer.empty());
+  answer.pop_back();  // the newline
+  EXPECT_EQ(util::parse_json(stream_lines[0]).at("cache").as_string("cache"),
+            "miss");
+  EXPECT_EQ(util::parse_json(answer).at("cache").as_string("cache"), "hit");
+  EXPECT_EQ(report_tail(stream_lines[0]), report_tail(answer));
+  EXPECT_EQ(summary.connections, 1u);
+  EXPECT_EQ(summary.serve.accepted, 2u);
+  EXPECT_EQ(summary.serve.hits, 1u);
+  EXPECT_TRUE(summary.serve.interrupted);
+}
+
+TEST(Stream, BorrowedFdsKeepTheirFileStatusFlags) {
+  // One socketpair end as both the stream's input and (dup'd) output: two
+  // fds on one open file description, as a terminal on stdin and stdout.
+  Stack stack(1);
+  int sp[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sp), 0);
+  const int in = sp[0];
+  const int out = ::dup(sp[0]);
+  ASSERT_GE(out, 0);
+  const int in_flags = ::fcntl(in, F_GETFL, 0);
+  const int out_flags = ::fcntl(out, F_GETFL, 0);
+  ASSERT_EQ(in_flags & O_NONBLOCK, 0);
+
+  const std::string req = gen_request(1, 5, "greedy") + "\n";
+  ASSERT_EQ(::write(sp[1], req.data(), req.size()),
+            static_cast<ssize_t>(req.size()));
+  ::shutdown(sp[1], SHUT_WR);
+  net::SocketServer server(nullptr, net::Stream{in, out}, stack.engine, {});
+  const auto summary = server.run(nullptr);
+  EXPECT_EQ(summary.serve.answered, 1u);
+
+  EXPECT_EQ(::fcntl(in, F_GETFL, 0), in_flags);
+  EXPECT_EQ(::fcntl(out, F_GETFL, 0), out_flags);
+  // The loop never closes a borrowed fd: the answer is still readable
+  // from the peer, and both fds are still open.
+  char buf[4096];
+  EXPECT_GT(::recv(sp[1], buf, sizeof buf, 0), 0);
+  EXPECT_EQ(::close(out), 0);
+  EXPECT_EQ(::close(in), 0);
+  ::close(sp[1]);
+}
+
 TEST(StopSignal, RaisedSignalSetsFlagAndServerExitsInterrupted) {
-#ifndef _WIN32
   util::install_stop_handlers();
   util::clear_stop_flag();
   ASSERT_EQ(std::raise(SIGTERM), 0);
   EXPECT_TRUE(util::stop_flag().load());
 
-  // With the flag already up the server refuses the batch cleanly: every
-  // accepted request is still answered.
-  serve::ServerOptions opt;
-  opt.threads = 1;
-  serve::Server server(opt);
-  const auto run =
-      run_lines(server, {gen_request(1, 5, "greedy")}, &util::stop_flag());
+  // With the flag already up the server reads nothing and exits
+  // interrupted; every accepted request is still answered.
+  Stack stack(1);
+  const auto run = run_lines(stack.engine, {gen_request(1, 5, "greedy")},
+                             &util::stop_flag());
   EXPECT_TRUE(run.summary.interrupted);
   EXPECT_EQ(run.summary.answered, run.summary.accepted);
   util::clear_stop_flag();
-#endif
 }
 
 }  // namespace

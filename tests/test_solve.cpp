@@ -40,8 +40,8 @@ TEST(SolverRegistry, ListsAllBuiltinsInRegistrationOrder) {
   // legitimately appends an extension solver, and test order is not ours
   // to assume.
   const std::vector<std::string> expected = {
-      "random", "greedy", "dpa2d",  "dpa1d", "dpa2d1d",
-      "exact",  "ilp",    "anneal", "peft",  "refine"};
+      "random", "greedy", "dpa2d", "dpa1d", "dpa2d1d",
+      "exact",  "anneal", "peft",  "refine"};
   const auto names = solve::SolverRegistry::instance().names();
   ASSERT_GE(names.size(), expected.size());
   EXPECT_TRUE(std::equal(expected.begin(), expected.end(), names.begin()));
@@ -64,7 +64,6 @@ TEST(SolverRegistry, DisplayNameRoundTrip) {
   EXPECT_EQ(reg.make("dpa1d")->name(), "DPA1D");
   EXPECT_EQ(reg.make("dpa2d1d")->name(), "DPA2D1D");
   EXPECT_EQ(reg.make("exact")->name(), "Exact");
-  EXPECT_EQ(reg.make("ilp")->name(), "ILP");
   EXPECT_EQ(reg.make("anneal")->name(), "Anneal");
   EXPECT_EQ(reg.make("peft")->name(), "PEFT");
   EXPECT_EQ(reg.make("anneal+refine")->name(), "Anneal+refine");
@@ -110,7 +109,7 @@ void expect_solver_error(const std::string& spec, const std::string& message,
 TEST(SolverRegistry, GoldenDiagnostics) {
   expect_solver_error("frobnicate",
                       "unknown solver 'frobnicate' (expected random, greedy, "
-                      "dpa2d, dpa1d, dpa2d1d, exact, ilp, anneal, peft, refine",
+                      "dpa2d, dpa1d, dpa2d1d, exact, anneal, peft, refine",
                       /*prefix=*/true);
   expect_solver_error("exact(capx=9)",
                       "solver 'exact': unknown option 'capx' (expected cap, "
@@ -259,15 +258,6 @@ TEST(Refine, PostPassNeverWorsensTheBaseResult) {
   ASSERT_TRUE(base.success);
   ASSERT_TRUE(refined.success);
   EXPECT_LE(refined.eval.energy, base.eval.energy);
-}
-
-TEST(Ilp, SolverEmitsModelAndReportsFailureWithCounts) {
-  const spg::Spg g = small_workload(5, 6);
-  const auto p = cmp::Platform::reference(2, 2);
-  const auto r = solve::SolverRegistry::instance().make("ilp")->run(g, p, 0.5);
-  EXPECT_FALSE(r.success);
-  EXPECT_NE(r.failure.find("variables"), std::string::npos);
-  EXPECT_NE(r.failure.find("no LP solver"), std::string::npos);
 }
 
 // --------------------------------------------------------------- solve --

@@ -10,8 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#ifndef _WIN32
-
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
@@ -31,8 +29,10 @@
 #include "net/socket_server.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "serve/server.hpp"
+#include "serve/cache.hpp"
+#include "serve/engine.hpp"
 #include "util/json.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -72,16 +72,16 @@ class SocketDaemon {
       : path_((fs::temp_directory_path() /
                ("spgcmp_stress_" + std::to_string(::getpid()) + ".sock"))
                   .string()),
-        server_(serve::ServerOptions{threads, /*cache_capacity=*/1024,
-                                     /*max_inflight=*/0, /*log_path=*/{}}),
+        pool_(threads),
+        engine_(pool_, cache_, nullptr),
         listener_(net::parse_address(path_)),
-        sock_(listener_, server_.engine(), {}),
+        sock_(listener_, engine_, {}),
         thread_([this] { summary_ = sock_.run(&stop_); }) {}
 
   ~SocketDaemon() { (void)finish(); }
 
   [[nodiscard]] const std::string& path() const { return path_; }
-  [[nodiscard]] serve::Engine& engine() { return server_.engine(); }
+  [[nodiscard]] serve::Engine& engine() { return engine_; }
 
   net::SocketSummary finish() {
     stop_.store(true, std::memory_order_relaxed);
@@ -91,7 +91,9 @@ class SocketDaemon {
 
  private:
   std::string path_;
-  serve::Server server_;
+  util::ThreadPool pool_;
+  serve::MemoCache cache_{1024};
+  serve::Engine engine_;
   net::Listener listener_;
   net::SocketServer sock_;
   std::atomic<bool> stop_{false};
@@ -333,5 +335,3 @@ TEST(Stress, TraceFlushRacingLiveSpansStaysClean) {
 }
 
 }  // namespace
-
-#endif  // !_WIN32

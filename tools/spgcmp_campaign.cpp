@@ -64,12 +64,10 @@
 #include <thread>
 #include <vector>
 
-#ifndef _WIN32
 #include <cerrno>
 #include <csignal>
 #include <sys/wait.h>
 #include <unistd.h>
-#endif
 
 #include "campaign/service.hpp"
 #include "obs/obs.hpp"
@@ -168,7 +166,6 @@ int finish_run(const campaign::RunSummary& summary) {
   return 3;
 }
 
-#ifndef _WIN32
 /// `run --workers=N`: fork N lease-coordinated workers over one campaign
 /// directory.  The parent binds the spec before forking (one init, one
 /// diagnostic), forwards SIGINT/SIGTERM to the children, and reports
@@ -245,7 +242,6 @@ int run_workers(const util::Args& args, const std::string& dir,
   summary.interrupted = stop.load(std::memory_order_relaxed);
   return finish_run(summary);
 }
-#endif  // !_WIN32
 
 int cmd_run(const util::Args& args) {
   auto spec = load_spec(args);
@@ -253,17 +249,11 @@ int cmd_run(const util::Args& args) {
   const std::string dir = dir_arg(args);
   const auto workers =
       static_cast<std::size_t>(args.get_int("workers", "", 0));
-#ifndef _WIN32
   if (workers > 1) {
     // Bind the spec to the directory once, before any fork.
     campaign::CampaignService service(std::move(spec), dir);
     return run_workers(args, dir, workers);
   }
-#else
-  if (workers > 1) {
-    throw std::runtime_error("--workers is not supported on this platform");
-  }
-#endif
   campaign::CampaignService service(std::move(spec), dir);
   return finish_run(service.run(service_options(args)));
 }
@@ -317,11 +307,7 @@ int cmd_watch(const util::Args& args) {
       std::max(args.get_double("interval", "", 2.0), 0.05);
   const double ttl = args.get_double("lease-ttl", "", 30.0);
   const bool json = args.has("json");
-#ifndef _WIN32
   const bool tty = !json && ::isatty(STDOUT_FILENO) != 0;
-#else
-  const bool tty = false;
-#endif
   while (true) {
     const auto rep = service.status(ttl);
     const std::size_t done = rep.shards_done();

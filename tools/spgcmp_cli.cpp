@@ -204,19 +204,16 @@ int cmd_sim(const util::Args& args) {
 int cmd_ilp(const util::Args& args) {
   const spg::Spg g = load(args);
   const auto p = platform_of(args);
-  if (p.topology.kind() != cmp::TopologyKind::Mesh) {
-    throw std::runtime_error(
-        "ilp: only the homogeneous XY mesh is modelled; drop --topology");
-  }
   const double T = args.get_double("period", "", 1.0);
   const auto out = args.get("out");
-  heuristics::IlpStats stats;
+  // Built in memory first: a rejected topology touches no file.
+  std::ostringstream model;
+  const heuristics::IlpStats stats = heuristics::emit_ilp(g, p, T, model);
   if (out && !out->empty()) {
-    std::ofstream os(*out);
-    stats = heuristics::emit_ilp(g, p, T, os);
+    std::ofstream(*out) << model.str();
     std::printf("wrote %s\n", out->c_str());
   } else {
-    stats = heuristics::emit_ilp(g, p, T, std::cout);
+    std::cout << model.str();
   }
   std::fprintf(stderr, "%zu binary variables, %zu constraints\n", stats.variables,
                stats.constraints);

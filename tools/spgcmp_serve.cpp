@@ -13,25 +13,29 @@
 // re-seeded-identical request answers with "cache": "hit", zero evaluator
 // calls, and a report payload byte-identical to the cold solve.
 //
-// --listen=ADDR (POSIX only) additionally serves the same protocol over a
-// socket — a Unix-domain path (contains '/' or no ':') or HOST:PORT TCP
-// endpoint.  Socket clients share the stream transport's cache, request
-// log and coalescing order, so a hit is byte-identical whichever door the
-// request came through.  Per connection, responses leave in that
-// connection's request order.  --listen may coexist with --in; with
-// --listen alone stdin is left untouched and the daemon runs until
-// SIGINT/SIGTERM.  --max-conns caps concurrent connections (excess ones
-// are answered with one code-3 error line and closed), --idle-timeout-ms
-// closes idle connections, and --max-frame-bytes bounds a request line
-// (oversized frames answer code 2 and the connection resyncs at the next
-// newline).
+// --listen=ADDR additionally serves the same protocol over a socket — a
+// Unix-domain path (contains '/' or no ':') or HOST:PORT TCP endpoint.
+// Every mode runs one net::SocketServer loop: the --in stream (or stdin)
+// is one more connection beside the sockets, so all of them share one
+// cache, request log, coalescing order and --max-inflight budget, and a
+// hit is byte-identical whichever way the request came.  Per connection,
+// responses leave in that connection's request order.  --listen may
+// coexist with --in: the sockets are served before a FIFO's first writer,
+// and after the stream's EOF until SIGINT/SIGTERM; with --listen alone
+// stdin is left untouched.  --max-conns caps concurrent socket
+// connections (excess ones are answered with one code-3 error line and
+// closed), --idle-timeout-ms closes idle socket connections, and
+// --max-frame-bytes bounds a request line on every connection, the stream
+// included (oversized frames answer code 2 and the connection resyncs at
+// the next newline).
 //
 // --log=FILE appends every accepted request line verbatim to an
-// append-only JSONL log; --replay=FILE feeds such a log back through the
-// server before serving, rebuilding the memo cache after a restart.  With
-// --replay and no explicit --in the daemon exits after the replay.
+// append-only JSONL log; --replay=FILE feeds such a log through the same
+// loop before serving (answers discarded, lines not logged again),
+// rebuilding the memo cache after a restart.  With --replay and neither
+// --in nor --listen the daemon exits after the replay.
 //
-// SIGINT/SIGTERM stop the intake loop and drain: running solves finish
+// SIGINT/SIGTERM stop reading and drain: running solves finish
 // and answer normally, queued requests answer from the cache when
 // possible and are otherwise refused with a code-3 error.  Exit codes:
 // 0 = EOF reached, 3 = stopped by a signal (after the drain), 2 = usage
@@ -46,42 +50,35 @@
 // request line, and SIGUSR1 dumps the metrics snapshot to stderr without
 // disturbing the daemon.
 
-#include <chrono>
-#include <cstdio>
-#include <fstream>
-#include <iostream>
-#include <optional>
-#include <sstream>
-#include <streambuf>
-#include <thread>
-
-#ifndef _WIN32
-#include <cerrno>
-#include <csignal>
-#include <cstring>
 #include <fcntl.h>
 #include <unistd.h>
-#endif
+
+#include <cerrno>
+#include <chrono>
+#include <csignal>
+#include <cstdio>
+#include <cstring>
+#include <future>
+#include <optional>
+#include <stdexcept>
 
 #include "net/net.hpp"
 #include "net/socket_server.hpp"
 #include "obs/obs.hpp"
+#include "serve/cache.hpp"
 #include "serve/engine.hpp"
-#include "serve/server.hpp"
 #include "tool_common.hpp"
 #include "util/cli.hpp"
-#include "util/json.hpp"
+#include "util/jsonl.hpp"
 #include "util/stop_signal.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
 using namespace spgcmp;
 
-#ifndef _WIN32
-
-/// SIGUSR1 requests a live metrics dump to stderr.  No SA_RESTART, so the
-/// signal interrupts the blocking request read and the intake loop notices
-/// the flag immediately.
+/// SIGUSR1 requests a live metrics dump to stderr, written by the main
+/// thread's 100 ms check while the serve loop runs.
 std::atomic<bool> g_usr1{false};
 
 void on_usr1(int) { g_usr1.store(true, std::memory_order_relaxed); }
@@ -100,53 +97,24 @@ void maybe_dump_metrics() {
              stderr);
 }
 
-/// Raw-fd input buffer that honours EINTR: libstdc++'s filebuf retries
-/// interrupted reads internally, so a daemon blocked reading a FIFO would
-/// never notice SIGTERM until its next input line.  This buffer re-checks
-/// the stop flag on every EINTR and turns a raised flag into EOF, which
-/// lands the server in its drain path immediately.
-class StopAwareFdBuf final : public std::streambuf {
+/// An fd opened for the duration of serve_main.
+class OwnedFd {
  public:
-  StopAwareFdBuf(int fd, const std::atomic<bool>& stop) : fd_(fd), stop_(stop) {}
-
- protected:
-  int underflow() override {
-    for (;;) {
-      maybe_dump_metrics();
-      if (stop_.load(std::memory_order_relaxed)) return traits_type::eof();
-      const ssize_t n = ::read(fd_, buf_, sizeof buf_);
-      if (n > 0) {
-        setg(buf_, buf_, buf_ + n);
-        return traits_type::to_int_type(buf_[0]);
-      }
-      if (n == 0) return traits_type::eof();
-      if (errno != EINTR) return traits_type::eof();
+  OwnedFd(const std::string& path, int flags, const char* what)
+      : fd_(::open(path.c_str(), flags | O_CLOEXEC)) {
+    if (fd_ < 0) {
+      throw std::runtime_error(std::string("cannot open ") + what + " " + path +
+                               ": " + std::strerror(errno));
     }
   }
+  ~OwnedFd() { ::close(fd_); }
+  OwnedFd(const OwnedFd&) = delete;
+  OwnedFd& operator=(const OwnedFd&) = delete;
+  [[nodiscard]] int get() const noexcept { return fd_; }
 
  private:
   int fd_;
-  const std::atomic<bool>& stop_;
-  char buf_[1 << 16];
 };
-
-/// Open a request input, retrying the (FIFO-blocking) open on EINTR until
-/// the stop flag is raised.  Returns -1 when stopped before a writer
-/// appeared.
-int open_request_input(const std::string& path, const std::atomic<bool>& stop) {
-  for (;;) {
-    const int fd = ::open(path.c_str(), O_RDONLY);
-    if (fd >= 0) return fd;
-    if (errno == EINTR) {
-      if (stop.load(std::memory_order_relaxed)) return -1;
-      continue;
-    }
-    throw std::runtime_error("cannot open request input " + path + ": " +
-                             std::strerror(errno));
-  }
-}
-
-#endif  // !_WIN32
 
 void print_summary(const char* what, const serve::ServerSummary& s) {
   std::fprintf(stderr,
@@ -167,20 +135,28 @@ void print_summary(const char* what, const serve::ServerSummary& s) {
 
 int serve_main(const util::Args& args) {
   const auto obs_files = obs::ScopedFiles::from_args(args);
-  serve::ServerOptions opt;
-  opt.threads =
-      static_cast<std::size_t>(args.get_int("threads", "REPRO_THREADS", 0));
-  opt.cache_capacity =
-      static_cast<std::size_t>(args.get_int("cache", "", 1024));
-  opt.max_inflight =
-      static_cast<std::size_t>(args.get_int("max-inflight", "", 0));
-  opt.log_path = args.get_string("log", "", "");
+  serve::MemoCache cache(
+      static_cast<std::size_t>(args.get_int("cache", "", 1024)));
+  util::ThreadPool pool(
+      static_cast<std::size_t>(args.get_int("threads", "REPRO_THREADS", 0)));
+  const std::string log_path = args.get_string("log", "", "");
+  std::optional<util::JsonlWriter> log;
+  if (!log_path.empty()) log.emplace(log_path);
+  serve::Engine engine(pool, cache, log ? &*log : nullptr);
 
-  serve::Server server(std::move(opt));
+  net::SocketServerOptions sopt;
+  sopt.max_connections =
+      static_cast<std::size_t>(args.get_int("max-conns", "", 64));
+  sopt.max_inflight =
+      static_cast<std::size_t>(args.get_int("max-inflight", "", 0));
+  if (sopt.max_inflight == 0) sopt.max_inflight = 4 * pool.thread_count();
+  sopt.max_frame_bytes =
+      static_cast<std::size_t>(args.get_int("max-frame-bytes", "", 1 << 20));
+  sopt.idle_timeout_ms =
+      static_cast<int>(args.get_int("idle-timeout-ms", "", 0));
+
   util::install_stop_handlers();
-#ifndef _WIN32
   install_usr1_handler();
-#endif
   const std::atomic<bool>& stop = util::stop_flag();
 
   // Final summary/cache/metrics/deltas snapshot, installed durably at
@@ -193,13 +169,20 @@ int serve_main(const util::Args& args) {
     obs::write_text_file_durable(
         stats_out,
         serve::render_stats_document(s, obs::Registry::instance().snapshot_json(-1),
-                                     server.engine().deltas().sample(), -1) +
+                                     engine.deltas().sample(), -1) +
             "\n");
   };
 
   const std::string replay = args.get_string("replay", "", "");
   if (!replay.empty()) {
-    print_summary("replayed", server.replay(replay));
+    // The log goes through the same loop as live requests, answers
+    // discarded and lines not logged again.
+    const OwnedFd in(replay, O_RDONLY, "request log");
+    const OwnedFd null_out("/dev/null", O_WRONLY, "output");
+    net::SocketServer replayer(
+        nullptr, net::Stream{in.get(), null_out.get(), /*log=*/false}, engine,
+        sopt);
+    print_summary("replayed", replayer.run(nullptr).serve);
   }
 
   const std::string listen = args.get_string("listen", "", "");
@@ -209,105 +192,45 @@ int serve_main(const util::Args& args) {
     return 0;
   }
 
-  serve::ServerSummary summary;  // stream transport (when it ran)
-
-#ifndef _WIN32
-  // Socket transport: runs on its own thread so signals and the stream
-  // transport stay on the main thread; the loop re-checks the stop flag
-  // every poll interval, which bounds drain latency.
   std::optional<net::Listener> listener;
-  net::SocketSummary sock_summary;
-  std::thread sock_thread;
   if (!listen.empty()) {
-    const net::Address addr = net::parse_address(listen);
-    listener.emplace(addr);
-    net::SocketServerOptions sopt;
-    sopt.max_connections =
-        static_cast<std::size_t>(args.get_int("max-conns", "", 64));
-    sopt.max_inflight = server.max_inflight();
-    sopt.max_frame_bytes =
-        static_cast<std::size_t>(args.get_int("max-frame-bytes", "", 1 << 20));
-    sopt.idle_timeout_ms = static_cast<int>(args.get_int("idle-timeout-ms", "", 0));
+    listener.emplace(net::parse_address(listen));
     std::fprintf(stderr, "[serve] listening on %s\n",
                  listener->address().to_string().c_str());
-    sock_thread = std::thread([&listener, &server, sopt, &stop, &sock_summary] {
-      net::SocketServer sock(*listener, server.engine(), sopt);
-      sock_summary = sock.run(&stop);
-    });
   }
-
-  bool ran_stream = false;
-  if (in_path.empty() && listen.empty()) {
-    StopAwareFdBuf buf(STDIN_FILENO, stop);
-    std::istream is(&buf);
-    summary = server.serve(is, std::cout, &stop);
-    ran_stream = true;
-  } else if (!in_path.empty()) {
-    // A FIFO blocks open() until a writer appears; opened fresh here so
-    // the daemon can be started before its first client.
-    const int fd = open_request_input(in_path, stop);
-    if (fd >= 0) {
-      StopAwareFdBuf buf(fd, stop);
-      std::istream is(&buf);
-      summary = server.serve(is, std::cout, &stop);
-      ::close(fd);
-      ran_stream = true;
-    } else if (listen.empty()) {
-      // Stopped while waiting for a writer: still a signal-drain exit.
-      serve::ServerSummary none;
-      none.interrupted = true;
-      write_stats(none);
-      return 3;
-    }
+  // A FIFO opened nonblocking returns at once; poll reports it only once a
+  // writer writes, so the sockets are served before its first writer.
+  std::optional<OwnedFd> in;
+  if (!in_path.empty()) {
+    in.emplace(in_path, O_RDONLY | O_NONBLOCK, "request input");
   }
-  if (!ran_stream) summary.interrupted = stop.load(std::memory_order_relaxed);
+  std::optional<net::Stream> stream;
+  if (in) {
+    stream = net::Stream{in->get(), STDOUT_FILENO};
+  } else if (!listener) {
+    stream = net::Stream{STDIN_FILENO, STDOUT_FILENO};
+  }
+  net::SocketServer server(listener ? &*listener : nullptr, stream, engine,
+                           sopt);
 
-  if (sock_thread.joinable()) {
-    // With both transports, a clean stream EOF leaves the socket serving;
-    // the daemon then runs until SIGINT/SIGTERM like a listen-only run.
-    while (!stop.load(std::memory_order_relaxed)) {
-      maybe_dump_metrics();
-      std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    }
-    sock_thread.join();
+  // The loop runs on its own thread; this one answers SIGUSR1.
+  auto loop = std::async(std::launch::async, [&] { return server.run(&stop); });
+  while (loop.wait_for(std::chrono::milliseconds(100)) !=
+         std::future_status::ready) {
+    maybe_dump_metrics();
+  }
+  const net::SocketSummary summary = loop.get();
+  if (listener) {
     std::fprintf(stderr,
                  "[serve] socket: %llu connections (%llu refused, %llu "
                  "idle-closed)\n",
-                 static_cast<unsigned long long>(sock_summary.connections),
-                 static_cast<unsigned long long>(sock_summary.refused_connections),
-                 static_cast<unsigned long long>(sock_summary.idle_closed));
+                 static_cast<unsigned long long>(summary.connections),
+                 static_cast<unsigned long long>(summary.refused_connections),
+                 static_cast<unsigned long long>(summary.idle_closed));
   }
-
-  // One combined exit document covering both transports; the cache block
-  // is shared state, re-read last so it is the freshest view.
-  serve::ServerSummary total = summary;
-  const serve::ServerSummary& ss = sock_summary.serve;
-  total.accepted += ss.accepted;
-  total.answered += ss.answered;
-  total.ok += ss.ok;
-  total.hits += ss.hits;
-  total.errors += ss.errors;
-  total.shutdown_refused += ss.shutdown_refused;
-  total.stats_requests += ss.stats_requests;
-  total.interrupted = total.interrupted || ss.interrupted;
-  total.cache = server.engine().cache().stats();
-#else
-  if (!listen.empty()) {
-    std::fprintf(stderr, "spgcmp_serve: --listen is not supported on this platform\n");
-    return 2;
-  }
-  if (in_path.empty()) {
-    summary = server.serve(std::cin, std::cout, &stop);
-  } else {
-    std::ifstream is(in_path);
-    if (!is) throw std::runtime_error("cannot open request input " + in_path);
-    summary = server.serve(is, std::cout, &stop);
-  }
-  const serve::ServerSummary total = summary;
-#endif
-  print_summary("served", total);
-  write_stats(total);
-  return total.interrupted ? 3 : 0;
+  print_summary("served", summary.serve);
+  write_stats(summary.serve);
+  return summary.serve.interrupted ? 3 : 0;
 }
 
 int usage() {
@@ -335,7 +258,6 @@ int main(int argc, char** argv) {
   if (args.has("help")) return usage();
   return tools::run_tool("spgcmp_serve", [&]() -> int {
     if (tools::handle_list_solvers(args)) return 0;
-#ifndef _WIN32
     try {
       return serve_main(args);
     } catch (const net::NetError& e) {
@@ -344,8 +266,5 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "spgcmp_serve: %s\n", e.what());
       return 2;
     }
-#else
-    return serve_main(args);
-#endif
   });
 }

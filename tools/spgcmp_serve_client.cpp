@@ -23,8 +23,6 @@
 
 #include <cstdio>
 
-#ifndef _WIN32
-
 #include <cerrno>
 #include <cstring>
 #include <fstream>
@@ -205,13 +203,3 @@ int main(int argc, char** argv) {
   if (args.has("help")) return usage();
   return client_main(args);
 }
-
-#else  // _WIN32
-
-int main() {
-  std::fprintf(stderr,
-               "spgcmp_serve_client: sockets are not supported on this platform\n");
-  return 2;
-}
-
-#endif
