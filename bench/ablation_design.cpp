@@ -16,7 +16,6 @@
 #include <cstdio>
 #include <iostream>
 
-#include "harness/experiment.hpp"
 #include "heuristics/dpa1d.hpp"
 #include "heuristics/exact.hpp"
 #include "heuristics/greedy.hpp"
@@ -24,6 +23,7 @@
 #include "heuristics/refine.hpp"
 #include "mapping/link_dvfs.hpp"
 #include "obs/obs.hpp"
+#include "solve/registry.hpp"
 #include "spg/generator.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
@@ -192,11 +192,8 @@ void link_dvfs_ablation(std::size_t reps) {
 void refinement_ablation(std::size_t reps) {
   std::printf("\n(g) Refinement headroom per heuristic (n=30, ymax=5, 4x4, CCR=1)\n");
   const auto p = cmp::Platform::reference(4, 4);
-  const auto names = [] {
-    std::vector<std::string> v;
-    for (const auto& h : heuristics::make_paper_heuristics()) v.push_back(h->name());
-    return v;
-  }();
+  const auto paper = solve::SolverSet::paper();
+  const auto& names = paper.names();
   util::Table t({"heuristic", "refined instances", "mean energy reduction"});
   for (std::size_t h = 0; h < names.size(); ++h) {
     double gain = 0;
@@ -204,8 +201,7 @@ void refinement_ablation(std::size_t reps) {
     for (std::size_t i = 0; i < reps; ++i) {
       const auto g = workload(700 + i, 30, 5, 1.0);
       const double T = period_for(g, p);
-      const auto hs = heuristics::make_paper_heuristics();
-      const auto r = hs[h]->run(g, p, T);
+      const auto r = paper.instantiate()[h]->run(g, p, T);
       if (!r.success) continue;
       const auto ref = heuristics::refine_mapping(g, p, T, r.mapping);
       if (!ref.success) continue;

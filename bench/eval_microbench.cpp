@@ -35,13 +35,19 @@
 #include <utility>
 #include <vector>
 
-#include "bench_common.hpp"
+#include "harness/sweep_engine.hpp"
 #include "heuristics/exact.hpp"
+#include "obs/obs.hpp"
 #include "obs/trace.hpp"
 #include "mapping/evaluator.hpp"
 #include "serve/cache.hpp"
 #include "serve/engine.hpp"
 #include "solve/solve.hpp"
+#include "spg/generator.hpp"
+#include "util/cli.hpp"
+#include "util/json.hpp"
+#include "util/rng.hpp"
+#include "util/table.hpp"
 #include "util/thread_pool.hpp"
 
 namespace {
@@ -69,7 +75,7 @@ struct SeedMapping {
 
 SeedMapping find_seed(const spg::Spg& g, const cmp::Platform& p) {
   double T = g.total_work() / (0.5 * p.grid().core_count() * 0.6e9);
-  const auto hs = heuristics::make_paper_heuristics();
+  const auto hs = solve::SolverSet::paper().instantiate();
   for (int relax = 0; relax < 24; ++relax, T *= 2.0) {
     for (const auto& h : hs) {
       auto r = h->run(g, p, T);
@@ -88,7 +94,7 @@ double us_per_op(Clock::duration d, std::size_t ops) {
 
 int main(int argc, char** argv) try {
   const util::Args args(argc, argv);
-  const auto obs = bench::obs_arg(args);
+  const auto obs = obs::ScopedFiles::from_args(args);
   const auto moves =
       static_cast<std::size_t>(args.get_int("moves", "REPRO_MOVES", 2000));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", "", 42));
@@ -601,7 +607,7 @@ int main(int argc, char** argv) try {
   quality_table.print(std::cout);
   std::cout << "\nServe daemon memo cache: cold solve vs cache hit\n";
   serve_table.print(std::cout);
-  bench::maybe_write_json(rep, json, std::cout);
+  if (!json.empty()) std::cout << "[json] " << rep.write_json_file(json) << "\n";
   if (!std::isfinite(sink)) std::cout << "";  // defeat dead-code elimination
   return 0;
 } catch (const std::exception& e) {

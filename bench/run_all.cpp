@@ -1,13 +1,15 @@
 // One-shot reproduction driver: regenerates Figures 8-13 and Tables 1-3 in
 // a single invocation.  The grid of work is the built-in "paper" campaign
 // spec (campaign::CampaignSpec::paper — the same spec `spgcmp_campaign
-// run --spec=paper` executes shard by shard); this binary expands each
-// sweep through the shared runner and prints/writes the reports in one go.
-// Output (console tables and BENCH_*.json files) is byte-identical at any
-// --threads value and to a merged campaign over the same spec; each
-// StreamIt grid is computed once and reused for both its figure and its
-// Table 2 row, and Table 3 is derived from Figure 10's campaigns instead
-// of being re-run.
+// run --spec=paper` executes shard by shard); this binary runs each sweep
+// through campaign::SweepPlan::run_all, renders it with sweep_report, and
+// derives Tables 2 and 3 from those reports with table_reports.  Output
+// (console tables and BENCH_*.json files) is byte-identical at any
+// --threads value and to a merged campaign over the same spec.
+//
+// To reproduce a single figure, write a campaign spec holding just that
+// [sweep] (see src/campaign/spec.hpp) and run `spgcmp_campaign run
+// --spec=FILE --dir=DIR`, then `spgcmp_campaign merge --dir=DIR`.
 //
 // Flags (CLI > REPRO_* env > default):
 //   --threads=N   sweep threads (0 = hardware concurrency)  [REPRO_THREADS]
@@ -20,6 +22,12 @@
 //   --heuristics=L  solver subset, e.g. random,dpa2d1d,exact(cap=9)
 //                 (registry spec strings; default: the paper's five)
 //                                                            [REPRO_HEURISTICS]
+//   --trace=FILE / --metrics=FILE  Chrome trace / metrics snapshot
+//                                                 [REPRO_TRACE/REPRO_METRICS]
+//
+// Exit codes follow the tools' contract (tools/tool_common.hpp): 2 with the
+// registry listing for an unknown solver, 2 for an unknown topology, 1 for
+// anything else (I/O, malformed numbers).
 //
 // Paper-exact replication: --apps=100 --apps150=100 --step=1 --step150=1.
 
@@ -27,127 +35,183 @@
 #include <string>
 #include <vector>
 
-#include "bench_common.hpp"
+#include "campaign/report.hpp"
+#include "campaign/runner.hpp"
 #include "campaign/spec.hpp"
+#include "obs/obs.hpp"
+#include "spg/streamit.hpp"
+#include "tool_common.hpp"
+#include "util/cli.hpp"
+#include "util/table.hpp"
 
 namespace {
 
 using namespace spgcmp;
 
-/// Wrap per-grid / per-CCR failure totals as a BENCH_*.json report.
-harness::BenchReport failure_report(std::string name, std::string key,
-                                    const std::vector<std::string>& labels,
-                                    const std::vector<std::vector<std::size_t>>& rows,
-                                    std::vector<std::string> heuristics) {
-  harness::BenchReport rep;
-  rep.name = std::move(name);
-  rep.metric = "failures";
-  rep.heuristics = std::move(heuristics);
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    harness::BenchCell cell;
-    cell.labels = {{key, labels[r]}};
-    cell.failures = rows[r];
-    rep.cells.push_back(std::move(cell));
+/// N of a report named like "fig10_random_n50_4x4" (prefix "fig") or
+/// "table2_failures" (prefix "table").
+int report_number(const std::string& name, std::size_t prefix) {
+  return std::stoi(name.substr(prefix));
+}
+
+/// Table 1: the StreamIt workflow characteristics (static, no campaign).
+void print_table1(std::ostream& os) {
+  util::Table t({"index", "name", "n", "ymax", "xmax", "CCR", "edges",
+                 "total work (cycles)"});
+  for (const auto& info : spg::streamit_table()) {
+    const spg::Spg g = spg::make_streamit(info);
+    t.add_row({std::to_string(info.index), info.name, std::to_string(g.size()),
+               std::to_string(g.ymax()), std::to_string(g.xmax()),
+               util::fmt_double(g.ccr(), 4), std::to_string(g.edge_count()),
+               util::fmt_sci(g.total_work(), 2)});
   }
-  return rep;
+  t.print(os);
 }
 
-/// "Figure N" extracted from a sweep name like "fig10_random_n50_4x4".
-int figure_number(const std::string& sweep_name) {
-  return std::stoi(sweep_name.substr(3));
+/// A StreamIt report in the layout of Figures 8/9: one table per CCR.
+void print_streamit_report(const harness::BenchReport& rep, std::ostream& os) {
+  const auto& names = rep.heuristics;
+  const std::size_t apps = spg::streamit_table().size();
+  std::size_t k = 0;
+  for (const auto& [label, ccr] : campaign::streamit_ccrs()) {
+    os << "\n-- CCR = " << label << " --\n";
+    std::vector<std::string> header = {"app", "name", "T (s)"};
+    header.insert(header.end(), names.begin(), names.end());
+    util::Table t(header);
+    for (std::size_t a = 0; a < apps; ++a) {
+      const auto& cell = rep.cells[k++];
+      std::vector<std::string> row = {cell.labels[2].second, cell.labels[1].second,
+                                      util::fmt_double(cell.period, 3)};
+      for (std::size_t h = 0; h < names.size(); ++h) {
+        row.push_back(cell.failures[h] == 0 ? util::fmt_double(cell.values[h], 4)
+                                            : "fail");
+      }
+      t.add_row(std::move(row));
+    }
+    t.print(os);
+  }
 }
 
-}  // namespace
+/// A random report in the layout of Figures 10-13: one table per CCR.
+void print_random_report(const harness::BenchReport& rep,
+                         const campaign::SweepSpec& sweep, std::ostream& os) {
+  const auto& names = rep.heuristics;
+  std::size_t k = 0;
+  for (const double ccr : campaign::random_ccrs()) {
+    os << "\n-- n = " << sweep.n << ", " << sweep.rows << "x" << sweep.cols
+       << " grid, CCR = " << ccr
+       << " (mean normalized 1/E; higher is better, 0 = always failed) --\n";
+    std::vector<std::string> header = {"elevation"};
+    header.insert(header.end(), names.begin(), names.end());
+    util::Table t(header);
+    for (std::size_t e = 0; e < sweep.elevations.size(); ++e) {
+      const auto& cell = rep.cells[k++];
+      std::vector<std::string> row = {cell.labels[1].second};
+      for (std::size_t h = 0; h < names.size(); ++h) {
+        row.push_back(util::fmt_double(cell.values[h], 3));
+      }
+      t.add_row(std::move(row));
+    }
+    t.print(os);
+  }
+}
 
-int main(int argc, char** argv) try {
-  const util::Args args(argc, argv);
-  const auto obs = bench::obs_arg(args);
-  const auto threads = bench::threads_arg(args);
+/// A derived failure table (Table 2 or 3) with its heading.
+void print_failure_table(const campaign::CampaignSpec& spec,
+                         const campaign::TableSpec& table,
+                         const harness::BenchReport& rep, std::ostream& os) {
+  os << "\n== Table " << report_number(table.name, 5) << ": failures out of ";
+  std::string key = table.key_column;
+  if (table.kind == campaign::TableKind::StreamitFailures) {
+    os << campaign::streamit_ccrs().size() * spg::streamit_table().size()
+       << " StreamIt instances per grid ==\n";
+  } else {
+    const campaign::SweepSpec& src = *spec.find_sweep(table.from.front());
+    os << src.apps * src.elevations.size() << " random instances per CCR (n="
+       << src.n << ", " << src.rows << "x" << src.cols << " CMP) ==\n";
+    key = "CCR";  // the figures' spelling; the JSON label stays "ccr"
+  }
+  std::vector<std::string> header = {key};
+  header.insert(header.end(), rep.heuristics.begin(), rep.heuristics.end());
+  util::Table t(header);
+  for (const auto& cell : rep.cells) {
+    std::vector<std::string> row = {cell.labels[0].second};
+    for (const auto v : cell.failures) row.push_back(std::to_string(v));
+    t.add_row(std::move(row));
+  }
+  t.print(os);
+}
+
+int run(const util::Args& args) {
+  const auto obs_files = obs::ScopedFiles::from_args(args);
+  const auto threads =
+      static_cast<std::size_t>(args.get_int("threads", "REPRO_THREADS", 0));
   const auto apps = static_cast<std::size_t>(args.get_int("apps", "REPRO_APPS", 5));
   const auto apps150 =
       static_cast<std::size_t>(args.get_int("apps150", "REPRO_APPS150", 3));
   const int step = static_cast<int>(args.get_int("step", "REPRO_STEP", 3));
   const int step150 = static_cast<int>(args.get_int("step150", "REPRO_STEP150", 5));
   const std::string out = args.get_string("out", "REPRO_OUT", ".");
-  const std::string topology = bench::topology_arg(args);
-  const auto solvers = bench::solvers_arg(args);
+  const std::string topology = args.get_string("topology", "REPRO_TOPOLOGY", "mesh");
+  const std::string csv = args.get_string("heuristics", "REPRO_HEURISTICS", "");
 
   // The whole run is one declarative campaign; this driver only schedules
   // it in-process and renders the console tables.
-  auto spec =
-      campaign::CampaignSpec::paper(apps, apps150, step, step150, topology);
-  for (auto& sweep : spec.sweeps) sweep.solvers = solvers;
-  const auto names = campaign::sweep_solver_names(spec.sweeps.front());
+  auto spec = campaign::CampaignSpec::paper(apps, apps150, step, step150, topology);
+  if (!csv.empty()) {
+    const auto solvers = solve::SolverSet::parse(csv).specs();
+    for (auto& sweep : spec.sweeps) sweep.solvers = solvers;
+  }
+  // Expand every plan before printing anything: an unknown topology fails
+  // here, not after the first tables.
+  std::vector<campaign::SweepPlan> plans;
+  plans.reserve(spec.sweeps.size());
+  for (const auto& sweep : spec.sweeps) plans.emplace_back(sweep, topology);
 
   std::ostream& os = std::cout;
+  const auto write_json = [&](const harness::BenchReport& rep) {
+    if (!out.empty()) os << "[json] " << rep.write_json_file(out) << "\n";
+  };
   os << "spgcmp reproduction run: Figures 8-13, Tables 1-3\n";
   if (topology != "mesh") os << "platform topology: " << topology << "\n";
 
-  // ---- Table 1 -----------------------------------------------------------
   os << "\n== Table 1: characteristics of the StreamIt workflows ==\n";
-  bench::table1_characteristics().print(os);
+  print_table1(os);
 
-  // ---- Figures 8-9 + Table 2 (each grid computed once) -------------------
-  std::vector<std::vector<std::size_t>> streamit_failures;
-  std::vector<std::string> streamit_labels;
-  harness::BenchReport fig10;
-  std::size_t fig10_elevations = 0;
-
-  for (const auto& sweep : spec.sweeps) {
-    const campaign::SweepPlan plan(sweep, topology);
+  std::vector<harness::BenchReport> reports;
+  reports.reserve(plans.size());
+  for (const auto& plan : plans) {
+    const campaign::SweepSpec& sweep = plan.spec();
+    os << "\n== Figure " << report_number(sweep.name, 3);
     if (sweep.kind == campaign::SweepKind::Streamit) {
-      os << "\n== Figure " << figure_number(sweep.name)
-         << ": normalized energy, StreamIt suite, " << sweep.rows << "x"
+      os << ": normalized energy, StreamIt suite, " << sweep.rows << "x"
          << sweep.cols << " CMP ==\n";
-      const auto rep =
-          campaign::sweep_report(sweep, topology, plan.run_all(threads));
-      streamit_failures.push_back(bench::print_streamit_report(rep, os));
-      streamit_labels.push_back(std::to_string(sweep.rows) + "x" +
-                                std::to_string(sweep.cols));
-      bench::maybe_write_json(rep, out, os);
-
-      // Table 2 prints once both grids are in.
-      if (streamit_failures.size() == 2) {
-        os << "\n== Table 2: failures out of 48 StreamIt instances per grid ==\n";
-        bench::print_failure_table(streamit_labels, streamit_failures, "platform",
-                                   names, os);
-        bench::maybe_write_json(failure_report("table2_failures", "platform",
-                                               streamit_labels, streamit_failures,
-                                               names),
-                                out, os);
-      }
     } else {
-      os << "\n== Figure " << figure_number(sweep.name) << ": random SPGs, n="
-         << sweep.n << ", " << sweep.rows << "x" << sweep.cols << " CMP ("
-         << sweep.apps << " workloads per point) ==\n";
-      const auto rep =
-          campaign::sweep_report(sweep, topology, plan.run_all(threads));
-      bench::print_random_report(rep, os, sweep.n, sweep.rows, sweep.cols,
-                                 sweep.elevations.size());
-      bench::maybe_write_json(rep, out, os);
-      if (figure_number(sweep.name) == 10) {
-        fig10 = rep;
-        fig10_elevations = sweep.elevations.size();
-      }
+      os << ": random SPGs, n=" << sweep.n << ", " << sweep.rows << "x"
+         << sweep.cols << " CMP (" << sweep.apps << " workloads per point) ==\n";
     }
+    reports.push_back(campaign::sweep_report(sweep, topology, plan.run_all(threads)));
+    if (sweep.kind == campaign::SweepKind::Streamit) {
+      print_streamit_report(reports.back(), os);
+    } else {
+      print_random_report(reports.back(), sweep, os);
+    }
+    write_json(reports.back());
   }
 
-  // ---- Table 3 (derived from Figure 10's campaigns) ----------------------
-  const auto by_ccr = bench::report_failures_by_ccr(fig10, fig10_elevations);
-  os << "\n== Table 3: failures out of " << apps * fig10_elevations
-     << " random instances per CCR (n=50, 4x4 CMP) ==\n";
-  std::vector<std::string> ccr_labels;
-  for (const double ccr : bench::random_ccrs()) {
-    ccr_labels.push_back(util::fmt_double(ccr, 3));
+  const auto tables = campaign::table_reports(spec, reports);
+  for (std::size_t i = 0; i < tables.size(); ++i) {
+    print_failure_table(spec, spec.tables[i], tables[i], os);
+    write_json(tables[i]);
   }
-  bench::print_failure_table(ccr_labels, by_ccr, "CCR", names, os);
-  bench::maybe_write_json(failure_report("table3_failures_random", "ccr", ccr_labels,
-                                         by_ccr, names),
-                          out, os);
 
   os << "\ndone.\n";
   return 0;
-} catch (const std::exception& e) {
-  std::cerr << "bench_run_all: " << e.what() << "\n";
-  return 2;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const util::Args args(argc, argv);
+  return tools::run_tool("bench_run_all", [&] { return run(args); });
 }

@@ -36,8 +36,8 @@ int main(int argc, char** argv) {
   } grids[] = {{1, 4}, {2, 2}, {2, 4}, {3, 3}, {4, 4}, {4, 6}, {6, 6}};
   for (const auto& gr : grids) {
     const auto platform = cmp::Platform::reference(gr.rows, gr.cols);
-    const auto hs = heuristics::make_paper_heuristics(seed);
-    const auto c = harness::run_campaign(g, platform, hs);
+    const auto c =
+        harness::run_campaign(g, platform, solve::SolverSet::paper(seed));
     std::string best_name = "-";
     double best_e = 0;
     int best_cores = 0;

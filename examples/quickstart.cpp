@@ -8,9 +8,9 @@
 #include <cstdio>
 #include <iostream>
 
-#include "harness/experiment.hpp"
 #include "heuristics/heuristic.hpp"
 #include "sim/simulator.hpp"
+#include "solve/registry.hpp"
 #include "spg/compose.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
   util::Table table({"heuristic", "status", "energy (mJ)", "cores", "period (ms)"});
   std::string best_name;
   heuristics::Result best_result;
-  const auto heuristic_set = heuristics::make_paper_heuristics();
+  const auto heuristic_set = solve::SolverSet::paper().instantiate();
   for (const auto& h : heuristic_set) {
     const auto r = h->run(app, platform, T);
     if (r.success) {

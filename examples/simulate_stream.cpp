@@ -26,8 +26,7 @@ int main(int argc, char** argv) {
   const auto platform = cmp::Platform::reference(rows, cols);
 
   // Map once with the period search, keep the best mapping.
-  const auto hs = heuristics::make_paper_heuristics();
-  const auto c = harness::run_campaign(g, platform, hs);
+  const auto c = harness::run_campaign(g, platform, solve::SolverSet::paper());
   const heuristics::Result* best = nullptr;
   std::string best_name;
   for (std::size_t h = 0; h < c.results.size(); ++h) {

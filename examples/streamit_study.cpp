@@ -8,6 +8,7 @@
 #include <fstream>
 #include <iostream>
 
+#include "campaign/runner.hpp"
 #include "harness/experiment.hpp"
 #include "spg/streamit.hpp"
 #include "util/cli.hpp"
@@ -34,8 +35,9 @@ int main(int argc, char** argv) {
   }
 
   const auto platform = cmp::Platform::reference(rows, cols);
-  const auto hs = heuristics::make_paper_heuristics();
-  const auto campaign = harness::run_campaign(g, platform, hs);
+  const auto campaign =
+      harness::run_campaign(g, platform, solve::SolverSet::paper());
+  const auto summary = spgcmp::campaign::summarize(campaign);
   std::printf("Retained period bound: %g s\n\n", campaign.period);
 
   util::Table t({"heuristic", "status", "energy (mJ)", "E/Emin", "comp (mJ)",
@@ -48,7 +50,7 @@ int main(int argc, char** argv) {
       continue;
     }
     t.add_row({campaign.names[h], "ok", util::fmt_double(r.eval.energy * 1e3),
-               util::fmt_double(campaign.normalized_energy(h), 3),
+               util::fmt_double(summary.normalized_energy(h), 3),
                util::fmt_double(r.eval.comp_energy * 1e3),
                util::fmt_double(r.eval.comm_energy * 1e3),
                std::to_string(r.eval.active_cores),

@@ -70,8 +70,7 @@ harness::BenchReport random_sweep_report(
       cell.period = 0.0;
       cell.workloads = spec.apps;
       // Mean normalized 1/E over the point's instances, summed in instance
-      // order — the exact arithmetic of SweepEngine::aggregate, so merged
-      // campaigns match one-shot runs bit for bit.
+      // order, so merged campaigns match one-shot runs bit for bit.
       if (spec.apps > 0) {
         const std::size_t H = results[k].energy.size();
         cell.values.assign(H, 0.0);
@@ -101,6 +100,32 @@ harness::BenchReport random_sweep_report(
   return rep;
 }
 
+/// Per-heuristic failure totals of a streamit report (its Table 2 row).
+std::vector<std::size_t> streamit_failure_totals(const harness::BenchReport& report) {
+  std::vector<std::size_t> totals(report.heuristics.size(), 0);
+  for (const auto& cell : report.cells) {
+    for (std::size_t h = 0; h < totals.size(); ++h) totals[h] += cell.failures[h];
+  }
+  return totals;
+}
+
+/// Per-CCR failure totals of a random report (the rows of Table 3), in
+/// random_ccrs() order.
+std::vector<std::vector<std::size_t>> random_failures_by_ccr(
+    const harness::BenchReport& report, std::size_t elevation_count) {
+  std::vector<std::vector<std::size_t>> by_ccr;
+  std::size_t k = 0;
+  for (std::size_t c = 0; c < random_ccrs().size(); ++c) {
+    std::vector<std::size_t> totals(report.heuristics.size(), 0);
+    for (std::size_t e = 0; e < elevation_count; ++e) {
+      const auto& cell = report.cells[k++];
+      for (std::size_t h = 0; h < totals.size(); ++h) totals[h] += cell.failures[h];
+    }
+    by_ccr.push_back(std::move(totals));
+  }
+  return by_ccr;
+}
+
 }  // namespace
 
 harness::BenchReport sweep_report(const SweepSpec& spec,
@@ -118,29 +143,6 @@ harness::BenchReport sweep_report(const SweepSpec& spec,
   return spec.kind == SweepKind::Streamit
              ? streamit_sweep_report(spec, topology, results)
              : random_sweep_report(spec, topology, results);
-}
-
-std::vector<std::size_t> streamit_failure_totals(const harness::BenchReport& report) {
-  std::vector<std::size_t> totals(report.heuristics.size(), 0);
-  for (const auto& cell : report.cells) {
-    for (std::size_t h = 0; h < totals.size(); ++h) totals[h] += cell.failures[h];
-  }
-  return totals;
-}
-
-std::vector<std::vector<std::size_t>> random_failures_by_ccr(
-    const harness::BenchReport& report, std::size_t elevation_count) {
-  std::vector<std::vector<std::size_t>> by_ccr;
-  std::size_t k = 0;
-  for (std::size_t c = 0; c < random_ccrs().size(); ++c) {
-    std::vector<std::size_t> totals(report.heuristics.size(), 0);
-    for (std::size_t e = 0; e < elevation_count; ++e) {
-      const auto& cell = report.cells[k++];
-      for (std::size_t h = 0; h < totals.size(); ++h) totals[h] += cell.failures[h];
-    }
-    by_ccr.push_back(std::move(totals));
-  }
-  return by_ccr;
 }
 
 harness::BenchReport table_report(
@@ -184,6 +186,32 @@ harness::BenchReport table_report(
     rep.cells.push_back(std::move(cell));
   }
   return rep;
+}
+
+std::vector<harness::BenchReport> table_reports(
+    const CampaignSpec& spec, const std::vector<harness::BenchReport>& sweep_reports) {
+  if (sweep_reports.size() != spec.sweeps.size()) {
+    throw std::invalid_argument("campaign '" + spec.name + "': have " +
+                                std::to_string(sweep_reports.size()) + " of " +
+                                std::to_string(spec.sweeps.size()) +
+                                " sweep reports");
+  }
+  std::vector<harness::BenchReport> tables;
+  tables.reserve(spec.tables.size());
+  for (const auto& t : spec.tables) {
+    std::vector<const harness::BenchReport*> sources;
+    std::vector<const SweepSpec*> source_specs;
+    for (const auto& src : t.from) {
+      for (std::size_t i = 0; i < spec.sweeps.size(); ++i) {
+        if (spec.sweeps[i].name == src) {
+          sources.push_back(&sweep_reports[i]);
+          source_specs.push_back(&spec.sweeps[i]);
+        }
+      }
+    }
+    tables.push_back(table_report(t, sources, source_specs));
+  }
+  return tables;
 }
 
 }  // namespace spgcmp::campaign

@@ -3,9 +3,9 @@
 // BENCH report construction from sweep results.
 //
 // The single place where instance results become BENCH_<name>.json
-// documents: both the one-shot bench binaries and the campaign service's
+// documents: both the one-shot bench_run_all and the campaign service's
 // merge step call these functions, so an interrupted-and-resumed campaign
-// merges to byte-identical bytes of what bench/run_all writes in one go.
+// merges to byte-identical bytes of what bench_run_all writes in one go.
 // Cell layout, labels and normalization mirror the figures of Section 6.2:
 // Figures 8/9 carry one cell per (CCR, application) with E/Emin values,
 // Figures 10-13 one cell per (CCR, elevation) with mean normalized 1/E
@@ -32,13 +32,9 @@ namespace spgcmp::campaign {
     const TableSpec& spec, const std::vector<const harness::BenchReport*>& sources,
     const std::vector<const SweepSpec*>& source_specs);
 
-/// Per-heuristic failure totals of a streamit report (its Table 2 row).
-[[nodiscard]] std::vector<std::size_t> streamit_failure_totals(
-    const harness::BenchReport& report);
-
-/// Per-CCR failure totals of a random report (the rows of Table 3), in
-/// random_ccrs() order.
-[[nodiscard]] std::vector<std::vector<std::size_t>> random_failures_by_ccr(
-    const harness::BenchReport& report, std::size_t elevation_count);
+/// Every derived table of `spec`, in spec order, from the finished sweep
+/// reports (`sweep_reports[i]` is the report of `spec.sweeps[i]`).
+[[nodiscard]] std::vector<harness::BenchReport> table_reports(
+    const CampaignSpec& spec, const std::vector<harness::BenchReport>& sweep_reports);
 
 }  // namespace spgcmp::campaign

@@ -112,6 +112,17 @@ std::pair<std::size_t, std::size_t> SweepPlan::shard_range(
   return {first, last};
 }
 
+std::vector<InstanceResult> SweepPlan::run_slice(std::size_t first,
+                                                 std::size_t last,
+                                                 std::size_t threads) const {
+  const auto campaigns =
+      harness::run_tasks(tasks_, first, last, platform_, solvers_, threads);
+  std::vector<InstanceResult> results;
+  results.reserve(campaigns.size());
+  for (const auto& c : campaigns) results.push_back(summarize(c));
+  return results;
+}
+
 std::vector<InstanceResult> SweepPlan::run_shard(std::size_t shard,
                                                  std::size_t threads) const {
   if (shard >= shard_count()) {
@@ -120,31 +131,15 @@ std::vector<InstanceResult> SweepPlan::run_shard(std::size_t shard,
                             std::to_string(shard_count()));
   }
   const auto [first, last] = shard_range(shard);
-  harness::SweepEngineOptions opt;
-  opt.threads = harness::normalize_threads(threads);
-  const harness::SweepEngine engine(opt);
-  const auto campaigns =
-      engine.run_task_slice(tasks_, first, last, platform_, solvers_);
-  std::vector<InstanceResult> results;
-  results.reserve(campaigns.size());
-  for (const auto& c : campaigns) results.push_back(summarize(c));
-  return results;
+  return run_slice(first, last, threads);
 }
 
 std::vector<InstanceResult> SweepPlan::run_all(std::size_t threads) const {
-  // One engine batch, not shard-by-shard: instances are independent and
+  // One batch, not shard-by-shard: instances are independent and
   // deterministic, so the results are identical, but a single slice keeps
   // every worker busy across shard boundaries (the one-shot bench path has
   // no persistence barrier to respect).
-  harness::SweepEngineOptions opt;
-  opt.threads = harness::normalize_threads(threads);
-  const harness::SweepEngine engine(opt);
-  const auto campaigns =
-      engine.run_task_slice(tasks_, 0, tasks_.size(), platform_, solvers_);
-  std::vector<InstanceResult> results;
-  results.reserve(campaigns.size());
-  for (const auto& c : campaigns) results.push_back(summarize(c));
-  return results;
+  return run_slice(0, tasks_.size(), threads);
 }
 
 }  // namespace spgcmp::campaign

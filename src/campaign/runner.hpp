@@ -5,17 +5,18 @@
 // A SweepSpec expands into a SweepPlan: a deterministic, ordered list of
 // instance tasks (each carrying its own seed, so which shard or thread runs
 // it is irrelevant) cut into fixed-size shards.  Shards are the unit of
-// scheduling, persistence and resume: the service executes them in order on
-// the harness::SweepEngine thread pool, appends each finished shard to the
+// scheduling, persistence and resume: the service executes them in order
+// through harness::run_tasks, appends each finished shard to the
 // campaign's JSONL log, and a resumed campaign simply skips shard indices
-// already on disk.
+// already on disk.  The one-shot path (bench_run_all) runs a whole plan
+// through the same runner with run_all.
 //
 // Results are carried as InstanceResult — the raw per-heuristic outcome
 // (retained period, energy, success) of one instance.  Raw energies rather
 // than normalized values are persisted because every derived metric
-// (E/Emin, mean 1/E) is recomputed from them with exactly the arithmetic
-// harness::Campaign uses, so a merge over restored doubles is bit-identical
-// to an in-memory one-shot run.
+// (E/Emin, mean 1/E) is recomputed from them by InstanceResult itself, so
+// a merge over restored doubles is bit-identical to an in-memory one-shot
+// run.
 
 #include <cstddef>
 #include <cstdint>
@@ -44,9 +45,11 @@ struct InstanceResult {
   std::vector<std::uint8_t> success;  ///< per heuristic
 
   /// Minimum energy among successful heuristics; 0 when all failed.
-  /// Mirrors harness::Campaign::best_energy bit-for-bit.
   [[nodiscard]] double best_energy() const;
+  /// Energy of heuristic h divided by best_energy() (E/Emin, Figures 8/9);
+  /// 0 when h failed.
   [[nodiscard]] double normalized_energy(std::size_t h) const;
+  /// best_energy() / energy(h) — the "1/E" normalization of Figs 10-13.
   [[nodiscard]] double normalized_inverse_energy(std::size_t h) const;
 };
 
@@ -80,7 +83,7 @@ class SweepPlan {
   [[nodiscard]] std::pair<std::size_t, std::size_t> shard_range(
       std::size_t shard) const noexcept;
 
-  /// Execute one shard on the sweep-engine pool; results in instance order.
+  /// Execute one shard on the sweep pool; results in instance order.
   [[nodiscard]] std::vector<InstanceResult> run_shard(std::size_t shard,
                                                       std::size_t threads) const;
 
@@ -88,11 +91,16 @@ class SweepPlan {
   [[nodiscard]] std::vector<InstanceResult> run_all(std::size_t threads) const;
 
  private:
+  /// Run instances [first, last) through harness::run_tasks.
+  [[nodiscard]] std::vector<InstanceResult> run_slice(std::size_t first,
+                                                      std::size_t last,
+                                                      std::size_t threads) const;
+
   SweepSpec spec_;
   std::string topology_;
   cmp::Platform platform_;
   solve::SolverSet solvers_;
-  std::vector<harness::SweepEngine::GeneratedTask> tasks_;
+  std::vector<harness::GeneratedTask> tasks_;
   std::size_t shard_size_;
 };
 

@@ -288,7 +288,8 @@ RunSummary CampaignService::run_leased(const ServiceOptions& opt) {
       if (completed == summary.shards_total) break;
 
       bool progress = false;
-      bool blocked = false;
+      // Shards this pass found leased by another live worker.
+      std::vector<std::pair<std::string, std::size_t>> blocked;
       for (const auto& plan : all) {
         if (stopped) break;
         for (std::size_t shard = 0; shard < plan.shard_count(); ++shard) {
@@ -315,7 +316,7 @@ RunSummary CampaignService::run_leased(const ServiceOptions& opt) {
             ours = leases.acquire(plan.spec().name, shard);
           }
           if (!ours) {
-            blocked = true;
+            blocked.emplace_back(plan.spec().name, shard);
             continue;
           }
           // A worker that finished this shard between our reload and this
@@ -337,10 +338,11 @@ RunSummary CampaignService::run_leased(const ServiceOptions& opt) {
         }
       }
       if (stopped) break;
-      if (!blocked && !progress) break;  // nothing pending anywhere
+      if (blocked.empty() && !progress) break;  // nothing pending anywhere
       if (!progress) {
-        // Only other live workers' shards remain: wait (stop-aware) for
-        // them to finish or their leases to expire, then rescan.
+        // Only other live workers' shards remain: wait (stop-aware) until
+        // one of the leases that blocked this pass is released or goes
+        // stale, at most ttl/3, then rescan.
         const double wait_s = std::max(opt.lease_ttl / 3.0, 0.2);
         const auto deadline = std::chrono::steady_clock::now() +
                               std::chrono::duration<double>(wait_s);
@@ -352,6 +354,13 @@ RunSummary CampaignService::run_leased(const ServiceOptions& opt) {
             break;
           }
           std::this_thread::sleep_for(std::chrono::milliseconds(50));
+          const auto held = scan_leases(store_.dir(), opt.lease_ttl);
+          const bool freed =
+              std::any_of(blocked.begin(), blocked.end(), [&](const auto& key) {
+                const auto it = held.find(key);
+                return it == held.end() || !it->second.fresh;
+              });
+          if (freed) break;
         }
       }
     }
@@ -412,14 +421,10 @@ StatusReport CampaignService::status(double lease_ttl) const {
 std::vector<harness::BenchReport> CampaignService::merged_reports() const {
   const auto done = store_.load_shards();
   std::vector<harness::BenchReport> reports;
-  // Reserve up front: derived tables hold pointers into `reports`, which a
-  // reallocation would invalidate.
   reports.reserve(spec_.sweeps.size() + spec_.tables.size());
-
-  // Sweep reports first, in spec order; remember them for derived tables.
-  std::vector<const harness::BenchReport*> by_sweep(spec_.sweeps.size(), nullptr);
-  for (std::size_t i = 0; i < spec_.sweeps.size(); ++i) {
-    const SweepPlan plan(spec_.sweeps[i], spec_.topology);
+  // Sweep reports first, in spec order, then the tables derived from them.
+  for (const auto& sweep : spec_.sweeps) {
+    const SweepPlan plan(sweep, spec_.topology);
     std::vector<InstanceResult> results;
     results.reserve(plan.instance_count());
     for (std::size_t shard = 0; shard < plan.shard_count(); ++shard) {
@@ -440,22 +445,10 @@ std::vector<harness::BenchReport> CampaignService::merged_reports() const {
       results.insert(results.end(), it->second.results.begin(),
                      it->second.results.end());
     }
-    reports.push_back(sweep_report(spec_.sweeps[i], spec_.topology, results));
+    reports.push_back(sweep_report(sweep, spec_.topology, results));
   }
-  for (std::size_t i = 0; i < spec_.sweeps.size(); ++i) by_sweep[i] = &reports[i];
-
-  for (const auto& t : spec_.tables) {
-    std::vector<const harness::BenchReport*> sources;
-    std::vector<const SweepSpec*> source_specs;
-    for (const auto& src : t.from) {
-      for (std::size_t i = 0; i < spec_.sweeps.size(); ++i) {
-        if (spec_.sweeps[i].name == src) {
-          sources.push_back(by_sweep[i]);
-          source_specs.push_back(&spec_.sweeps[i]);
-        }
-      }
-    }
-    reports.push_back(table_report(t, sources, source_specs));
+  for (auto& table : table_reports(spec_, reports)) {
+    reports.push_back(std::move(table));
   }
   return reports;
 }

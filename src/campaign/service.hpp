@@ -3,15 +3,15 @@
 // The campaign service: a long-running, resumable sweep driver.
 //
 // run() expands every sweep of the spec into deterministic shards and
-// executes the pending ones in (sweep, shard) order on the sweep-engine
-// thread pool, appending each finished shard to the store's JSONL log and
-// checkpointing a manifest every few shards.  Because shards are
+// executes the pending ones in (sweep, shard) order through
+// harness::run_tasks, appending each finished shard to the store's JSONL
+// log and checkpointing a manifest every few shards.  Because shards are
 // deterministic and persisted with full-precision doubles, a campaign
 // killed at any point resumes with zero re-execution of completed shards
 // and merges to byte-identical BENCH_*.json output — at any thread count.
 //
 // merge() folds the shard log back into the BENCH_<name>.json documents the
-// one-shot bench binaries emit, plus the spec's derived failure tables.
+// one-shot bench_run_all emits, plus the spec's derived failure tables.
 
 #include <atomic>
 #include <cstddef>

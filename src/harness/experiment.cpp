@@ -1,42 +1,23 @@
 #include "harness/experiment.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <limits>
-
-#include "harness/sweep_engine.hpp"
-#include "util/thread_pool.hpp"
+#include <memory>
 
 namespace spgcmp::harness {
 
-double Campaign::best_energy() const {
-  double best = std::numeric_limits<double>::infinity();
-  for (const auto& r : results) {
-    if (r.success) best = std::min(best, r.eval.energy);
-  }
-  return std::isfinite(best) ? best : 0.0;
-}
+namespace {
 
-double Campaign::normalized_energy(std::size_t h) const {
-  const double best = best_energy();
-  if (best <= 0 || !results[h].success) return 0.0;
-  return results[h].eval.energy / best;
-}
+// The paper's search: start at 1 s and divide by 10 per step.  If nothing
+// succeeds at the start, multiply up at most kMaxUpscale times; never go
+// below kFloor.
+constexpr double kStart = 1.0;
+constexpr double kFactor = 10.0;
+constexpr double kFloor = 1e-12;
+constexpr int kMaxUpscale = 6;
 
-double Campaign::normalized_inverse_energy(std::size_t h) const {
-  const double best = best_energy();
-  if (best <= 0 || !results[h].success) return 0.0;
-  return best / results[h].eval.energy;
-}
+using Solvers = std::vector<std::unique_ptr<heuristics::Heuristic>>;
 
-std::size_t Campaign::success_count() const {
-  std::size_t c = 0;
-  for (const auto& r : results) c += r.success;
-  return c;
-}
-
-Campaign run_at_period(const spg::Spg& g, const cmp::Platform& p,
-                       const HeuristicSet& hs, double T) {
+Campaign at_period(const spg::Spg& g, const cmp::Platform& p, const Solvers& hs,
+                   double T) {
   Campaign c;
   c.period = T;
   c.names.reserve(hs.size());
@@ -55,57 +36,44 @@ Campaign run_at_period(const spg::Spg& g, const cmp::Platform& p,
   return c;
 }
 
+}  // namespace
+
+std::size_t Campaign::success_count() const {
+  std::size_t c = 0;
+  for (const auto& r : results) c += r.success;
+  return c;
+}
+
 Campaign run_at_period(const spg::Spg& g, const cmp::Platform& p,
                        const solve::SolverSet& solvers, double T) {
-  return run_at_period(g, p, solvers.instantiate(), T);
+  return at_period(g, p, solvers.instantiate(), T);
 }
 
 Campaign run_campaign(const spg::Spg& g, const cmp::Platform& p,
-                      const solve::SolverSet& solvers,
-                      const PeriodSearchOptions& opt) {
-  return run_campaign(g, p, solvers.instantiate(), opt);
-}
-
-Campaign run_campaign(const spg::Spg& g, const cmp::Platform& p,
-                      const HeuristicSet& hs, const PeriodSearchOptions& opt) {
-  double T = opt.start;
-  Campaign cur = run_at_period(g, p, hs, T);
+                      const solve::SolverSet& solvers) {
+  const Solvers hs = solvers.instantiate();
+  double T = kStart;
+  Campaign cur = at_period(g, p, hs, T);
 
   // Defensive: if even T = 1 s is infeasible for every heuristic, scale up
   // (does not happen for the paper's parameterizations; needed for
   // user-supplied extreme workloads).
-  for (int up = 0; cur.success_count() == 0 && up < opt.max_upscale; ++up) {
-    T *= opt.factor;
-    cur = run_at_period(g, p, hs, T);
+  for (int up = 0; cur.success_count() == 0 && up < kMaxUpscale; ++up) {
+    T *= kFactor;
+    cur = at_period(g, p, hs, T);
   }
   if (cur.success_count() == 0) return cur;  // give up; caller sees failures
 
   // Tighten until everything fails; keep the penultimate campaign.
   for (;;) {
-    const double next_T = T / opt.factor;
-    if (next_T < opt.floor) break;
-    Campaign next = run_at_period(g, p, hs, next_T);
+    const double next_T = T / kFactor;
+    if (next_T < kFloor) break;
+    Campaign next = at_period(g, p, hs, next_T);
     if (next.success_count() == 0) break;
     T = next_T;
     cur = std::move(next);
   }
   return cur;
-}
-
-SweepCell sweep(const std::function<spg::Spg(std::size_t)>& make_workload,
-                std::size_t count, const cmp::Platform& p,
-                const std::function<HeuristicSet()>& make_heuristics,
-                std::size_t threads) {
-  std::vector<Campaign> campaigns(count);
-  util::parallel_for(
-      0, count,
-      [&](std::size_t w) {
-        const spg::Spg g = make_workload(w);
-        const HeuristicSet hs = make_heuristics();
-        campaigns[w] = run_campaign(g, p, hs);
-      },
-      threads);
-  return SweepEngine::aggregate(campaigns);
 }
 
 }  // namespace spgcmp::harness

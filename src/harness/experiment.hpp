@@ -1,6 +1,6 @@
 #pragma once
 
-// Experiment harness — Section 6.1.3 and the sweep drivers behind every
+// Experiment harness — Section 6.1.3: the period-bound search behind every
 // table and figure of Section 6.2.
 //
 // Period-bound selection follows the paper: start at T = 1 s (at least one
@@ -10,8 +10,6 @@
 // retained bound are what Tables 2 and 3 count.
 
 #include <cstddef>
-#include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -22,63 +20,25 @@
 
 namespace spgcmp::harness {
 
-/// An instantiated solver line-up.  Prefer carrying a solve::SolverSet
-/// (names + options, thread-safe to re-instantiate) and materializing one
-/// of these per worker.
-using HeuristicSet = std::vector<std::unique_ptr<heuristics::Heuristic>>;
-
-/// Outcome of one workload at the retained period bound.
+/// Outcome of one workload at the retained period bound.  The figures'
+/// normalizations (E/Emin, 1/E) live on campaign::InstanceResult; get one
+/// with campaign::summarize.
 struct Campaign {
   double period = 0.0;                       ///< retained T
   std::vector<std::string> names;            ///< heuristic names, in order
   std::vector<heuristics::Result> results;   ///< one per heuristic
   std::vector<solve::SolveStats> stats;      ///< per heuristic, at retained T
 
-  /// Minimum energy among successful heuristics; 0 when all failed.
-  [[nodiscard]] double best_energy() const;
-  /// Energy of heuristic h divided by best_energy(); 0 when h failed.
-  [[nodiscard]] double normalized_energy(std::size_t h) const;
-  /// best_energy() / energy(h) — the "1/E" normalization of Figs 10-13.
-  [[nodiscard]] double normalized_inverse_energy(std::size_t h) const;
   [[nodiscard]] std::size_t success_count() const;
 };
 
-struct PeriodSearchOptions {
-  double start = 1.0;     ///< initial period bound (s)
-  double factor = 10.0;   ///< division factor per step
-  double floor = 1e-12;   ///< defensive stop
-  int max_upscale = 6;    ///< if nothing succeeds at start, multiply up
-};
-
-/// Run all heuristics with the paper's period-bound search.
+/// Run every solver of the set with the paper's period-bound search.  The
+/// set is instantiated once and reused at every period the search visits.
 [[nodiscard]] Campaign run_campaign(const spg::Spg& g, const cmp::Platform& p,
-                                    const HeuristicSet& hs,
-                                    const PeriodSearchOptions& opt = {});
+                                    const solve::SolverSet& solvers);
 
-/// Run all heuristics at a fixed period bound.
-[[nodiscard]] Campaign run_at_period(const spg::Spg& g, const cmp::Platform& p,
-                                     const HeuristicSet& hs, double T);
-
-/// SolverSet conveniences: instantiate the set once and run it.
-[[nodiscard]] Campaign run_campaign(const spg::Spg& g, const cmp::Platform& p,
-                                    const solve::SolverSet& solvers,
-                                    const PeriodSearchOptions& opt = {});
+/// Run every solver of the set at a fixed period bound.
 [[nodiscard]] Campaign run_at_period(const spg::Spg& g, const cmp::Platform& p,
                                      const solve::SolverSet& solvers, double T);
-
-/// Averaged sweep cell used by the random-SPG figures: for each heuristic,
-/// the mean normalized 1/E over a batch of workloads plus failure counts.
-struct SweepCell {
-  std::vector<double> mean_inverse_energy;  ///< per heuristic
-  std::vector<std::size_t> failures;        ///< per heuristic
-  std::size_t workloads = 0;
-};
-
-/// Aggregate campaigns over `count` workloads produced by `make_workload`.
-/// Runs workloads in parallel (`threads` 0 = hardware concurrency).
-[[nodiscard]] SweepCell sweep(
-    const std::function<spg::Spg(std::size_t)>& make_workload, std::size_t count,
-    const cmp::Platform& p,
-    const std::function<HeuristicSet()>& make_heuristics, std::size_t threads = 0);
 
 }  // namespace spgcmp::harness

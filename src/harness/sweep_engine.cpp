@@ -14,11 +14,6 @@
 
 namespace spgcmp::harness {
 
-HeuristicFactory solver_factory(const solve::SolverSet& solvers) {
-  // By-value capture: the factory outlives the caller's SolverSet.
-  return [solvers] { return solvers.instantiate(); };
-}
-
 std::uint64_t instance_seed(std::uint64_t base, std::uint64_t index) noexcept {
   // Two splitmix64 steps over a combined state: both inputs avalanche, so
   // (base, 0), (base, 1), ... are decorrelated streams and distinct bases
@@ -29,117 +24,29 @@ std::uint64_t instance_seed(std::uint64_t base, std::uint64_t index) noexcept {
   return out;
 }
 
-std::vector<Campaign> SweepEngine::run_generated(
-    std::size_t count, std::uint64_t seed_base, const WorkloadFactory& make,
-    const cmp::Platform& p, const HeuristicFactory& make_heuristics) const {
-  std::vector<Campaign> campaigns(count);
-  util::parallel_for(
-      0, count,
-      [&](std::size_t w) {
-        obs::Span span("sweep.instance");
-        if (span.active()) span.detail("index", static_cast<std::uint64_t>(w));
-        util::Rng rng(instance_seed(seed_base, w));
-        const spg::Spg g = make(w, rng);
-        const HeuristicSet hs = make_heuristics();
-        campaigns[w] = run_campaign(g, p, hs, opt_.period);
-      },
-      opt_.threads);
-  return campaigns;
-}
-
 std::size_t normalize_threads(std::size_t threads) noexcept {
   if (threads != 0) return threads;
   return std::max<std::size_t>(1, std::thread::hardware_concurrency());
 }
 
-std::vector<Campaign> SweepEngine::run_tasks(
-    const std::vector<GeneratedTask>& tasks, const cmp::Platform& p,
-    const HeuristicFactory& make_heuristics) const {
-  return run_task_slice(tasks, 0, tasks.size(), p, make_heuristics);
-}
-
-std::vector<Campaign> SweepEngine::run_task_slice(
-    const std::vector<GeneratedTask>& tasks, std::size_t begin, std::size_t end,
-    const cmp::Platform& p, const HeuristicFactory& make_heuristics) const {
-  assert(begin <= end && end <= tasks.size());
-  std::vector<Campaign> campaigns(end - begin);
+std::vector<Campaign> run_tasks(const std::vector<GeneratedTask>& tasks,
+                                std::size_t first, std::size_t last,
+                                const cmp::Platform& p,
+                                const solve::SolverSet& solvers,
+                                std::size_t threads) {
+  assert(first <= last && last <= tasks.size());
+  std::vector<Campaign> campaigns(last - first);
   util::parallel_for(
-      begin, end,
+      first, last,
       [&](std::size_t t) {
         obs::Span span("sweep.instance");
         if (span.active()) span.detail("index", static_cast<std::uint64_t>(t));
         util::Rng rng(tasks[t].seed);
         const spg::Spg g = tasks[t].make(rng);
-        const HeuristicSet hs = make_heuristics();
-        campaigns[t - begin] = run_campaign(g, p, hs, opt_.period);
+        campaigns[t - first] = run_campaign(g, p, solvers);
       },
-      normalize_threads(opt_.threads));
+      normalize_threads(threads));
   return campaigns;
-}
-
-std::vector<Campaign> SweepEngine::run_fixed(
-    const std::vector<spg::Spg>& workloads, const cmp::Platform& p,
-    const HeuristicFactory& make_heuristics) const {
-  std::vector<Campaign> campaigns(workloads.size());
-  util::parallel_for(
-      0, workloads.size(),
-      [&](std::size_t w) {
-        obs::Span span("sweep.instance");
-        if (span.active()) span.detail("index", static_cast<std::uint64_t>(w));
-        const HeuristicSet hs = make_heuristics();
-        campaigns[w] = run_campaign(workloads[w], p, hs, opt_.period);
-      },
-      opt_.threads);
-  return campaigns;
-}
-
-SweepCell SweepEngine::aggregate(const Campaign* campaigns, std::size_t count) {
-  SweepCell cell;
-  cell.workloads = count;
-  if (count == 0) return cell;
-  const std::size_t H = campaigns[0].results.size();
-  cell.mean_inverse_energy.assign(H, 0.0);
-  cell.failures.assign(H, 0);
-  for (std::size_t w = 0; w < count; ++w) {
-    const Campaign& c = campaigns[w];
-    for (std::size_t h = 0; h < H; ++h) {
-      if (c.results[h].success) {
-        cell.mean_inverse_energy[h] += c.normalized_inverse_energy(h);
-      } else {
-        ++cell.failures[h];
-      }
-    }
-  }
-  for (std::size_t h = 0; h < H; ++h) {
-    cell.mean_inverse_energy[h] /= static_cast<double>(count);
-  }
-  return cell;
-}
-
-BenchCell cell_from_campaign(
-    std::vector<std::pair<std::string, std::string>> labels, const Campaign& c) {
-  BenchCell cell;
-  cell.labels = std::move(labels);
-  cell.period = c.period;
-  cell.workloads = 1;
-  cell.values.reserve(c.results.size());
-  cell.failures.reserve(c.results.size());
-  for (std::size_t h = 0; h < c.results.size(); ++h) {
-    cell.values.push_back(c.normalized_energy(h));
-    cell.failures.push_back(c.results[h].success ? 0 : 1);
-  }
-  return cell;
-}
-
-BenchCell cell_from_sweep(
-    std::vector<std::pair<std::string, std::string>> labels, const SweepCell& s) {
-  BenchCell cell;
-  cell.labels = std::move(labels);
-  cell.period = 0.0;
-  cell.workloads = s.workloads;
-  cell.values = s.mean_inverse_energy;
-  cell.failures = s.failures;
-  return cell;
 }
 
 void BenchReport::write_json(std::ostream& os) const {

@@ -1,21 +1,24 @@
 #pragma once
 
-// Parallel experiment-sweep engine.
+// Parallel experiment-sweep runner.
 //
 // Every table and figure of Section 6.2 is an aggregation over independent
-// (workload, platform, period-search) campaigns.  The engine batches those
+// (workload, platform, period-search) campaigns.  run_tasks batches those
 // campaigns through util::ThreadPool with three guarantees:
 //
-//   1. Deterministic per-instance seeding: instance w of a batch draws all
-//      randomness from Rng(instance_seed(seed_base, w)), never from shared
+//   1. Deterministic per-instance seeding: task t draws all randomness from
+//      Rng(t.seed) (instance_seed derives such seeds), never from shared
 //      generator state, so which thread runs it is irrelevant.
-//   2. Thread-count independence: results are stored by instance index and
-//      aggregated in index order, so a 1-thread and an 8-thread run produce
-//      byte-identical output.
+//   2. Thread-count independence: results are stored by task index, so a
+//      1-thread and an 8-thread run produce byte-identical output.
 //   3. Structured emission: a BenchReport collects named cells and writes a
-//      BENCH_<name>.json document for downstream tooling, alongside the
-//      console tables the bench binaries already print.
+//      BENCH_<name>.json document for downstream tooling.
+//
+// campaign::SweepPlan expands a sweep spec into tasks and is the one caller
+// that schedules whole figures; campaign::sweep_report folds its results
+// into BenchReports.
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
@@ -28,18 +31,6 @@
 
 namespace spgcmp::harness {
 
-/// Mints a fresh HeuristicSet per sweep instance, so every worker thread
-/// owns its solvers.  solver_factory() adapts a solve::SolverSet; the
-/// function form remains for callers with hand-built sets.
-using HeuristicFactory = std::function<HeuristicSet()>;
-
-[[nodiscard]] HeuristicFactory solver_factory(const solve::SolverSet& solvers);
-
-struct SweepEngineOptions {
-  std::size_t threads = 0;          ///< 0 = hardware concurrency
-  PeriodSearchOptions period{};     ///< period-bound search parameters
-};
-
 /// Deterministic seed for instance `index` of stream `base` (splitmix64
 /// over the pair; avalanche on both inputs so adjacent indices decorrelate).
 [[nodiscard]] std::uint64_t instance_seed(std::uint64_t base,
@@ -47,87 +38,28 @@ struct SweepEngineOptions {
 
 /// The number of worker threads a sweep will actually run on: `threads`
 /// itself when positive, hardware concurrency (at least 1) when 0.  This is
-/// the single normalization point for every `--threads` flag — shard
-/// runners and bench binaries call it instead of each re-interpreting 0.
+/// the single normalization point for every `--threads` flag.
 [[nodiscard]] std::size_t normalize_threads(std::size_t threads) noexcept;
 
-class SweepEngine {
- public:
-  explicit SweepEngine(SweepEngineOptions opt = {}) : opt_(opt) {}
-
-  [[nodiscard]] const SweepEngineOptions& options() const noexcept { return opt_; }
-
-  /// Workload factory for generated batches: build instance `index` using
-  /// only the supplied generator (already seeded with
-  /// instance_seed(seed_base, index)).
-  using WorkloadFactory = std::function<spg::Spg(std::size_t index, util::Rng& rng)>;
-
-  /// Run a full period-search campaign for each of `count` generated
-  /// workloads.  Returns one Campaign per instance, in index order.
-  [[nodiscard]] std::vector<Campaign> run_generated(
-      std::size_t count, std::uint64_t seed_base, const WorkloadFactory& make,
-      const cmp::Platform& p, const HeuristicFactory& make_heuristics) const;
-  [[nodiscard]] std::vector<Campaign> run_generated(
-      std::size_t count, std::uint64_t seed_base, const WorkloadFactory& make,
-      const cmp::Platform& p, const solve::SolverSet& solvers) const {
-    return run_generated(count, seed_base, make, p, solver_factory(solvers));
-  }
-
-  /// Run a campaign for each fixed workload (e.g. the StreamIt suite at a
-  /// given CCR).  Returns one Campaign per workload, in input order.
-  [[nodiscard]] std::vector<Campaign> run_fixed(
-      const std::vector<spg::Spg>& workloads, const cmp::Platform& p,
-      const HeuristicFactory& make_heuristics) const;
-  [[nodiscard]] std::vector<Campaign> run_fixed(
-      const std::vector<spg::Spg>& workloads, const cmp::Platform& p,
-      const solve::SolverSet& solvers) const {
-    return run_fixed(workloads, p, solver_factory(solvers));
-  }
-
-  /// One explicitly-seeded generation task for structured sweeps (e.g. the
-  /// flattened (ccr, elevation, workload) batches behind Figures 10-13,
-  /// whose seeds must stay stable when the elevation grid is subset).
-  struct GeneratedTask {
-    std::uint64_t seed = 0;
-    std::function<spg::Spg(util::Rng&)> make;
-  };
-
-  /// Run a campaign per task; task t builds its workload from Rng(t.seed).
-  [[nodiscard]] std::vector<Campaign> run_tasks(
-      const std::vector<GeneratedTask>& tasks, const cmp::Platform& p,
-      const HeuristicFactory& make_heuristics) const;
-  [[nodiscard]] std::vector<Campaign> run_tasks(
-      const std::vector<GeneratedTask>& tasks, const cmp::Platform& p,
-      const solve::SolverSet& solvers) const {
-    return run_tasks(tasks, p, solver_factory(solvers));
-  }
-
-  /// Shard-granular entry point: run only tasks [begin, end) of a larger
-  /// batch, returning their campaigns in task order (result[0] is task
-  /// `begin`).  Results are independent of the thread count and of how the
-  /// batch is cut into slices, which is what lets a resumed campaign skip
-  /// completed shards and still merge byte-identically.
-  [[nodiscard]] std::vector<Campaign> run_task_slice(
-      const std::vector<GeneratedTask>& tasks, std::size_t begin, std::size_t end,
-      const cmp::Platform& p, const HeuristicFactory& make_heuristics) const;
-  [[nodiscard]] std::vector<Campaign> run_task_slice(
-      const std::vector<GeneratedTask>& tasks, std::size_t begin, std::size_t end,
-      const cmp::Platform& p, const solve::SolverSet& solvers) const {
-    return run_task_slice(tasks, begin, end, p, solver_factory(solvers));
-  }
-
-  /// Fold a batch of campaigns into the figure aggregate (mean normalized
-  /// 1/E and failure counts per heuristic), in index order.  The pointer
-  /// form aggregates a slice of a larger batch without copying it.
-  [[nodiscard]] static SweepCell aggregate(const Campaign* campaigns,
-                                           std::size_t count);
-  [[nodiscard]] static SweepCell aggregate(const std::vector<Campaign>& campaigns) {
-    return aggregate(campaigns.data(), campaigns.size());
-  }
-
- private:
-  SweepEngineOptions opt_;
+/// One explicitly-seeded instance of a sweep: its workload is
+/// make(Rng(seed)).  Seeds are fixed at expansion time, so they stay
+/// stable when a grid is subset or cut into shards.
+struct GeneratedTask {
+  std::uint64_t seed = 0;
+  std::function<spg::Spg(util::Rng&)> make;
 };
+
+/// Run the period-search campaign of tasks [first, last) on `threads`
+/// workers (0 = hardware concurrency); result[0] is task `first`.  Each
+/// instance gets fresh solvers from `solvers`.  Results are independent of
+/// the thread count and of how a batch is cut into slices, which is what
+/// lets a resumed campaign skip completed shards and still merge
+/// byte-identically.
+[[nodiscard]] std::vector<Campaign> run_tasks(const std::vector<GeneratedTask>& tasks,
+                                              std::size_t first, std::size_t last,
+                                              const cmp::Platform& p,
+                                              const solve::SolverSet& solvers,
+                                              std::size_t threads);
 
 // ------------------------------------------------------------------------
 // Structured bench output (BENCH_*.json).
@@ -157,13 +89,5 @@ struct BenchReport {
   /// Write to `<dir>/BENCH_<name>.json`; returns the path written.
   [[nodiscard]] std::string write_json_file(const std::string& dir) const;
 };
-
-/// Build a cell from a finished campaign using the figures' metrics.
-[[nodiscard]] BenchCell cell_from_campaign(
-    std::vector<std::pair<std::string, std::string>> labels, const Campaign& c);
-
-/// Build a cell from a sweep aggregate (mean normalized 1/E).
-[[nodiscard]] BenchCell cell_from_sweep(
-    std::vector<std::pair<std::string, std::string>> labels, const SweepCell& s);
 
 }  // namespace spgcmp::harness

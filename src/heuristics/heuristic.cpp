@@ -1,7 +1,5 @@
 #include "heuristics/heuristic.hpp"
 
-#include "solve/registry.hpp"
-
 namespace spgcmp::heuristics {
 
 Result finalize_with_paths(const spg::Spg& g, const cmp::Platform& p, double T,
@@ -36,10 +34,6 @@ Result finalize_with_routes(const spg::Spg& g, const cmp::Platform& p, double T,
                             mapping::Mapping m) {
   mapping::attach_routes(g, p.topology, m);
   return finalize_with_paths(g, p, T, std::move(m), /*downgrade=*/true);
-}
-
-std::vector<std::unique_ptr<Heuristic>> make_paper_heuristics(std::uint64_t seed) {
-  return solve::SolverSet::paper(seed).instantiate();
 }
 
 }  // namespace spgcmp::heuristics

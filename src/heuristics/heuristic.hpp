@@ -13,9 +13,7 @@
 // randomness is derived deterministically from the instance seed and the
 // problem signature, so concurrent sweeps are reproducible.
 
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "cmp/cmp.hpp"
 #include "mapping/evaluator.hpp"
@@ -61,14 +59,5 @@ class Heuristic {
 [[nodiscard]] Result finalize_with_paths(const spg::Spg& g, const cmp::Platform& p,
                                          double T, mapping::Mapping m,
                                          bool downgrade, mapping::Evaluator& ev);
-
-/// The five heuristics evaluated in Section 6, in paper order:
-/// Random, Greedy, DPA2D, DPA1D, DPA2D1D.
-///
-/// Deprecated shim kept for one release: it now resolves the paper set
-/// through the solver registry, so the two paths cannot drift.  New code
-/// should use solve::SolverSet::paper() (or parse a solver list) instead.
-[[nodiscard]] std::vector<std::unique_ptr<Heuristic>> make_paper_heuristics(
-    std::uint64_t seed = 42);
 
 }  // namespace spgcmp::heuristics

@@ -1,8 +1,8 @@
 #pragma once
 
 // String-keyed solver registry — the API seam between the heuristic
-// implementations and everything that consumes them (harness, sweep
-// engine, campaign specs, CLIs, bench binaries).
+// implementations and everything that consumes them (harness, campaign
+// specs, CLIs, bench_run_all, the serve daemon).
 //
 // Every solver is addressed by a spec string:
 //
@@ -94,7 +94,7 @@ struct SolverRegistrar {
 };
 
 /// An ordered, named solver subset resolved from spec strings — the unit
-/// the harness, sweep engine and campaign runner schedule.  Parsing
+/// the harness's period search and task runner schedule.  Parsing
 /// instantiates each spec once to validate it and capture its display
 /// name; instantiate() then mints fresh solver instances per call, which
 /// is what lets every sweep worker thread own its solvers.

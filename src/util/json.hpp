@@ -2,7 +2,7 @@
 
 // Minimal streaming JSON writer for structured bench output.
 //
-// The sweep engine emits one BENCH_*.json document per figure/table so that
+// bench_run_all emits one BENCH_*.json document per figure/table so that
 // downstream tooling (plot scripts, regression diffing between runs at
 // different thread counts) can consume results without scraping console
 // tables.  The writer is deliberately tiny: objects, arrays, strings,

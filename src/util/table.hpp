@@ -2,9 +2,9 @@
 
 // Plain-text table and CSV emission.
 //
-// Every bench binary prints the rows of the paper table/figure it
-// regenerates, both as an aligned console table (human diffing against the
-// paper) and optionally as CSV (plot scripts).  Cells are strings; numeric
+// bench_run_all prints the rows of every paper table/figure it regenerates,
+// and the CLIs their comparisons, as aligned console tables (human diffing
+// against the paper); CSV serves plot scripts.  Cells are strings; numeric
 // formatting helpers keep the output stable across locales.
 
 #include <iosfwd>

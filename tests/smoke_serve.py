@@ -5,10 +5,10 @@ usage: smoke_serve.py SPGCMP_SERVE SPGCMP_SERVE_CLIENT
 
 Every mode of the daemon runs one poll loop; this drives each way a
 request can arrive: stdin, --replay, a --in FIFO, --listen sockets, and
---in together with --listen.  Each check works in its own fresh temp dir
-(safe under ctest -j) and waits on an observable condition with a
-deadline, never on a fixed sleep.  Exits nonzero with a message on the
-first failed check.
+--in together with --listen, plus a traced session's in-band stats.  Each
+check works in its own fresh temp dir (safe under ctest -j) and waits on
+an observable condition with a deadline, never on a fixed sleep.  Exits
+nonzero with a message on the first failed check.
 """
 
 import json
@@ -124,6 +124,29 @@ def check_stream_duplicates():
     check(rc == 0, "replay exit %d" % rc)
     check("replayed: 6 accepted" in err and "5 from cache" in err, err)
     check(len(lines_of("log.jsonl")) == 6, "replay re-appended to the log")
+
+
+def check_traced_session_answers_live_stats():
+    # In-band {"stats":true} answers live cache and metrics, the trace has
+    # the request spans, and --stats-out installs a final document at exit.
+    stdin = request(5) + "\n" + request(5) + "\n" + '{"id":"s","stats":true}\n'
+    rc, lines, _ = serve(["--threads=2", "--trace=serve.trace.json",
+                          "--metrics=serve.metrics.json",
+                          "--stats-out=serve.stats.json"], stdin)
+    check(rc == 0, "exit %d" % rc)
+    check(len(lines) == 3, "%d responses to 3 requests" % len(lines))
+    stats = json.loads(lines[2])
+    check(stats["id"] == "s" and stats["status"] == "ok", stats)
+    check(stats["stats"]["cache"]["hits"] == 1, stats["stats"]["cache"])
+    check(stats["stats"]["metrics"]["counters"]["serve.requests"] >= 2,
+          "metrics missing")
+    names = {e["name"] for e in json.load(open("serve.trace.json"))["traceEvents"]}
+    check({"serve.request", "serve.solve"} <= names, sorted(names))
+    final = json.load(open("serve.stats.json"))
+    check(final["summary"]["answered"] == 3 and
+          final["summary"]["stats_requests"] == 1, final["summary"])
+    check(final["cache"]["hits"] == 1, final["cache"])
+    check(final["metrics"]["counters"]["serve.requests"] >= 2, "metrics missing")
 
 
 def check_in_band_errors():
@@ -268,6 +291,7 @@ def check_fifo_and_socket_in_one_loop():
 
 CHECKS = [
     check_stream_duplicates,
+    check_traced_session_answers_live_stats,
     check_in_band_errors,
     check_fifo_sigterm,
     check_sockets_share_the_cache,

@@ -7,8 +7,10 @@
 // platform or the period heuristic updates every suite at once.
 
 #include <cstdint>
+#include <vector>
 
 #include "cmp/cmp.hpp"
+#include "harness/sweep_engine.hpp"
 #include "spg/compose.hpp"
 #include "spg/generator.hpp"
 #include "spg/spg.hpp"
@@ -48,6 +50,22 @@ namespace spgcmp::test {
   spg::Spg g = spg::random_spg(n, ymax, rng);
   g.rescale_ccr(ccr);
   return g;
+}
+
+/// `count` sweep tasks of stream `seed_base`: task w draws a random SPG
+/// (n stages, elevation ymax, pinned CCR) from instance_seed(seed_base, w),
+/// so random_workload(tasks[w].seed, n, ymax, ccr) is its workload.
+[[nodiscard]] inline std::vector<harness::GeneratedTask> random_tasks(
+    std::size_t count, std::uint64_t seed_base, std::size_t n, int ymax, double ccr) {
+  std::vector<harness::GeneratedTask> tasks;
+  for (std::size_t w = 0; w < count; ++w) {
+    tasks.push_back({harness::instance_seed(seed_base, w), [=](util::Rng& rng) {
+                       spg::Spg g = spg::random_spg(n, ymax, rng);
+                       g.rescale_ccr(ccr);
+                       return g;
+                     }});
+  }
+  return tasks;
 }
 
 /// The paper's reference platforms by shorthand.

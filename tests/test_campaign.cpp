@@ -19,7 +19,6 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include "../bench/bench_common.hpp"
 #include "campaign/lease.hpp"
 #include "campaign/service.hpp"
 #include "harness/sweep_engine.hpp"
@@ -270,6 +269,34 @@ class CampaignDir {
   fs::path path_;
 };
 
+/// The one-shot path over a spec, as bench_run_all runs it: each sweep
+/// through SweepPlan::run_all and sweep_report, then the derived tables.
+std::vector<harness::BenchReport> oneshot_reports(const campaign::CampaignSpec& spec,
+                                                  std::size_t threads) {
+  std::vector<harness::BenchReport> reports;
+  for (const auto& sweep : spec.sweeps) {
+    const campaign::SweepPlan plan(sweep, spec.topology);
+    reports.push_back(
+        campaign::sweep_report(sweep, spec.topology, plan.run_all(threads)));
+  }
+  for (auto& table : campaign::table_reports(spec, reports)) {
+    reports.push_back(std::move(table));
+  }
+  return reports;
+}
+
+/// Every report's BENCH bytes, compared one by one.
+void expect_same_reports(const std::vector<harness::BenchReport>& got,
+                         const std::vector<harness::BenchReport>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    std::ostringstream a, b;
+    got[i].write_json(a);
+    want[i].write_json(b);
+    EXPECT_EQ(a.str(), b.str()) << want[i].name;
+  }
+}
+
 /// All merged reports of a campaign rendered to one string.
 std::string merged_bytes(const campaign::CampaignService& service) {
   std::ostringstream os;
@@ -342,14 +369,10 @@ TEST(CampaignService, MergeMatchesOneShotBenchReportByteForByte) {
   ASSERT_TRUE(service.run(opt).complete);
   const auto reports = service.merged_reports();
   ASSERT_EQ(reports.size(), 2u);
+  EXPECT_EQ(reports[1].name, "tiny_failures");
 
-  // The one-shot bench path over the identical sweep parameters.
-  const auto oneshot = bench::random_report("tiny_random", 10, 2, 2, {1, 2}, 2,
-                                            /*threads=*/1, /*seed_base=*/7);
-  std::ostringstream a, b;
-  reports[0].write_json(a);
-  oneshot.write_json(b);
-  EXPECT_EQ(a.str(), b.str());
+  // The one-shot path over the same spec, derived table included.
+  expect_same_reports(reports, oneshot_reports(spec, /*threads=*/1));
 }
 
 TEST(CampaignService, TruncatedShardLogTailIsReexecutedCleanly) {
@@ -454,14 +477,8 @@ TEST(CampaignService, SolverSubsetShardsResumeAndMergeByteIdentically) {
     for (const auto& cell : rep.cells) EXPECT_EQ(cell.failures.size(), 2u);
   }
 
-  // Parity with the one-shot bench path over the same subset.
-  const auto oneshot =
-      bench::random_report("tiny_random", 10, 2, 2, {1, 2}, 2, /*threads=*/1,
-                           /*seed_base=*/7, "mesh", {"random", "dpa2d1d"});
-  std::ostringstream a, b;
-  reports[0].write_json(a);
-  oneshot.write_json(b);
-  EXPECT_EQ(a.str(), b.str());
+  // Parity with the one-shot path over the same subset.
+  expect_same_reports(reports, oneshot_reports(spec, /*threads=*/1));
 }
 
 TEST(CampaignService, SubsetColumnsMatchThePaperSetSlice) {
@@ -470,11 +487,10 @@ TEST(CampaignService, SubsetColumnsMatchThePaperSetSlice) {
   // best solver (normalization divides by the set's best energy, and on
   // these instances Random or DPA2D1D is the paper-set winner too); the
   // failure *counts* are normalization-free and must always match.
-  const auto subset = bench::random_report("probe", 10, 2, 2, {1, 2}, 2,
-                                           /*threads=*/1, /*seed_base=*/7,
-                                           "mesh", {"random", "dpa2d1d"});
-  const auto full = bench::random_report("probe", 10, 2, 2, {1, 2}, 2,
-                                         /*threads=*/1, /*seed_base=*/7);
+  const auto subset = oneshot_reports(
+      campaign::CampaignSpec::parse_string(tiny_subset_spec_text()), 1)[0];
+  const auto full =
+      oneshot_reports(campaign::CampaignSpec::parse_string(tiny_spec_text()), 1)[0];
   ASSERT_EQ(subset.cells.size(), full.cells.size());
   for (std::size_t c = 0; c < subset.cells.size(); ++c) {
     EXPECT_EQ(subset.cells[c].failures[0], full.cells[c].failures[0]);  // Random
@@ -840,7 +856,6 @@ TEST(CampaignService, TwoWorkersShareOneCampaignByteIdentically) {
     campaign::ServiceOptions o;
     o.threads = 1;
     o.worker = name;
-    o.lease_ttl = 1.0;  // keeps the blocked-worker backoff short
     out = svc.run(o);
   };
   std::thread t1(run_worker, std::ref(w1), "w1", std::ref(s1));
@@ -855,6 +870,43 @@ TEST(CampaignService, TwoWorkersShareOneCampaignByteIdentically) {
 
   const auto status = campaign::CampaignService::open(dir.str()).status();
   EXPECT_EQ(status.shards_done(), 3u);
+}
+
+TEST(CampaignService, BlockedWorkerRescansSoonAfterTheLeaseIsReleased) {
+  const auto spec = campaign::CampaignSpec::parse_string(tiny_spec_text());
+  CampaignDir dir("workers_release");
+  campaign::CampaignService bind(spec, dir.str());
+
+  // The test holds shard 0; the worker runs shards 1 and 2, then waits on
+  // the held lease.  At the default 30 s TTL that wait may last ttl/3 =
+  // 10 s, but a released lease must end it within a tick.
+  campaign::LeaseManager holder(dir.str(), "holder", 30.0);
+  ASSERT_TRUE(holder.acquire("tiny_random", 0));
+  auto worker = campaign::CampaignService::open(dir.str());
+  campaign::RunSummary summary;
+  std::thread t([&] {
+    campaign::ServiceOptions o;
+    o.threads = 1;
+    o.worker = "w1";
+    summary = worker.run(o);
+  });
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (bind.status().shards_done() < 2 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  // Let the worker's rescan find shard 0 still leased and start waiting.
+  // Releasing earlier would only make the test pass without a wait.
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const auto released = std::chrono::steady_clock::now();
+  holder.release("tiny_random", 0);
+  t.join();
+  const double took =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - released)
+          .count();
+  EXPECT_TRUE(summary.complete);
+  EXPECT_EQ(summary.shards_executed, 3u);
+  EXPECT_LT(took, 2.0) << "the blocked worker kept waiting after the release";
 }
 
 TEST(CampaignService, WorkerReclaimsACrashedWorkersStaleLease) {

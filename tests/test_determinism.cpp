@@ -8,8 +8,9 @@
 #include <cstring>
 #include <sstream>
 
+#include "campaign/report.hpp"
+#include "campaign/runner.hpp"
 #include "harness/sweep_engine.hpp"
-#include "spg/generator.hpp"
 #include "support/fixtures.hpp"
 
 namespace {
@@ -22,19 +23,14 @@ bool same_bits(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
+std::vector<Campaign> run(const std::vector<harness::GeneratedTask>& tasks,
+                          std::size_t threads) {
+  return harness::run_tasks(tasks, 0, tasks.size(), test::grid2x2(),
+                            solve::SolverSet::paper(9), threads);
+}
+
 std::vector<Campaign> run_with_threads(std::size_t threads) {
-  harness::SweepEngineOptions opt;
-  opt.threads = threads;
-  const harness::SweepEngine engine(opt);
-  const auto p = test::grid2x2();
-  return engine.run_generated(
-      6, /*seed_base=*/1234,
-      [](std::size_t, util::Rng& rng) {
-        spg::Spg g = spg::random_spg(12, 3, rng);
-        g.rescale_ccr(10.0);
-        return g;
-      },
-      p, [] { return heuristics::make_paper_heuristics(9); });
+  return run(test::random_tasks(6, /*seed_base=*/1234, 12, 3, 10.0), threads);
 }
 
 void expect_identical(const std::vector<Campaign>& a, const std::vector<Campaign>& b,
@@ -84,18 +80,21 @@ TEST(Determinism, SweepIdenticalAcross1_4_8Threads) {
 }
 
 TEST(Determinism, JsonReportsByteIdenticalAcrossThreadCounts) {
-  auto report_at = [](std::size_t threads) {
-    const auto campaigns = run_with_threads(threads);
-    harness::BenchReport rep;
-    rep.name = "determinism_probe";
-    rep.metric = "normalized_energy";
-    rep.heuristics = {"Random", "Greedy", "DPA2D", "DPA1D", "DPA2D1D"};
-    for (std::size_t w = 0; w < campaigns.size(); ++w) {
-      rep.cells.push_back(harness::cell_from_campaign(
-          {{"instance", std::to_string(w)}}, campaigns[w]));
-    }
+  // The real report path: a tiny sweep through SweepPlan::run_all and
+  // sweep_report, rendered by the BENCH writer.
+  campaign::SweepSpec spec;
+  spec.name = "determinism_probe";
+  spec.kind = campaign::SweepKind::Random;
+  spec.n = 12;
+  spec.rows = 2;
+  spec.cols = 2;
+  spec.elevations = {3};
+  spec.apps = 2;
+  spec.seed_base = 1234;
+  const campaign::SweepPlan plan(spec, "mesh");
+  auto report_at = [&](std::size_t threads) {
     std::ostringstream os;
-    rep.write_json(os);
+    campaign::sweep_report(spec, "mesh", plan.run_all(threads)).write_json(os);
     return os.str();
   };
   const std::string j1 = report_at(1);
@@ -129,16 +128,8 @@ TEST(Determinism, SubsetBatchReusesIdenticalWorkloads) {
   // Running a prefix of a batch (e.g. --apps=2 after --apps=6) must see
   // exactly the workloads the longer run saw: instance identity depends
   // only on (base, index), never on batch size or sibling instances.
-  const auto p = test::grid2x2();
-  const harness::SweepEngine engine;
-  const auto make = [](std::size_t, util::Rng& rng) {
-    spg::Spg g = spg::random_spg(10, 2, rng);
-    g.rescale_ccr(10.0);
-    return g;
-  };
-  const auto hs = [] { return heuristics::make_paper_heuristics(9); };
-  const auto full = engine.run_generated(6, 555, make, p, hs);
-  const auto prefix = engine.run_generated(2, 555, make, p, hs);
+  const auto full = run(test::random_tasks(6, 555, 10, 2, 10.0), 0);
+  const auto prefix = run(test::random_tasks(2, 555, 10, 2, 10.0), 0);
   expect_identical(prefix, {full.begin(), full.begin() + 2}, "prefix-vs-full");
 }
 

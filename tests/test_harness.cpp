@@ -1,14 +1,15 @@
 // Tests for the experiment harness: the paper's period-bound search
-// (divide by 10, retain penultimate), normalization rules used by the
-// figures, and the parallel sweep aggregation.
+// (divide by 10, retain penultimate) and the normalization rules used by
+// the figures.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
+#include "campaign/runner.hpp"
 #include "harness/experiment.hpp"
 #include "spg/compose.hpp"
-#include "spg/generator.hpp"
 #include "spg/streamit.hpp"
-#include "util/rng.hpp"
 
 namespace {
 
@@ -23,8 +24,7 @@ TEST(PeriodSearch, RetainsPenultimateBound) {
   // not, so the search must retain T in (0.01, 0.1].
   spg::Spg g = spg::chain(4, 1e8, 1e3);
   const auto p = cmp::Platform::reference(2, 2);
-  const auto hs = heuristics::make_paper_heuristics(1);
-  const Campaign c = harness::run_campaign(g, p, hs);
+  const Campaign c = harness::run_campaign(g, p, solve::SolverSet::paper(1));
   EXPECT_GE(c.success_count(), 1u);
   EXPECT_LE(c.period, 0.1 * (1 + 1e-9));
   EXPECT_GT(c.period, 0.01);
@@ -35,8 +35,7 @@ TEST(PeriodSearch, TighterThanStartWhenEasy) {
   // well under the start.
   spg::Spg g = spg::chain(3, 1e6, 10.0);
   const auto p = cmp::Platform::reference(2, 2);
-  const auto hs = heuristics::make_paper_heuristics(2);
-  const Campaign c = harness::run_campaign(g, p, hs);
+  const Campaign c = harness::run_campaign(g, p, solve::SolverSet::paper(2));
   EXPECT_GE(c.success_count(), 1u);
   EXPECT_LT(c.period, 0.1);
 }
@@ -44,21 +43,21 @@ TEST(PeriodSearch, TighterThanStartWhenEasy) {
 TEST(Campaign, NormalizationRules) {
   spg::Spg g = spg::make_streamit(7);  // DCT: small pipeline
   const auto p = cmp::Platform::reference(4, 4);
-  const auto hs = heuristics::make_paper_heuristics(3);
-  const Campaign c = harness::run_campaign(g, p, hs);
+  const Campaign c = harness::run_campaign(g, p, solve::SolverSet::paper(3));
   ASSERT_GE(c.success_count(), 1u);
-  const double best = c.best_energy();
+  const auto r = campaign::summarize(c);
+  const double best = r.best_energy();
   ASSERT_GT(best, 0.0);
   bool saw_one = false;
   for (std::size_t h = 0; h < c.results.size(); ++h) {
     if (!c.results[h].success) {
-      EXPECT_EQ(c.normalized_energy(h), 0.0);
+      EXPECT_EQ(r.normalized_energy(h), 0.0);
       continue;
     }
-    EXPECT_GE(c.normalized_energy(h), 1.0 - 1e-12);
-    EXPECT_LE(c.normalized_inverse_energy(h), 1.0 + 1e-12);
-    if (std::abs(c.normalized_energy(h) - 1.0) < 1e-12) saw_one = true;
-    EXPECT_NEAR(c.normalized_energy(h) * c.normalized_inverse_energy(h), 1.0,
+    EXPECT_GE(r.normalized_energy(h), 1.0 - 1e-12);
+    EXPECT_LE(r.normalized_inverse_energy(h), 1.0 + 1e-12);
+    if (std::abs(r.normalized_energy(h) - 1.0) < 1e-12) saw_one = true;
+    EXPECT_NEAR(r.normalized_energy(h) * r.normalized_inverse_energy(h), 1.0,
                 1e-9);
   }
   EXPECT_TRUE(saw_one) << "some heuristic must achieve the minimum";
@@ -67,56 +66,11 @@ TEST(Campaign, NormalizationRules) {
 TEST(Campaign, RunAtFixedPeriodReportsAllHeuristics) {
   spg::Spg g = spg::chain(5, 1e8, 1e3);
   const auto p = cmp::Platform::reference(2, 2);
-  const auto hs = heuristics::make_paper_heuristics(4);
-  const Campaign c = harness::run_at_period(g, p, hs, 1.0);
+  const Campaign c = harness::run_at_period(g, p, solve::SolverSet::paper(4), 1.0);
   EXPECT_EQ(c.results.size(), 5u);
   EXPECT_EQ(c.names.size(), 5u);
   EXPECT_EQ(c.names[0], "Random");
   EXPECT_DOUBLE_EQ(c.period, 1.0);
-}
-
-TEST(Sweep, AggregatesFailuresAndMeans) {
-  const auto p = cmp::Platform::reference(2, 2);
-  const auto cell = harness::sweep(
-      [](std::size_t w) {
-        util::Rng rng(w + 1000);
-        spg::Spg g = spg::random_spg(10, 2, rng);
-        g.rescale_ccr(10.0);
-        return g;
-      },
-      6, p, [] { return heuristics::make_paper_heuristics(5); },
-      /*threads=*/2);
-  ASSERT_EQ(cell.mean_inverse_energy.size(), 5u);
-  ASSERT_EQ(cell.failures.size(), 5u);
-  EXPECT_EQ(cell.workloads, 6u);
-  for (std::size_t h = 0; h < 5; ++h) {
-    EXPECT_GE(cell.mean_inverse_energy[h], 0.0);
-    EXPECT_LE(cell.mean_inverse_energy[h], 1.0 + 1e-12);
-    EXPECT_LE(cell.failures[h], 6u);
-  }
-  // The best heuristic of each workload contributes 1.0; hence at least one
-  // heuristic has a strictly positive mean.
-  double max_mean = 0;
-  for (double v : cell.mean_inverse_energy) max_mean = std::max(max_mean, v);
-  EXPECT_GT(max_mean, 0.0);
-}
-
-TEST(Sweep, DeterministicAcrossThreadCounts) {
-  const auto p = cmp::Platform::reference(2, 2);
-  const auto make = [](std::size_t w) {
-    util::Rng rng(w + 2000);
-    spg::Spg g = spg::random_spg(8, 2, rng);
-    g.rescale_ccr(1.0);
-    return g;
-  };
-  const auto hs = [] { return heuristics::make_paper_heuristics(6); };
-  const auto a = harness::sweep(make, 4, p, hs, 1);
-  const auto b = harness::sweep(make, 4, p, hs, 4);
-  ASSERT_EQ(a.mean_inverse_energy.size(), b.mean_inverse_energy.size());
-  for (std::size_t h = 0; h < a.mean_inverse_energy.size(); ++h) {
-    EXPECT_DOUBLE_EQ(a.mean_inverse_energy[h], b.mean_inverse_energy[h]);
-    EXPECT_EQ(a.failures[h], b.failures[h]);
-  }
 }
 
 }  // namespace

@@ -24,6 +24,7 @@
 #include "heuristics/heuristic.hpp"
 #include "heuristics/random_heuristic.hpp"
 #include "obs/trace.hpp"
+#include "solve/registry.hpp"
 #include "spg/compose.hpp"
 #include "spg/generator.hpp"
 #include "spg/streamit.hpp"
@@ -54,9 +55,8 @@ TEST_P(AllHeuristicsValid, SuccessImpliesValidMapping) {
   const auto p = cmp::Platform::reference(rows, cols);
   const double T = pick_period(g, p);
 
-  const auto hs = heuristics::make_paper_heuristics(7);
   std::size_t successes = 0;
-  for (const auto& h : hs) {
+  for (const auto& h : solve::SolverSet::paper(7).instantiate()) {
     const Result r = h->run(g, p, T);
     if (!r.success) continue;
     ++successes;
@@ -607,7 +607,7 @@ TEST_P(VsExact, HeuristicsNeverBeatExact) {
   const double T = pick_period(g, p);
   const Result ex = heuristics::ExactSolver().run(g, p, T);
   ASSERT_TRUE(ex.success) << ex.failure;
-  for (const auto& h : heuristics::make_paper_heuristics(3)) {
+  for (const auto& h : solve::SolverSet::paper(3).instantiate()) {
     const Result r = h->run(g, p, T);
     if (!r.success) continue;
     EXPECT_GE(r.eval.energy, ex.eval.energy * (1 - 1e-9))
@@ -653,7 +653,7 @@ TEST(Exact, RefusesOversizedInstances) {
 }
 
 TEST(Factory, ProducesPaperOrder) {
-  const auto hs = heuristics::make_paper_heuristics();
+  const auto hs = solve::SolverSet::paper().instantiate();
   ASSERT_EQ(hs.size(), 5u);
   EXPECT_EQ(hs[0]->name(), "Random");
   EXPECT_EQ(hs[1]->name(), "Greedy");
@@ -669,7 +669,7 @@ TEST(AllHeuristics, StreamItSmoke) {
   for (const auto& info : spg::streamit_table()) {
     const spg::Spg g = spg::make_streamit(info);
     std::size_t ok = 0;
-    for (const auto& h : heuristics::make_paper_heuristics()) {
+    for (const auto& h : solve::SolverSet::paper().instantiate()) {
       const Result r = h->run(g, p, 1.0);
       if (r.success) {
         ++ok;

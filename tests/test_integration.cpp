@@ -9,7 +9,6 @@
 #include <sstream>
 
 #include "harness/experiment.hpp"
-#include "heuristics/heuristic.hpp"
 #include "mapping/link_dvfs.hpp"
 #include "sim/simulator.hpp"
 #include "spg/generator.hpp"
@@ -32,8 +31,9 @@ TEST(Integration, SerializeMapSimulateRoundTrip) {
   const spg::Spg g = spg::Spg::parse(ss);
 
   const auto p = cmp::Platform::reference(3, 3);
-  const auto hs = heuristics::make_paper_heuristics(55);
-  const auto c = harness::run_campaign(g, p, hs);
+  const auto solvers = solve::SolverSet::paper(55);
+  const auto hs = solvers.instantiate();
+  const auto c = harness::run_campaign(g, p, solvers);
   ASSERT_GE(c.success_count(), 1u);
 
   for (std::size_t h = 0; h < c.results.size(); ++h) {
@@ -59,8 +59,7 @@ TEST(Integration, LinkDvfsComposesWithEveryHeuristic) {
   spg::Spg g = spg::random_spg(30, 6, rng);
   g.rescale_ccr(0.5);
   const auto p = cmp::Platform::reference(4, 4);
-  const auto hs = heuristics::make_paper_heuristics(56);
-  const auto c = harness::run_campaign(g, p, hs);
+  const auto c = harness::run_campaign(g, p, solve::SolverSet::paper(56));
   for (std::size_t h = 0; h < c.results.size(); ++h) {
     if (!c.results[h].success) continue;
     const auto res = mapping::downscale_links(g, p, c.results[h].mapping, c.period);
@@ -76,8 +75,8 @@ TEST(Integration, LinkDvfsComposesWithEveryHeuristic) {
 TEST(Integration, StreamItCampaignsAreReproducible) {
   const auto p = cmp::Platform::reference(4, 4);
   const spg::Spg g = spg::make_streamit(10);  // MPEG2-noparser
-  const auto a = harness::run_campaign(g, p, heuristics::make_paper_heuristics());
-  const auto b = harness::run_campaign(g, p, heuristics::make_paper_heuristics());
+  const auto a = harness::run_campaign(g, p, solve::SolverSet::paper());
+  const auto b = harness::run_campaign(g, p, solve::SolverSet::paper());
   ASSERT_EQ(a.period, b.period);
   for (std::size_t h = 0; h < a.results.size(); ++h) {
     ASSERT_EQ(a.results[h].success, b.results[h].success);
@@ -102,10 +101,10 @@ TEST(Integration, EnergyRespectsPhysicalLowerBound) {
     min_per_cycle = std::min(min_per_cycle,
                              p.speeds.dynamic_power(k) / p.speeds.speed(k));
   }
-  const auto hs = heuristics::make_paper_heuristics(57);
+  const auto solvers = solve::SolverSet::paper(57);
   const double T0 = test::period_for_cores(g, 2.0, 1e9);
   for (const double mult : {1.0, 2.0, 4.0, 8.0}) {
-    const auto c = harness::run_at_period(g, p, hs, T0 * mult);
+    const auto c = harness::run_at_period(g, p, solvers, T0 * mult);
     for (std::size_t h = 0; h < c.results.size(); ++h) {
       if (!c.results[h].success) continue;
       const auto& ev = c.results[h].eval;
@@ -124,7 +123,7 @@ TEST(Integration, IdealCountPredictsDpa1dBudgetOutcome) {
   for (const int idx : {2, 6, 11}) {  // ChannelVocoder, BitonicSort, Serpent
     const spg::Spg g = spg::make_streamit(idx);
     const auto count = spg::ideal_count(g, 200000);
-    const auto r = heuristics::make_paper_heuristics()[3]->run(g, p, 1.0);
+    const auto r = solve::SolverRegistry::instance().make("dpa1d")->run(g, p, 1.0);
     if (count > 200000) {
       EXPECT_FALSE(r.success) << idx;
       EXPECT_NE(r.failure.find("budget"), std::string::npos) << idx;
@@ -137,8 +136,7 @@ TEST(Integration, EvaluatorAgreesWithCampaignAccounting) {
   spg::Spg g = spg::random_spg(16, 3, rng);
   g.rescale_ccr(1.0);
   const auto p = cmp::Platform::reference(2, 3);
-  const auto hs = heuristics::make_paper_heuristics(58);
-  const auto c = harness::run_campaign(g, p, hs);
+  const auto c = harness::run_campaign(g, p, solve::SolverSet::paper(58));
   for (std::size_t h = 0; h < c.results.size(); ++h) {
     if (!c.results[h].success) continue;
     const auto ev = mapping::evaluate(g, p, c.results[h].mapping, c.period);

@@ -84,8 +84,7 @@ TEST(Property, PeriodSearchUpscalesWhenStartInfeasible) {
   // bound upward until something succeeds (defensive path, not in paper).
   spg::Spg g = spg::chain(4, 2e10, 1e3);  // 8e10 cycles total
   const auto p = cmp::Platform::reference(2, 2);
-  const auto hs = heuristics::make_paper_heuristics(71);
-  const auto c = harness::run_campaign(g, p, hs);
+  const auto c = harness::run_campaign(g, p, solve::SolverSet::paper(71));
   EXPECT_GE(c.success_count(), 1u);
   EXPECT_GT(c.period, 1.0);
 }
@@ -133,15 +132,11 @@ TEST(Property, CampaignIndependentOfHeuristicOrder) {
   g.rescale_ccr(5.0);
   const auto p = cmp::Platform::reference(2, 2);
 
-  auto forward = heuristics::make_paper_heuristics(1);
-  const auto a = harness::run_campaign(g, p, forward);
-
-  harness::HeuristicSet reversed;
-  auto tmp = heuristics::make_paper_heuristics(1);
-  for (auto it = tmp.rbegin(); it != tmp.rend(); ++it) {
-    reversed.push_back(std::move(*it));
-  }
-  const auto b = harness::run_campaign(g, p, reversed);
+  const auto a = harness::run_campaign(g, p, solve::SolverSet::paper(1));
+  const auto b = harness::run_campaign(
+      g, p, solve::SolverSet::parse("dpa2d1d,dpa1d,dpa2d,greedy,random", {1}));
+  ASSERT_EQ(b.names, (std::vector<std::string>{"DPA2D1D", "DPA1D", "DPA2D",
+                                               "Greedy", "Random"}));
   EXPECT_DOUBLE_EQ(a.period, b.period);
   EXPECT_EQ(a.success_count(), b.success_count());
 }

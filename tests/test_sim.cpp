@@ -6,9 +6,9 @@
 
 #include <gtest/gtest.h>
 
-#include "heuristics/heuristic.hpp"
 #include "mapping/mapping.hpp"
 #include "sim/simulator.hpp"
+#include "solve/registry.hpp"
 #include "spg/compose.hpp"
 #include "support/fixtures.hpp"
 #include "spg/generator.hpp"
@@ -131,7 +131,7 @@ TEST_P(SimulatorAgreesWithEvaluator, OnHeuristicMappings) {
   const auto p = cmp::Platform::reference(3, 3);
   const double T = test::period_for_cores(g, 4.0);
 
-  for (const auto& h : heuristics::make_paper_heuristics(GetParam())) {
+  for (const auto& h : solve::SolverSet::paper(GetParam()).instantiate()) {
     const auto r = h->run(g, p, T);
     if (!r.success) continue;
     sim::SimConfig cfg;

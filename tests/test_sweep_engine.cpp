@@ -1,6 +1,7 @@
-// Tests for the parallel sweep engine and its structured JSON emission:
-// seed derivation, batch running, aggregation equivalence with the legacy
-// harness::sweep, and the JSON writer's escaping/number formatting.
+// Tests for the parallel sweep runner and its structured JSON emission:
+// seed derivation, task order of harness::run_tasks, the cells
+// campaign::sweep_report folds results into, and the JSON writer's
+// escaping/number formatting.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +15,8 @@
 
 #include <gtest/gtest-spi.h>
 
-#include "../bench/bench_common.hpp"
+#include "campaign/report.hpp"
+#include "campaign/runner.hpp"
 #include "harness/sweep_engine.hpp"
 #include "spg/generator.hpp"
 #include "support/checkers.hpp"
@@ -36,70 +38,111 @@ TEST(InstanceSeed, DistinctAcrossIndicesAndBases) {
   }
 }
 
-TEST(SweepEngine, RunGeneratedMatchesLegacySweepAggregation) {
+TEST(RunTasks, KeepsTaskOrder) {
   const auto p = test::grid2x2();
-  const auto make_hs = [] { return heuristics::make_paper_heuristics(5); };
-  const harness::SweepEngine engine;
-
-  const auto campaigns = engine.run_generated(
-      5, 777,
-      [](std::size_t, util::Rng& rng) {
-        spg::Spg g = spg::random_spg(10, 2, rng);
-        g.rescale_ccr(10.0);
-        return g;
-      },
-      p, make_hs);
-  ASSERT_EQ(campaigns.size(), 5u);
-  const auto cell = harness::SweepEngine::aggregate(campaigns);
-
-  // The legacy entry point with equivalent per-instance seeding must agree.
-  const auto legacy = harness::sweep(
-      [](std::size_t w) {
-        util::Rng rng(harness::instance_seed(777, w));
-        spg::Spg g = spg::random_spg(10, 2, rng);
-        g.rescale_ccr(10.0);
-        return g;
-      },
-      5, p, make_hs, 2);
-  ASSERT_EQ(cell.mean_inverse_energy.size(), legacy.mean_inverse_energy.size());
-  for (std::size_t h = 0; h < cell.mean_inverse_energy.size(); ++h) {
-    EXPECT_DOUBLE_EQ(cell.mean_inverse_energy[h], legacy.mean_inverse_energy[h]);
-    EXPECT_EQ(cell.failures[h], legacy.failures[h]);
-  }
-}
-
-TEST(SweepEngine, RunFixedPreservesInputOrder) {
-  const auto p = test::grid2x2();
-  std::vector<spg::Spg> workloads;
-  for (const std::uint64_t s : {1, 2, 3, 4}) {
-    workloads.push_back(test::random_workload(s, 8, 2, 10.0));
-  }
-  const harness::SweepEngine engine;
-  const auto campaigns =
-      engine.run_fixed(workloads, p, [] { return heuristics::make_paper_heuristics(5); });
-  ASSERT_EQ(campaigns.size(), workloads.size());
-  for (std::size_t w = 0; w < workloads.size(); ++w) {
-    // Each campaign must be the one for workload w, i.e. identical to a
+  const auto solvers = solve::SolverSet::paper(5);
+  const auto tasks = test::random_tasks(4, 1, 8, 2, 10.0);
+  const auto all = harness::run_tasks(tasks, 0, tasks.size(), p, solvers, 4);
+  // A slice starts at its first task, as a campaign shard does.
+  const auto slice = harness::run_tasks(tasks, 1, 3, p, solvers, 4);
+  ASSERT_EQ(all.size(), tasks.size());
+  ASSERT_EQ(slice.size(), 2u);
+  for (std::size_t w = 0; w < tasks.size(); ++w) {
+    // Each campaign must be the one for task w, i.e. identical to a
     // standalone run on that workload.
-    const auto solo = harness::run_campaign(workloads[w], p,
-                                            heuristics::make_paper_heuristics(5));
-    EXPECT_DOUBLE_EQ(campaigns[w].period, solo.period) << w;
-    ASSERT_EQ(campaigns[w].results.size(), solo.results.size());
-    for (std::size_t h = 0; h < solo.results.size(); ++h) {
-      EXPECT_EQ(campaigns[w].results[h].success, solo.results[h].success);
-      if (solo.results[h].success) {
-        EXPECT_DOUBLE_EQ(campaigns[w].results[h].eval.energy,
-                         solo.results[h].eval.energy);
+    const auto solo = harness::run_campaign(
+        test::random_workload(tasks[w].seed, 8, 2, 10.0), p, solvers);
+    std::vector<const harness::Campaign*> runs = {&all[w]};
+    if (w >= 1 && w < 3) runs.push_back(&slice[w - 1]);
+    for (const auto* c : runs) {
+      EXPECT_DOUBLE_EQ(c->period, solo.period) << w;
+      ASSERT_EQ(c->results.size(), solo.results.size());
+      for (std::size_t h = 0; h < solo.results.size(); ++h) {
+        EXPECT_EQ(c->results[h].success, solo.results[h].success);
+        if (solo.results[h].success) {
+          EXPECT_DOUBLE_EQ(c->results[h].eval.energy, solo.results[h].eval.energy);
+        }
       }
     }
   }
 }
 
-TEST(SweepEngine, AggregateEmptyBatch) {
-  const auto cell = harness::SweepEngine::aggregate({});
-  EXPECT_EQ(cell.workloads, 0u);
-  EXPECT_TRUE(cell.mean_inverse_energy.empty());
-  EXPECT_TRUE(cell.failures.empty());
+/// A tiny random sweep: 3 CCRs x `elevations` x `apps` instances on 2x2.
+campaign::SweepSpec tiny_random_sweep(std::vector<int> elevations, std::size_t apps) {
+  campaign::SweepSpec spec;
+  spec.name = "probe";
+  spec.kind = campaign::SweepKind::Random;
+  spec.n = 10;
+  spec.rows = 2;
+  spec.cols = 2;
+  spec.elevations = std::move(elevations);
+  spec.apps = apps;
+  return spec;
+}
+
+TEST(SweepReport, MeansAreNormalizedAndFailuresBounded) {
+  const campaign::SweepPlan plan(tiny_random_sweep({1, 2}, 3), "mesh");
+  const auto rep =
+      campaign::sweep_report(plan.spec(), "mesh", plan.run_all(/*threads=*/2));
+  ASSERT_EQ(rep.heuristics.size(), 5u);
+  ASSERT_EQ(rep.cells.size(), campaign::random_ccrs().size() * 2);
+  for (const auto& cell : rep.cells) {
+    ASSERT_EQ(cell.values.size(), 5u);
+    ASSERT_EQ(cell.failures.size(), 5u);
+    EXPECT_EQ(cell.workloads, 3u);
+    double max_mean = 0;
+    for (std::size_t h = 0; h < 5; ++h) {
+      EXPECT_GE(cell.values[h], 0.0);
+      EXPECT_LE(cell.values[h], 1.0 + 1e-12);
+      EXPECT_LE(cell.failures[h], 3u);
+      max_mean = std::max(max_mean, cell.values[h]);
+    }
+    // The best heuristic of each workload contributes 1.0; hence at least
+    // one heuristic has a strictly positive mean.
+    EXPECT_GT(max_mean, 0.0);
+  }
+}
+
+TEST(SweepReport, ZeroAppsKeepsCellsFullWidth) {
+  // Regression: --apps=0 produced zero-width cells and the figure printer
+  // indexed past them (segfault).  Cells must stay heuristic-width.
+  const auto spec = tiny_random_sweep({1, 2}, 0);
+  const campaign::SweepPlan plan(spec, "mesh");
+  EXPECT_EQ(plan.instance_count(), 0u);
+  const auto rep = campaign::sweep_report(spec, "mesh", plan.run_all(1));
+  ASSERT_EQ(rep.cells.size(), campaign::random_ccrs().size() * 2);
+  for (const auto& cell : rep.cells) {
+    EXPECT_EQ(cell.values.size(), rep.heuristics.size());
+    EXPECT_EQ(cell.failures.size(), rep.heuristics.size());
+    EXPECT_EQ(cell.workloads, 0u);
+  }
+}
+
+TEST(SweepReport, StreamitCellsCarryEnergyOverMinAndFailures) {
+  campaign::SweepSpec spec;
+  spec.name = "probe";
+  spec.kind = campaign::SweepKind::Streamit;
+  spec.solvers = {"random", "greedy", "dpa2d"};
+  // Instance k: the first solver fails, the others spend 2 J and (2 + k) J.
+  std::vector<campaign::InstanceResult> results;
+  for (std::size_t k = 0; k < 48; ++k) {
+    const double e = 2.0 + static_cast<double>(k);
+    results.push_back({0.5, {0.0, 2.0, e}, {0, 1, 1}});
+  }
+  const auto rep = campaign::sweep_report(spec, "mesh", results);
+  EXPECT_EQ(rep.metric, "normalized_energy");
+  ASSERT_EQ(rep.cells.size(), 48u);
+  for (std::size_t k = 0; k < rep.cells.size(); ++k) {
+    const auto& cell = rep.cells[k];
+    EXPECT_EQ(cell.period, 0.5);
+    EXPECT_EQ(cell.workloads, 1u);
+    EXPECT_EQ(cell.values, (std::vector<double>{0.0, 1.0, 1.0 + k / 2.0})) << k;
+    EXPECT_EQ(cell.failures, (std::vector<std::size_t>{1, 0, 0})) << k;
+  }
+  // A short result list is an error, not a short report.
+  results.pop_back();
+  EXPECT_THROW((void)campaign::sweep_report(spec, "mesh", results),
+               std::invalid_argument);
 }
 
 TEST(BenchReport, WritesWellFormedStableJson) {
@@ -128,23 +171,6 @@ TEST(BenchReport, WritesWellFormedStableJson) {
   // Balanced braces/brackets (cheap well-formedness proxy without a parser).
   EXPECT_EQ(std::count(s.begin(), s.end(), '{'), std::count(s.begin(), s.end(), '}'));
   EXPECT_EQ(std::count(s.begin(), s.end(), '['), std::count(s.begin(), s.end(), ']'));
-}
-
-TEST(BenchCell, FromCampaignRecordsFailuresAndNormalization) {
-  const auto p = test::grid2x2();
-  const spg::Spg g = test::random_workload(3, 10, 2, 10.0);
-  const auto c = harness::run_campaign(g, p, heuristics::make_paper_heuristics(5));
-  const auto cell = harness::cell_from_campaign({{"app", "probe"}}, c);
-  ASSERT_EQ(cell.values.size(), c.results.size());
-  for (std::size_t h = 0; h < c.results.size(); ++h) {
-    if (c.results[h].success) {
-      EXPECT_GE(cell.values[h], 1.0 - 1e-12);
-      EXPECT_EQ(cell.failures[h], 0u);
-    } else {
-      EXPECT_EQ(cell.values[h], 0.0);
-      EXPECT_EQ(cell.failures[h], 1u);
-    }
-  }
 }
 
 TEST(Json, NumberFormattingRoundTripsAndIsStable) {
@@ -207,21 +233,6 @@ TEST(Json, EscapesControlAndQuoteCharacters) {
   EXPECT_EQ(util::json_escape("a\\b"), "a\\\\b");
   EXPECT_EQ(util::json_escape("a\nb\tc"), "a\\nb\\tc");
   EXPECT_EQ(util::json_escape(std::string(1, '\x01')), "\\u0001");
-}
-
-TEST(BenchCommon, RandomReportWithZeroAppsStaysWellFormed) {
-  // Regression: --apps=0 produced zero-width cells and the figure printer
-  // indexed past them (segfault).  Cells must stay heuristic-width.
-  const auto rep = bench::random_report("probe", 10, 2, 2, {1, 2}, 0, 1);
-  ASSERT_EQ(rep.cells.size(), bench::random_ccrs().size() * 2);
-  for (const auto& cell : rep.cells) {
-    EXPECT_EQ(cell.values.size(), rep.heuristics.size());
-    EXPECT_EQ(cell.failures.size(), rep.heuristics.size());
-    EXPECT_EQ(cell.workloads, 0u);
-  }
-  std::ostringstream os;
-  bench::print_random_report(rep, os, 10, 2, 2, 2);
-  EXPECT_FALSE(os.str().empty());
 }
 
 TEST(Checkers, TableComparisonToleratesNumericNoise) {

@@ -10,7 +10,8 @@
 #include <sstream>
 #include <vector>
 
-#include "harness/sweep_engine.hpp"
+#include "campaign/report.hpp"
+#include "campaign/runner.hpp"
 #include "mapping/evaluator.hpp"
 #include "support/checkers.hpp"
 #include "support/fixtures.hpp"
@@ -211,8 +212,7 @@ TEST(Topology, AllFiveHeuristicsValidOnTorus) {
   // Relaxed enough that every heuristic (including Random's trials) finds a
   // mapping; validity at the bound is what this test audits.
   const double T = test::period_for_cores(g, 2.0);
-  const auto hs = heuristics::make_paper_heuristics();
-  for (const auto& h : hs) {
+  for (const auto& h : solve::SolverSet::paper().instantiate()) {
     const auto r = h->run(g, p, T);
     test::expect_valid_result(r, g, p, T, h->name() + " on torus");
   }
@@ -223,7 +223,7 @@ TEST(Topology, HeuristicsOnSnakeAndHeteroAreAudited) {
   for (const auto& name : {std::string("snake"), std::string("hetero")}) {
     const auto p = cmp::Platform::reference(name, 4, 4);
     const double T = test::pick_period(g, p, 0.4);
-    for (const auto& h : heuristics::make_paper_heuristics()) {
+    for (const auto& h : solve::SolverSet::paper().instantiate()) {
       const auto r = h->run(g, p, T);
       if (r.success) {
         test::expect_valid_mapping(g, p, r.mapping, T, h->name() + " on " + name);
@@ -359,35 +359,20 @@ TEST(Evaluator, MoveProtocolGuards) {
 
 // -------------------------------------------------------- determinism ----
 
-/// Serialize a topology sweep (StreamIt-sized random batch on the given
-/// fabric) into a JSON string via the BenchReport writer.
+/// A topology sweep (random batch on a 3x3 fabric) through the real report
+/// path, SweepPlan::run_all and sweep_report, as BENCH JSON bytes.
 std::string sweep_fingerprint(const std::string& topology, std::size_t threads) {
-  const auto p = cmp::Platform::reference(topology, 3, 3);
-  harness::SweepEngineOptions opt;
-  opt.threads = threads;
-  const harness::SweepEngine engine(opt);
-  const auto campaigns = engine.run_generated(
-      6, 42,
-      [](std::size_t, util::Rng& rng) {
-        spg::Spg g = spg::random_spg(16, 4, rng);
-        g.rescale_ccr(1.0);
-        return g;
-      },
-      p, [] { return heuristics::make_paper_heuristics(); });
-
-  harness::BenchReport rep;
-  rep.name = "topology_determinism_" + topology;
-  rep.metric = "normalized_energy";
-  rep.meta = {{"topology", topology}};
-  for (const auto& h : heuristics::make_paper_heuristics()) {
-    rep.heuristics.push_back(h->name());
-  }
-  for (std::size_t i = 0; i < campaigns.size(); ++i) {
-    rep.cells.push_back(harness::cell_from_campaign(
-        {{"instance", std::to_string(i)}}, campaigns[i]));
-  }
+  campaign::SweepSpec spec;
+  spec.name = "topology_determinism_" + topology;
+  spec.kind = campaign::SweepKind::Random;
+  spec.n = 16;
+  spec.rows = 3;
+  spec.cols = 3;
+  spec.elevations = {4};
+  spec.apps = 2;
+  const campaign::SweepPlan plan(spec, topology);
   std::ostringstream os;
-  rep.write_json(os);
+  campaign::sweep_report(spec, topology, plan.run_all(threads)).write_json(os);
   return os.str();
 }
 

@@ -3,8 +3,8 @@
 
 #include <gtest/gtest.h>
 
-#include "heuristics/heuristic.hpp"
 #include "heuristics/refine.hpp"
+#include "solve/registry.hpp"
 #include "spg/compose.hpp"
 #include "spg/generator.hpp"
 #include "spg/tree.hpp"
@@ -73,7 +73,7 @@ TEST(TreeToSpg, MappableByHeuristics) {
   const auto p = cmp::Platform::reference(3, 3);
   const double T = test::period_for_cores(g, 4.0);
   std::size_t ok = 0;
-  for (const auto& h : heuristics::make_paper_heuristics(92)) {
+  for (const auto& h : solve::SolverSet::paper(92).instantiate()) {
     const auto r = h->run(g, p, T);
     if (r.success) {
       ++ok;
@@ -90,7 +90,7 @@ TEST(Refine, NeverIncreasesEnergy) {
     spg::Spg g = spg::random_spg(18, 3, rng);
     g.rescale_ccr(1.0);
     const double T = test::period_for_cores(g, 3.0);
-    for (const auto& h : heuristics::make_paper_heuristics(93)) {
+    for (const auto& h : solve::SolverSet::paper(93).instantiate()) {
       const auto r = h->run(g, p, T);
       if (!r.success) continue;
       const auto refined = heuristics::refine_mapping(g, p, T, r.mapping);

@@ -28,6 +28,7 @@
 #include <iostream>
 #include <sstream>
 
+#include "campaign/runner.hpp"
 #include "harness/experiment.hpp"
 #include "heuristics/ilp.hpp"
 #include "obs/obs.hpp"
@@ -137,6 +138,7 @@ int cmd_map(const util::Args& args) {
   }
   util::Table t({"solver", "status", "energy (mJ)", "E/Emin", "cores", "ms",
                  "evals"});
+  const auto summary = campaign::summarize(c);
   for (std::size_t h = 0; h < c.results.size(); ++h) {
     const auto& r = c.results[h];
     const std::string ms = util::fmt_double(c.stats[h].wall_seconds * 1e3, 2);
@@ -146,7 +148,7 @@ int cmd_map(const util::Args& args) {
       continue;
     }
     t.add_row({c.names[h], "ok", util::fmt_double(r.eval.energy * 1e3),
-               util::fmt_double(c.normalized_energy(h), 4),
+               util::fmt_double(summary.normalized_energy(h), 4),
                std::to_string(r.eval.active_cores), ms, evals});
   }
   t.print(std::cout);
