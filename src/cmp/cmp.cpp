@@ -13,26 +13,6 @@ Grid::Grid(int rows, int cols, double bandwidth_bytes_per_s)
   if (bandwidth_ <= 0) throw std::invalid_argument("Grid: bandwidth must be > 0");
 }
 
-bool Grid::has_neighbor(CoreId c, Dir d) const noexcept {
-  switch (d) {
-    case Dir::North: return c.row > 0;
-    case Dir::South: return c.row + 1 < rows_;
-    case Dir::West: return c.col > 0;
-    case Dir::East: return c.col + 1 < cols_;
-  }
-  return false;
-}
-
-CoreId Grid::neighbor(CoreId c, Dir d) const noexcept {
-  switch (d) {
-    case Dir::North: return CoreId{c.row - 1, c.col};
-    case Dir::South: return CoreId{c.row + 1, c.col};
-    case Dir::West: return CoreId{c.row, c.col - 1};
-    case Dir::East: return CoreId{c.row, c.col + 1};
-  }
-  return c;
-}
-
 int Grid::link_index(LinkId l) const {
   if (!contains(l.from) || !has_neighbor(l.from, l.dir)) {
     throw std::out_of_range("Grid::link_index: invalid link");

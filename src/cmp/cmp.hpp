@@ -72,8 +72,24 @@ class Grid {
 
   /// Neighbor in a given direction; `contains()` must be checked by caller
   /// via `has_neighbor`.
-  [[nodiscard]] bool has_neighbor(CoreId c, Dir d) const noexcept;
-  [[nodiscard]] CoreId neighbor(CoreId c, Dir d) const noexcept;
+  [[nodiscard]] bool has_neighbor(CoreId c, Dir d) const noexcept {
+    switch (d) {
+      case Dir::North: return c.row > 0;
+      case Dir::South: return c.row + 1 < rows_;
+      case Dir::West: return c.col > 0;
+      case Dir::East: return c.col + 1 < cols_;
+    }
+    return false;
+  }
+  [[nodiscard]] CoreId neighbor(CoreId c, Dir d) const noexcept {
+    switch (d) {
+      case Dir::North: return CoreId{c.row - 1, c.col};
+      case Dir::South: return CoreId{c.row + 1, c.col};
+      case Dir::West: return CoreId{c.row, c.col - 1};
+      case Dir::East: return CoreId{c.row, c.col + 1};
+    }
+    return c;
+  }
 
   /// Dense index of a directed link, for per-link load accumulators.
   /// Valid links get indices in [0, link_count()).
@@ -221,7 +237,11 @@ class Topology {
  private:
   Topology(TopologyKind kind, std::string name, Grid grid);
   void build_route_table();
-  void append_route(CoreId src, CoreId dst);
+  /// Hop count of the default route, without walking it.
+  [[nodiscard]] int hops(CoreId src, CoreId dst) const noexcept;
+  /// Write the default route from src to dst into both pools from `at`;
+  /// returns the position after its last hop.
+  std::size_t write_route(CoreId src, CoreId dst, std::size_t at);
 
   TopologyKind kind_;
   std::string name_;

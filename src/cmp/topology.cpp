@@ -1,6 +1,8 @@
 #include "cmp/cmp.hpp"
 
+#include <algorithm>
 #include <cassert>
+#include <cstdlib>
 #include <stdexcept>
 #include <utility>
 
@@ -136,10 +138,40 @@ int Topology::distance(int src_core, int dst_core) const noexcept {
   return static_cast<int>(route_begin_[p + 1] - route_begin_[p]);
 }
 
-void Topology::append_route(CoreId src, CoreId dst) {
+namespace {
+
+/// Steps from coordinate `from` forward to `to` around a ring of `size`.
+int torus_offset(int from, int to, int size) noexcept {
+  const int d = to - from;
+  return d < 0 ? d + size : d;
+}
+
+}  // namespace
+
+int Topology::hops(CoreId src, CoreId dst) const noexcept {
+  switch (kind_) {
+    case TopologyKind::Mesh:
+    case TopologyKind::HeteroMesh: return grid_.manhattan(src, dst);
+    case TopologyKind::Snake:
+      return std::abs(grid_.snake_position(src) - grid_.snake_position(dst));
+    case TopologyKind::Torus: {
+      const int cols = grid_.cols(), rows = grid_.rows();
+      const int east = torus_offset(src.col, dst.col, cols);
+      const int south = torus_offset(src.row, dst.row, rows);
+      return std::min(east, cols - east) + std::min(south, rows - south);
+    }
+  }
+  return 0;
+}
+
+std::size_t Topology::write_route(CoreId src, CoreId dst, std::size_t at) {
   CoreId cur = src;
+  // Each hop is written with its dense link index (link_index() without
+  // the existence check: every hop below follows a link of this topology).
   const auto step = [&](Dir d) {
-    route_pool_.push_back(LinkId{cur, d});
+    route_pool_[at] = LinkId{cur, d};
+    route_link_pool_[at] = grid_.core_index(cur) * 4 + static_cast<int>(d);
+    ++at;
     cur = link_target(cur, d);
   };
 
@@ -170,11 +202,11 @@ void Topology::append_route(CoreId src, CoreId dst) {
     case TopologyKind::Torus: {
       // Per dimension: the shorter way around, ties toward East/South.
       const int cols = grid_.cols(), rows = grid_.rows();
-      const int east = ((dst.col - cur.col) % cols + cols) % cols;
+      const int east = torus_offset(cur.col, dst.col, cols);
       const Dir h = east <= cols - east ? Dir::East : Dir::West;
       const int hops_h = h == Dir::East ? east : cols - east;
       for (int k = 0; k < hops_h; ++k) step(h);
-      const int south = ((dst.row - cur.row) % rows + rows) % rows;
+      const int south = torus_offset(cur.row, dst.row, rows);
       const Dir v = south <= rows - south ? Dir::South : Dir::North;
       const int hops_v = v == Dir::South ? south : rows - south;
       for (int k = 0; k < hops_v; ++k) step(v);
@@ -182,23 +214,31 @@ void Topology::append_route(CoreId src, CoreId dst) {
     }
   }
   assert(cur == dst);
+  return at;
 }
 
 void Topology::build_route_table() {
-  const auto n = static_cast<std::size_t>(core_count());
-  route_begin_.assign(n * n + 1, 0);
-  route_pool_.clear();
+  const int n = core_count();
+  // Hop counts first, so both pools are sized once and exactly.
+  route_begin_.resize(static_cast<std::size_t>(n) * static_cast<std::size_t>(n) + 1);
   std::size_t p = 0;
-  for (int s = 0; s < core_count(); ++s) {
-    for (int d = 0; d < core_count(); ++d, ++p) {
-      route_begin_[p] = static_cast<std::uint32_t>(route_pool_.size());
-      if (s != d) append_route(grid_.core_at(s), grid_.core_at(d));
+  std::uint32_t total = 0;
+  for (int s = 0; s < n; ++s) {
+    for (int d = 0; d < n; ++d, ++p) {
+      route_begin_[p] = total;
+      total += static_cast<std::uint32_t>(hops(grid_.core_at(s), grid_.core_at(d)));
     }
   }
-  route_begin_[p] = static_cast<std::uint32_t>(route_pool_.size());
-  route_link_pool_.resize(route_pool_.size());
-  for (std::size_t i = 0; i < route_pool_.size(); ++i) {
-    route_link_pool_[i] = link_index(route_pool_[i]);
+  route_begin_[p] = total;
+  route_pool_.resize(total);
+  route_link_pool_.resize(total);
+  p = 0;
+  for (int s = 0; s < n; ++s) {
+    for (int d = 0; d < n; ++d, ++p) {
+      [[maybe_unused]] const std::size_t end =
+          write_route(grid_.core_at(s), grid_.core_at(d), route_begin_[p]);
+      assert(end == route_begin_[p + 1]);
+    }
   }
 }
 

@@ -61,14 +61,24 @@ class BlockArena {
 enum class Outcome { Ok, Budget, Infeasible, Internal };
 constexpr const char* kOutcomeNames[] = {"ok", "budget", "infeasible", "internal"};
 
+/// Most ideals a graph may have for its states to be looked up by rank: the
+/// dense array costs 4 bytes per ideal up front (16 MB here), however few
+/// states a solve reaches.  The default state budget (200k) is far below.
+constexpr std::uint64_t kMaxDenseIdeals = std::uint64_t{1} << 22;
+
 /// DP machinery shared by the forward pass and the backward reconstruction.
 ///
 /// States are the nonempty order ideals the forward pass reaches, with
 /// dense ids in insertion order.  State `id` owns a row of stage-set words
-/// and a row of r DP values in block arenas, and an open-addressing table
-/// maps a set's hash to its id.  A set's hash is the XOR of per-stage
-/// random keys, so the walk keeps the hash of G ∪ H current in O(1) per
-/// added or removed stage.
+/// and a row of r DP values in block arenas.  A set's key is the wrapping
+/// sum of per-stage keys, so the walk keeps the key of G ∪ H current in
+/// O(1) per added or removed stage, and the key leads to the set's id:
+/// - on an SP graph with at most kMaxDenseIdeals ideals, the stage keys are
+///   the rank weights of spg::SpTree::ideal_rank, so a set's key is its
+///   perfect rank and `id_of_[key]` its id, with no stage set compared;
+/// - otherwise (non-SP graphs, which only explicit `spg` text produces, and
+///   state budgets far above the default) the stage keys are random and an
+///   open-addressing table maps a key to its id, comparing stage sets.
 class Dpa1dSolver {
  public:
   Dpa1dSolver(const spg::Spg& graph, const cmp::Platform& plat, double period,
@@ -78,12 +88,10 @@ class Dpa1dSolver {
         nw_((n_ + 63) / 64), cut_cap_(period * plat.grid().bandwidth()), words_(nw_),
         rows_(r_), gh_(nw_, 0), ready_(n_), pending_(n_, 0),
         by_topo_(graph.topological_order()), key_(n_), work_(n_), succ_begin_(n_ + 1, 0),
-        table_(1024, Slot{0, kEmpty}), buckets_(n_ + 1) {
+        buckets_(n_ + 1) {
     std::vector<std::size_t> topo_idx(n_);
-    std::uint64_t key_state = 0;
     for (std::size_t pos = 0; pos < n_; ++pos) {
       topo_idx[by_topo_[pos]] = pos;
-      key_[pos] = util::splitmix64(key_state);
       work_[pos] = g_.stage(by_topo_[pos]).work;
     }
     // Edges stay in edge-id order, the order cut sums add in; successors
@@ -121,14 +129,14 @@ class Dpa1dSolver {
   [[nodiscard]] std::size_t expansions() const noexcept {
     return std::min(expansions_, opt_.max_expansions);
   }
+  /// The pre-pass's ideal count, max_states + 1 when over the budget.
+  [[nodiscard]] std::uint64_t ideals() const noexcept { return ideals_; }
+  /// Whether states are looked up by rank rather than by hash.
+  [[nodiscard]] bool by_rank() const noexcept { return by_rank_; }
 
   /// Forward pass.  Returns false if a budget was exceeded.
   bool solve() {
-    // Fast pre-pass: the number of DP states is the ideal count of the
-    // stage poset (the n^ymax blowup of Theorem 1).  On SP graphs this is
-    // an O(n + m) tree recurrence, so hopeless instances are rejected
-    // before the DP allocates anything.
-    if (spg::ideal_count(g_, opt_.max_states) > opt_.max_states) return false;
+    if (!index_ideals()) return false;
     const double comm_e = p_.comm.energy_per_byte;
 
     // Seed: first cluster (no incoming cut); from the empty ideal the
@@ -184,6 +192,34 @@ class Dpa1dSolver {
         walk(ready_.find_first(), 0.0, extend);
         if (budget_blown_) return false;
       }
+    }
+    return true;
+  }
+
+  /// Pre-pass: the number of DP states is the ideal count of the stage poset
+  /// (the n^ymax blowup of Theorem 1).  On SP graphs one decomposition
+  /// yields the count, by an O(n + m) tree recurrence, and the rank, so
+  /// hopeless instances are rejected before the DP allocates anything.
+  /// Returns false on more than max_states ideals; otherwise sets up the
+  /// state lookup and the stage keys.
+  bool index_ideals() {
+    const std::uint64_t cap = opt_.max_states;
+    spg::SpTree::IdealRank rank;
+    if (const auto tree = spg::SpTree::decompose(g_)) {
+      rank = tree->ideal_rank(std::max(cap, kMaxDenseIdeals));
+      by_rank_ = rank.count <= kMaxDenseIdeals;
+    } else {
+      rank.count = spg::ideal_count_enumerated(g_, cap);
+    }
+    ideals_ = std::min(rank.count, cap + 1);
+    if (ideals_ > cap) return false;
+    if (by_rank_) {
+      for (std::size_t pos = 0; pos < n_; ++pos) key_[pos] = rank.weight[by_topo_[pos]];
+      id_of_.assign(rank.count, kEmpty);
+    } else {
+      std::uint64_t key_state = 0;
+      for (auto& key : key_) key = util::splitmix64(key_state);
+      table_.assign(1024, Slot{0, kEmpty});
     }
     return true;
   }
@@ -251,7 +287,7 @@ class Dpa1dSolver {
     double bytes;
   };
   struct Slot {
-    std::uint64_t hash;
+    std::uint64_t key;
     std::uint32_t id;
   };
   static constexpr std::uint32_t kEmpty = std::numeric_limits<std::uint32_t>::max();
@@ -283,7 +319,7 @@ class Dpa1dSolver {
   /// Add stage `pos`, which must be ready, to G ∪ H.
   void add(std::size_t pos) {
     flip(gh_.data(), pos);
-    gh_hash_ ^= key_[pos];
+    gh_key_ += key_[pos];
     ++gh_count_;
     ready_.reset(pos);
     for (std::size_t s = succ_begin_[pos]; s < succ_begin_[pos + 1]; ++s) {
@@ -298,7 +334,7 @@ class Dpa1dSolver {
     }
     ready_.set(pos);
     --gh_count_;
-    gh_hash_ ^= key_[pos];
+    gh_key_ -= key_[pos];
     flip(gh_.data(), pos);
   }
 
@@ -373,35 +409,60 @@ class Dpa1dSolver {
     return rec(rec, n_, 0.0);
   }
 
-  /// The slot holding set `w` of hash `hash`, or the empty slot it would
-  /// take.  Stored words are compared only on a hash match.
-  [[nodiscard]] std::size_t probe(std::uint64_t hash, const std::uint64_t* w) const {
+  /// The id_of_ entry of the ideal of rank `rank`.
+  [[nodiscard]] std::uint32_t& id_of(std::uint64_t rank) {
+    assert(rank < id_of_.size() && "an ideal's rank lies in [0, ideal count)");
+    return id_of_[rank];
+  }
+
+  /// The slot holding set `w` of key `key`, or the empty slot it would
+  /// take.  Stored words are compared only on a key match.
+  [[nodiscard]] std::size_t probe(std::uint64_t key, const std::uint64_t* w) const {
     const std::size_t mask = table_.size() - 1;
-    std::size_t slot = hash & mask;
+    std::size_t slot = key & mask;
     while (table_[slot].id != kEmpty &&
-           (table_[slot].hash != hash || !std::equal(w, w + nw_, words_[table_[slot].id]))) {
+           (table_[slot].key != key || !std::equal(w, w + nw_, words_[table_[slot].id]))) {
       slot = (slot + 1) & mask;
     }
     return slot;
   }
 
-  /// Id of the state holding set `w`, if any.
-  [[nodiscard]] std::optional<std::uint32_t> find(const std::uint64_t* w) const {
-    std::uint64_t hash = 0;
+  /// Id of the state holding ideal `w`, if any.
+  [[nodiscard]] std::optional<std::uint32_t> find(const std::uint64_t* w) {
+    std::uint64_t key = 0;
     for (std::size_t pos = 0; pos < n_; ++pos) {
-      if (test(w, pos)) hash ^= key_[pos];
+      if (test(w, pos)) key += key_[pos];
     }
-    const Slot& s = table_[probe(hash, w)];
-    if (s.id == kEmpty) return std::nullopt;
-    return s.id;
+    const std::uint32_t id = by_rank_ ? id_of(key) : table_[probe(key, w)].id;
+    if (id == kEmpty) return std::nullopt;
+    return id;
   }
 
-  /// Id of the state holding G ∪ H, inserted with an all-infinite row when
-  /// new.  A new id also joins the bucket of its set size, and bucket order
-  /// is the order states expand in.
+  /// Id of the state holding G ∪ H, inserted when new.
   std::uint32_t find_or_insert() {
-    const std::size_t slot = probe(gh_hash_, gh_.data());
+    if (by_rank_) {
+      std::uint32_t& id = id_of(gh_key_);
+      if (id == kEmpty) id = insert();
+      return id;
+    }
+    const std::size_t slot = probe(gh_key_, gh_.data());
     if (table_[slot].id != kEmpty) return table_[slot].id;
+    const std::uint32_t id = insert();
+    table_[slot] = {gh_key_, id};
+    if (2 * states() > table_.size()) {  // keep the load at most 1/2
+      std::vector<Slot> old(2 * table_.size(), Slot{0, kEmpty});
+      old.swap(table_);
+      for (const Slot& s : old) {
+        if (s.id != kEmpty) table_[probe(s.key, words_[s.id])] = s;
+      }
+    }
+    return id;
+  }
+
+  /// A new state holding G ∪ H, with an all-infinite row.  It also joins
+  /// the bucket of its set size, and bucket order is the order states
+  /// expand in.
+  std::uint32_t insert() {
     const auto id = static_cast<std::uint32_t>(states());
     assert(id < opt_.max_states &&
            "every state is a distinct nonempty ideal, and solve()'s pre-pass "
@@ -409,14 +470,6 @@ class Dpa1dSolver {
     std::copy(gh_.begin(), gh_.end(), words_.push(0));
     rows_.push(kInf);
     buckets_[gh_count_].push_back(id);
-    table_[slot] = {gh_hash_, id};
-    if (2 * states() > table_.size()) {  // keep the load at most 1/2
-      std::vector<Slot> old(2 * table_.size(), Slot{0, kEmpty});
-      old.swap(table_);
-      for (const Slot& s : old) {
-        if (s.id != kEmpty) table_[probe(s.hash, words_[s.id])] = s;
-      }
-    }
     return id;
   }
 
@@ -442,11 +495,11 @@ class Dpa1dSolver {
   BlockArena<std::uint64_t> words_;
   BlockArena<double> rows_;
 
-  // The walk: G ∪ H with its hash and size, the ready frontier (stages
+  // The walk: G ∪ H with its key and size, the ready frontier (stages
   // outside G ∪ H whose predecessors are all in it), and per position the
   // in-edges whose source is outside G ∪ H.
   Words gh_;
-  std::uint64_t gh_hash_ = 0;
+  std::uint64_t gh_key_ = 0;
   std::size_t gh_count_ = 0;
   util::DynBitset ready_;
   std::vector<int> pending_;
@@ -459,7 +512,12 @@ class Dpa1dSolver {
   std::vector<std::size_t> succ_begin_;
   std::vector<std::size_t> succ_;
 
-  std::vector<Slot> table_;  // open addressing, power-of-two size
+  // The state lookup: by rank, or by hash in an open-addressing table of
+  // power-of-two size.
+  std::uint64_t ideals_ = 0;
+  bool by_rank_ = false;
+  std::vector<std::uint32_t> id_of_;
+  std::vector<Slot> table_;
   std::vector<std::vector<std::uint32_t>> buckets_;  // state ids by set size
 
   std::size_t expansions_ = 0;
@@ -479,6 +537,8 @@ Result Dpa1dHeuristic::run(const spg::Spg& g, const cmp::Platform& p, double T) 
       span.detail("states", static_cast<std::uint64_t>(solver.states()));
       span.detail("expansions", static_cast<std::uint64_t>(solver.expansions()));
       span.detail("outcome", kOutcomeNames[static_cast<int>(outcome)]);
+      span.detail("ideals", solver.ideals());
+      span.detail("lookup", solver.by_rank() ? "rank" : "hash");
     }
   }
   switch (outcome) {

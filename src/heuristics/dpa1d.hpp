@@ -34,7 +34,9 @@ class Dpa1dHeuristic final : public Heuristic {
     /// Cap on the DP table, enforced before the DP starts: the solve fails
     /// with "budget" when the stage poset has more than max_states order
     /// ideals (spg::ideal_count, the empty ideal included).  Every DP state
-    /// is a nonempty ideal, so the table stays below the cap.
+    /// is a nonempty ideal, so the table stays below the cap.  On an SP
+    /// graph with at most 2^22 ideals, states are looked up by the ideal's
+    /// perfect rank in an array of 4 bytes per ideal; otherwise by hash.
     std::size_t max_states = 200000;
     /// Cap on candidate clusters.  A candidate is a cluster H added to an
     /// ideal G such that G ∪ H is again an ideal and w(H) <= T * s_max *

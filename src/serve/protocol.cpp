@@ -15,13 +15,32 @@ namespace {
 
 using util::JsonValue;
 
-/// `doc.key` as a positive integral count; RequestError on anything else.
+/// Largest grid side a request may ask for.  Every request, hit or miss,
+/// builds its platform's route table: (rows*cols)^2 routes of up to
+/// rows + cols hops, so time and memory grow as side^5 (34 ms at 16x16,
+/// ~11 GB at 64x64).
+constexpr std::size_t kMaxGridSide = 16;
+/// Most stages (and so largest elevation) a generated graph may have.
+/// Explicit `spg` text is bounded by the frame cap; a generator request
+/// is a few bytes whatever its n.
+constexpr std::size_t kMaxGeneratedStages = 10000;
+
+/// `doc.key` as an integer in [lo, hi]; RequestError on anything else.
 std::size_t integral_member(const JsonValue& obj, std::string_view key,
-                            std::size_t lo) {
+                            std::size_t lo, std::size_t hi = 1'000'000'000'000) {
   const double v = obj.at(key).as_number("request '" + std::string(key) + "'");
-  if (!(v >= static_cast<double>(lo)) || v != std::floor(v) || v > 1e12) {
-    throw RequestError("request '" + std::string(key) +
-                       "': expected an integer >= " + std::to_string(lo));
+  if (!(v >= static_cast<double>(lo)) || v != std::floor(v) ||
+      v > static_cast<double>(hi)) {
+    // Appended rather than operator+ chained: GCC 12's -Wrestrict
+    // false-positives on literal + std::to_string concatenations at -O2.
+    std::string msg = "request '";
+    msg += key;
+    msg += "': expected an integer in [";
+    msg += std::to_string(lo);
+    msg += ", ";
+    msg += std::to_string(hi);
+    msg += ']';
+    throw RequestError(msg);
   }
   return static_cast<std::size_t>(v);
 }
@@ -66,7 +85,7 @@ spg::Spg build_spg(const JsonValue& doc) {
       throw RequestError("request 'generator': expected an object");
     }
     check_keys(*gen, "request 'generator'", {"n", "ymax", "seed", "ccr"});
-    const std::size_t n = integral_member(*gen, "n", 1);
+    const std::size_t n = integral_member(*gen, "n", 1, kMaxGeneratedStages);
     const std::uint64_t seed =
         gen->find("seed") != nullptr
             ? static_cast<std::uint64_t>(integral_member(*gen, "seed", 0))
@@ -75,8 +94,9 @@ spg::Spg build_spg(const JsonValue& doc) {
     spg::Spg g;
     try {
       if (gen->find("ymax") != nullptr) {
-        g = spg::random_spg(n, static_cast<int>(integral_member(*gen, "ymax", 1)),
-                            rng);
+        g = spg::random_spg(
+            n, static_cast<int>(integral_member(*gen, "ymax", 1, kMaxGeneratedStages)),
+            rng);
       } else {
         g = spg::random_spg_free(n, rng);
       }
@@ -94,20 +114,17 @@ spg::Spg build_spg(const JsonValue& doc) {
   }
 
   // streamit: a bare Table-1 index, or {"index": i, "ccr": x}.
+  const std::size_t apps = spg::streamit_table().size();
   int index = 0;
   double ccr = 0.0;
   if (streamit->type == JsonValue::Type::Object) {
     check_keys(*streamit, "request 'streamit'", {"index", "ccr"});
-    index = static_cast<int>(integral_member(*streamit, "index", 1));
+    index = static_cast<int>(integral_member(*streamit, "index", 1, apps));
     if (const JsonValue* c = streamit->find("ccr")) {
       ccr = c->as_number("request 'streamit.ccr'");
     }
   } else {
-    const double v = streamit->as_number("request 'streamit'");
-    if (v < 1 || v != std::floor(v)) {
-      throw RequestError("request 'streamit': expected a 1-based index");
-    }
-    index = static_cast<int>(v);
+    index = static_cast<int>(integral_member(doc, "streamit", 1, apps));
   }
   try {
     return spg::make_streamit(index, ccr);
@@ -127,8 +144,8 @@ cmp::Platform build_platform(const JsonValue& doc) {
   if (const JsonValue* n = topo->find("name")) {
     name = n->as_string("request 'topology.name'");
   }
-  const int rows = static_cast<int>(integral_member(*topo, "rows", 1));
-  const int cols = static_cast<int>(integral_member(*topo, "cols", 1));
+  const int rows = static_cast<int>(integral_member(*topo, "rows", 1, kMaxGridSide));
+  const int cols = static_cast<int>(integral_member(*topo, "cols", 1, kMaxGridSide));
   // Propagates TopologyError on unknown names (answered with code 2 and
   // the same message the CLIs print).
   return cmp::Platform::reference(name, rows, cols);

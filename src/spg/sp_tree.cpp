@@ -1,7 +1,6 @@
 #include "spg/sp_tree.hpp"
 
 #include <algorithm>
-#include <map>
 #include <unordered_map>
 
 #include "util/bitset.hpp"
@@ -14,7 +13,6 @@ namespace {
 struct RedEdge {
   StageId src, dst;
   int tree;
-  bool alive = true;
 };
 
 std::uint64_t sat_add(std::uint64_t a, std::uint64_t b, std::uint64_t cap) {
@@ -29,8 +27,8 @@ std::uint64_t sat_mul(std::uint64_t a, std::uint64_t b, std::uint64_t cap) {
   return m > cap ? cap + 1 : m;
 }
 
-/// Enumeration fallback for non-SP DAGs: BFS over ideals with a hash set,
-/// capped.  Returns cap + 1 when the count exceeds the cap.
+}  // namespace
+
 std::uint64_t ideal_count_enumerated(const Spg& g, std::uint64_t cap) {
   using util::DynBitset;
   const std::size_t n = g.size();
@@ -61,88 +59,91 @@ std::uint64_t ideal_count_enumerated(const Spg& g, std::uint64_t cap) {
   return seen.size();
 }
 
-}  // namespace
-
 std::optional<SpTree> SpTree::decompose(const Spg& g) {
-  if (g.size() < 2 || g.edge_count() == 0) return std::nullopt;
+  const std::size_t n = g.size();
+  const std::size_t m = g.edge_count();
+  if (n < 2 || m == 0) return std::nullopt;
   SpTree tree;
-  std::vector<RedEdge> edges;
-  edges.reserve(g.edge_count());
-  for (EdgeId e = 0; e < g.edge_count(); ++e) {
-    tree.nodes_.push_back(SpTreeNode{SpTreeNode::Kind::Leaf, e, -1, -1});
-    edges.push_back(RedEdge{g.edge(e).src, g.edge(e).dst,
-                            static_cast<int>(tree.nodes_.size()) - 1, true});
-  }
-  const StageId src = g.source();
-  const StageId snk = g.sink();
+  tree.stages_ = n;
+  tree.source_ = g.source();
+  tree.sink_ = g.sink();
+  tree.nodes_.reserve(2 * m - 1);
 
-  bool changed = true;
-  while (changed) {
-    changed = false;
+  // Per stage, its alive edges in and out: a degree and the XOR of their
+  // ids, which is the edge's id once the degree is 1.
+  std::vector<RedEdge> edges(m);
+  std::vector<std::size_t> in_deg(n, 0), out_deg(n, 0), in_x(n, 0), out_x(n, 0);
+  for (EdgeId e = 0; e < m; ++e) {
+    const Edge& ge = g.edge(e);
+    tree.nodes_.push_back(SpTreeNode{SpTreeNode::Kind::Leaf, e, 0, -1, -1});
+    edges[e] = RedEdge{ge.src, ge.dst, static_cast<int>(e)};
+    ++out_deg[ge.src];
+    out_x[ge.src] ^= e;
+    ++in_deg[ge.dst];
+    in_x[ge.dst] ^= e;
+  }
+  std::size_t alive = m;
 
-    // Parallel reductions: merge every group of alive edges sharing
-    // endpoints.
-    std::map<std::pair<StageId, StageId>, std::vector<std::size_t>> groups;
-    for (std::size_t i = 0; i < edges.size(); ++i) {
-      if (edges[i].alive) groups[{edges[i].src, edges[i].dst}].push_back(i);
-    }
-    for (auto& [key, ids] : groups) {
-      while (ids.size() >= 2) {
-        const std::size_t a = ids[ids.size() - 2];
-        const std::size_t b = ids.back();
-        ids.pop_back();
-        tree.nodes_.push_back(SpTreeNode{SpTreeNode::Kind::Parallel, 0,
-                                         edges[a].tree, edges[b].tree});
-        ++tree.parallel_;
-        edges[a].tree = static_cast<int>(tree.nodes_.size()) - 1;
-        edges[b].alive = false;
-        changed = true;
-      }
-    }
+  // Inner stages that may have become series vertices; each is re-checked
+  // when popped.
+  std::vector<StageId> work;
+  const auto series_vertex = [&](StageId v) {
+    return v != tree.source_ && v != tree.sink_ && in_deg[v] == 1 && out_deg[v] == 1;
+  };
+  // The alive edge per endpoint pair.  Entries naming a reduced stage go
+  // stale, but no alive edge touches that stage again.
+  std::unordered_map<std::uint64_t, std::size_t> by_ends;
+  by_ends.reserve(m);
+  const auto ends = [](StageId a, StageId b) {
+    return (static_cast<std::uint64_t>(a) << 32) | static_cast<std::uint64_t>(b);
+  };
+  // Edge `e` has just taken its endpoints: a parallel reduction if an alive
+  // edge already joins them.
+  const auto place = [&](std::size_t e) {
+    const RedEdge& ed = edges[e];
+    const auto [it, fresh] = by_ends.try_emplace(ends(ed.src, ed.dst), e);
+    if (fresh) return;
+    RedEdge& keep = edges[it->second];
+    tree.nodes_.push_back(
+        SpTreeNode{SpTreeNode::Kind::Parallel, 0, 0, keep.tree, ed.tree});
+    ++tree.parallel_;
+    keep.tree = static_cast<int>(tree.nodes_.size()) - 1;
+    --alive;
+    --out_deg[ed.src];
+    out_x[ed.src] ^= e;
+    --in_deg[ed.dst];
+    in_x[ed.dst] ^= e;
+    if (series_vertex(ed.src)) work.push_back(ed.src);
+    if (series_vertex(ed.dst)) work.push_back(ed.dst);
+  };
 
-    // Series reductions: internal vertex with exactly one alive in-edge and
-    // one alive out-edge.
-    std::vector<int> indeg(g.size(), 0), outdeg(g.size(), 0);
-    std::vector<int> in_edge(g.size(), -1), out_edge(g.size(), -1);
-    for (std::size_t i = 0; i < edges.size(); ++i) {
-      if (!edges[i].alive) continue;
-      ++outdeg[edges[i].src];
-      ++indeg[edges[i].dst];
-      out_edge[edges[i].src] = static_cast<int>(i);
-      in_edge[edges[i].dst] = static_cast<int>(i);
-    }
-    for (StageId v = 0; v < g.size(); ++v) {
-      if (v == src || v == snk) continue;
-      if (indeg[v] != 1 || outdeg[v] != 1) continue;
-      auto& e1 = edges[static_cast<std::size_t>(in_edge[v])];
-      auto& e2 = edges[static_cast<std::size_t>(out_edge[v])];
-      if (!e1.alive || !e2.alive) continue;  // may have just been reduced
-      if (e1.src == e2.dst) continue;        // would create a self-loop
-      tree.nodes_.push_back(
-          SpTreeNode{SpTreeNode::Kind::Series, 0, e1.tree, e2.tree});
-      ++tree.series_;
-      e1.dst = e2.dst;
-      e1.tree = static_cast<int>(tree.nodes_.size()) - 1;
-      e2.alive = false;
-      changed = true;
-      // Degrees are stale now; restart the scan on the next outer pass.
-      break;
-    }
+  for (EdgeId e = 0; e < m; ++e) place(e);
+  for (StageId v = n; v-- > 0;) {
+    if (series_vertex(v)) work.push_back(v);
+  }
+  while (!work.empty()) {
+    const StageId v = work.back();
+    work.pop_back();
+    if (!series_vertex(v)) continue;  // reduced already
+    const std::size_t e1 = in_x[v];
+    const std::size_t e2 = out_x[v];
+    RedEdge& a = edges[e1];
+    const RedEdge& b = edges[e2];
+    if (a.src == b.dst) continue;  // a cycle through v: never SP
+    tree.nodes_.push_back(SpTreeNode{SpTreeNode::Kind::Series, 0, v, a.tree, b.tree});
+    ++tree.series_;
+    --alive;
+    in_deg[v] = out_deg[v] = 0;
+    in_x[b.dst] ^= e2 ^ e1;  // e1 now enters b.dst in place of e2
+    a.dst = b.dst;
+    a.tree = static_cast<int>(tree.nodes_.size()) - 1;
+    place(e1);
   }
 
-  // Success iff exactly one alive edge from source to sink remains.
-  int remaining = -1;
-  for (std::size_t i = 0; i < edges.size(); ++i) {
-    if (!edges[i].alive) continue;
-    if (remaining != -1) return std::nullopt;
-    remaining = static_cast<int>(i);
-  }
-  if (remaining == -1) return std::nullopt;
-  if (edges[static_cast<std::size_t>(remaining)].src != src ||
-      edges[static_cast<std::size_t>(remaining)].dst != snk) {
-    return std::nullopt;
-  }
-  tree.root_ = edges[static_cast<std::size_t>(remaining)].tree;
+  // Success iff exactly one alive edge remains, from source to sink.
+  const auto last = by_ends.find(ends(tree.source_, tree.sink_));
+  if (alive != 1 || last == by_ends.end()) return std::nullopt;
+  tree.root_ = edges[last->second].tree;
   return tree;
 }
 
@@ -158,22 +159,51 @@ std::size_t SpTree::depth() const {
   return root_ >= 0 ? d[static_cast<std::size_t>(root_)] : 0;
 }
 
-std::uint64_t SpTree::ideal_count(std::uint64_t cap) const {
+std::vector<std::uint64_t> SpTree::inner_counts(std::uint64_t cap) const {
   // g(X): inner-stage ideal count given "source in, sink out"; see header.
   std::vector<std::uint64_t> g_of(nodes_.size(), 1);
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     const auto& nd = nodes_[i];
-    if (nd.kind == SpTreeNode::Kind::Leaf) {
-      g_of[i] = 1;
-    } else if (nd.kind == SpTreeNode::Kind::Series) {
+    if (nd.kind == SpTreeNode::Kind::Series) {
       g_of[i] = sat_add(g_of[static_cast<std::size_t>(nd.left)],
                         g_of[static_cast<std::size_t>(nd.right)], cap);
-    } else {
+    } else if (nd.kind == SpTreeNode::Kind::Parallel) {
       g_of[i] = sat_mul(g_of[static_cast<std::size_t>(nd.left)],
                         g_of[static_cast<std::size_t>(nd.right)], cap);
     }
   }
-  return sat_add(g_of[static_cast<std::size_t>(root_)], 2, cap);
+  return g_of;
+}
+
+std::uint64_t SpTree::ideal_count(std::uint64_t cap) const {
+  return sat_add(inner_counts(cap)[static_cast<std::size_t>(root_)], 2, cap);
+}
+
+SpTree::IdealRank SpTree::ideal_rank(std::uint64_t cap) const {
+  const auto g_of = inner_counts(cap);
+  IdealRank rank{sat_add(g_of[static_cast<std::size_t>(root_)], 2, cap), {}};
+  if (rank.count > cap) return rank;
+  // No g(X) saturated: every subtree counts at most the whole.  Parents
+  // follow their children in nodes_, so one reverse sweep is top-down.
+  rank.weight.assign(stages_, 0);
+  rank.weight[source_] = 1;
+  rank.weight[sink_] = 1;
+  std::vector<std::uint64_t> mult(nodes_.size(), 0);
+  mult[static_cast<std::size_t>(root_)] = 1;
+  for (std::size_t i = nodes_.size(); i-- > 0;) {
+    const auto& nd = nodes_[i];
+    if (nd.kind == SpTreeNode::Kind::Leaf) continue;
+    const auto left = static_cast<std::size_t>(nd.left);
+    const auto right = static_cast<std::size_t>(nd.right);
+    if (nd.kind == SpTreeNode::Kind::Series) {
+      rank.weight[nd.mid] = mult[i];
+      mult[left] = mult[i];
+    } else {
+      mult[left] = mult[i] * g_of[right];
+    }
+    mult[right] = mult[i];
+  }
+  return rank;
 }
 
 bool is_series_parallel(const Spg& g) { return SpTree::decompose(g).has_value(); }

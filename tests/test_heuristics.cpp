@@ -1,10 +1,10 @@
 // Tests for the five paper heuristics: validity of every returned mapping,
 // determinism, paper-documented behaviours (DPA2D wasting cores on
 // pipelines, DPA1D optimality on chains and budget failures on fat graphs),
-// DPA1D against brute force over chains of ideals, its budget boundaries
-// and its trace span, DPA2D/DPA2D1D byte goldens on every topology and
-// their trace span, and optimality comparisons against the exact solver on
-// tiny instances.
+// DPA1D against brute force over chains of ideals (on SP graphs and on a
+// non-SP DAG), its budget boundaries and its trace span, DPA2D/DPA2D1D
+// byte goldens on every topology and their trace span, and optimality
+// comparisons against the exact solver on tiny instances.
 
 #include <gtest/gtest.h>
 
@@ -27,6 +27,7 @@
 #include "solve/registry.hpp"
 #include "spg/compose.hpp"
 #include "spg/generator.hpp"
+#include "spg/sp_tree.hpp"
 #include "spg/streamit.hpp"
 #include "support/checkers.hpp"
 #include "support/fixtures.hpp"
@@ -237,13 +238,35 @@ double best_ideal_chain_energy(const spg::Spg& g, const cmp::Platform& p, double
   return best;
 }
 
-TEST(Dpa1d, MatchesBruteForceOverIdealChains) {
-  // Theorem 1: on the snake line the DP is exact over chains of ideals, so
-  // DPA1D fails exactly when no chain is valid and otherwise finds the
-  // cheapest one.
+/// Theorem 1: on the snake line the DP is exact over chains of ideals, so
+/// DPA1D fails exactly when no chain is valid and otherwise finds the
+/// cheapest one.  Checks `g` on three small CMPs at two periods and counts
+/// the verdicts.
+void expect_matches_ideal_chains(const spg::Spg& g, std::size_t& solved,
+                                 std::size_t& infeasible) {
   const cmp::Platform platforms[] = {cmp::Platform::reference(1, 4),
                                      cmp::Platform::reference(2, 2),
                                      cmp::Platform::reference("hetero", 2, 2)};
+  for (const auto& p : platforms) {
+    for (const double tighten : {1.0, 0.4}) {
+      const double T = pick_period(g, p) * tighten;
+      SCOPED_TRACE(::testing::Message() << p.topology.name() << " " << p.grid().rows() << "x"
+                                        << p.grid().cols() << ", T " << T);
+      const double want = best_ideal_chain_energy(g, p, T);
+      const Result got = heuristics::Dpa1dHeuristic().run(g, p, T);
+      EXPECT_EQ(got.failure.find("internal"), std::string::npos) << got.failure;
+      ASSERT_EQ(got.success, std::isfinite(want)) << got.failure;
+      if (!got.success) {
+        ++infeasible;
+        continue;
+      }
+      ++solved;
+      EXPECT_NEAR(got.eval.energy, want, 1e-9 * want);
+    }
+  }
+}
+
+TEST(Dpa1d, MatchesBruteForceOverIdealChains) {
   const double ccrs[] = {0.05, 1.0, 10.0};
   std::size_t solved = 0;
   std::size_t infeasible = 0;
@@ -253,28 +276,41 @@ TEST(Dpa1d, MatchesBruteForceOverIdealChains) {
     const auto ymax = static_cast<int>(rng.uniform_int(1, std::max<std::int64_t>(1, n - 2)));
     spg::Spg g = spg::random_spg(static_cast<std::size_t>(n), ymax, rng);
     g.rescale_ccr(ccrs[rng.uniform_int(0, 2)]);
-    for (const auto& p : platforms) {
-      for (const double tighten : {1.0, 0.4}) {
-        const double T = pick_period(g, p) * tighten;
-        SCOPED_TRACE(::testing::Message() << "seed " << seed << ", " << p.topology.name() << " "
-                                          << p.grid().rows() << "x" << p.grid().cols()
-                                          << ", T " << T);
-        const double want = best_ideal_chain_energy(g, p, T);
-        const Result got = heuristics::Dpa1dHeuristic().run(g, p, T);
-        EXPECT_EQ(got.failure.find("internal"), std::string::npos) << got.failure;
-        ASSERT_EQ(got.success, std::isfinite(want)) << got.failure;
-        if (!got.success) {
-          ++infeasible;
-          continue;
-        }
-        ++solved;
-        EXPECT_NEAR(got.eval.energy, want, 1e-9 * want);
-      }
-    }
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    expect_matches_ideal_chains(g, solved, infeasible);
   }
   // Both verdicts are common, so neither side of the comparison is vacuous.
   EXPECT_GT(solved, 200u);
   EXPECT_GT(infeasible, 100u);
+}
+
+/// The "N" DAG of test_sp_tree's RejectsNonSpDag (s -> a, s -> b, a -> c,
+/// a -> d, b -> d, c -> t, d -> t) with seeded weights: no SP
+/// decomposition exists, so DPA1D looks its states up by hash.
+spg::Spg n_shaped_dag(util::Rng& rng) {
+  std::vector<spg::Stage> stages = {{0, 1, 1, "s"}, {0, 2, 1, "a"}, {0, 2, 2, "b"},
+                                    {0, 3, 1, "c"}, {0, 3, 2, "d"}, {0, 4, 1, "t"}};
+  for (auto& st : stages) st.work = rng.uniform_real(1e7, 1e8);
+  std::vector<spg::Edge> edges = {{0, 1, 0}, {0, 2, 0}, {1, 3, 0}, {1, 4, 0},
+                                  {2, 4, 0}, {3, 5, 0}, {4, 5, 0}};
+  for (auto& e : edges) e.bytes = rng.uniform_real(0.5, 1.5);
+  return spg::Spg(std::move(stages), std::move(edges));
+}
+
+TEST(Dpa1d, NonSpDagMatchesBruteForceOverIdealChains) {
+  const double ccrs[] = {0.05, 1.0, 10.0};
+  std::size_t solved = 0;
+  std::size_t infeasible = 0;
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    util::Rng rng(seed);
+    spg::Spg g = n_shaped_dag(rng);
+    ASSERT_FALSE(spg::is_series_parallel(g));
+    g.rescale_ccr(ccrs[seed % 3]);
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    expect_matches_ideal_chains(g, solved, infeasible);
+  }
+  EXPECT_GT(solved, 30u);
+  EXPECT_GT(infeasible, 10u);
 }
 
 /// Budget boundaries of seeded solves (test::random_workload(seed, n, ymax,
@@ -341,6 +377,22 @@ TEST(Dpa1d, DpSpanReportsStatesExpansionsAndOutcome) {
   EXPECT_FALSE(heuristics::Dpa1dHeuristic(tight).run(g, p, T).success);
   // A period so short that no single stage fits a core.
   EXPECT_FALSE(heuristics::Dpa1dHeuristic().run(g, p, T * 1e-3).success);
+  // A state budget below the ideal count: rejected by the pre-pass.
+  heuristics::Dpa1dHeuristic::Options few;
+  few.max_states = 100;
+  EXPECT_FALSE(heuristics::Dpa1dHeuristic(few).run(g, p, T).success);
+  // A DAG with no SP decomposition.
+  util::Rng rng(1);
+  const spg::Spg n_dag = n_shaped_dag(rng);
+  EXPECT_TRUE(
+      heuristics::Dpa1dHeuristic().run(n_dag, p, test::period_for_cores(n_dag, 2)).success);
+  // FMRadio has 21233668 ideals, too many to rank densely (the array would
+  // take 85 MB up front): with the state budget at its maximum it takes
+  // the hash path, and at a period where only the source fits a core the
+  // solve reaches a single state.
+  const spg::Spg fm = spg::make_streamit(4);
+  const auto huge = solve::SolverRegistry::instance().make("dpa1d(states=1000000000)");
+  EXPECT_FALSE(huge->run(fm, p, pick_period(fm, p) * 0.165).success);
   std::ostringstream os;
   obs::trace_stop(os);
 
@@ -351,7 +403,7 @@ TEST(Dpa1d, DpSpanReportsStatesExpansionsAndOutcome) {
       args.push_back(e.at("args"));
     }
   }
-  ASSERT_EQ(args.size(), 3u);
+  ASSERT_EQ(args.size(), 6u);
   EXPECT_EQ(args[0].at("outcome").as_string("outcome"), "ok");
   EXPECT_EQ(args[0].at("states").as_number("states"), kStates);
   EXPECT_EQ(args[0].at("expansions").as_number("expansions"), static_cast<double>(b.boundary));
@@ -361,6 +413,24 @@ TEST(Dpa1d, DpSpanReportsStatesExpansionsAndOutcome) {
   EXPECT_EQ(args[2].at("outcome").as_string("outcome"), "infeasible");
   EXPECT_EQ(args[2].at("states").as_number("states"), 0.0);
   EXPECT_EQ(args[2].at("expansions").as_number("expansions"), 0.0);
+  // The same graph, so the same pre-pass: its ideals (the empty one too)
+  // ranked densely.
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(args[i].at("ideals").as_number("ideals"), kStates + 1);
+    EXPECT_EQ(args[i].at("lookup").as_string("lookup"), "rank");
+  }
+  // A pre-pass rejection reads as ideals = states= budget + 1.
+  EXPECT_EQ(args[3].at("outcome").as_string("outcome"), "budget");
+  EXPECT_EQ(args[3].at("ideals").as_number("ideals"), 101.0);
+  EXPECT_EQ(args[3].at("states").as_number("states"), 0.0);
+  EXPECT_EQ(args[3].at("expansions").as_number("expansions"), 0.0);
+  EXPECT_EQ(args[4].at("outcome").as_string("outcome"), "ok");
+  EXPECT_EQ(args[4].at("ideals").as_number("ideals"), 10.0);
+  EXPECT_EQ(args[4].at("lookup").as_string("lookup"), "hash");
+  EXPECT_EQ(args[5].at("outcome").as_string("outcome"), "infeasible");
+  EXPECT_EQ(args[5].at("ideals").as_number("ideals"), 21233668.0);
+  EXPECT_EQ(args[5].at("lookup").as_string("lookup"), "hash");
+  EXPECT_EQ(args[5].at("states").as_number("states"), 1.0);
 }
 
 TEST(Dpa2d, WastesCoresOnPurePipeline) {

@@ -3,7 +3,8 @@
 // problems do not), solver-spec normalization, LRU eviction order, the
 // request protocol's exit-2-style diagnostics, and the request stream as
 // net::SocketServer serves it for spgcmp_serve's --in/stdin and --replay:
-// byte-identical cache hits at 1 and 4 pool threads, request-log replay,
+// byte-identical cache hits at 1 and 4 pool threads, over-limit grids and
+// graphs refused with code 2, request-log replay,
 // the shutdown drain (every accepted request is answered, never hung or
 // dropped), the frame cap, a FIFO opened before its writer, one cache
 // shared with a socket client, and borrowed fds handed back as found.
@@ -472,6 +473,49 @@ TEST(Stream, AnswersMalformedRequestsInOrderWithCode2) {
   const auto bad_period = util::parse_json(run.lines[3]);
   EXPECT_EQ(bad_period.at("code").as_number("code"), 2.0);
   EXPECT_EQ(bad_period.at("id").as_string("id"), "x");
+}
+
+TEST(Stream, OverLimitGridsAndGraphsAnsweredCode2AtOnce) {
+  // A grid side above 16 or a generated graph above 10 000 stages is
+  // refused before anything is built: a 64x64 route table alone would take
+  // ~11 GB.  Sides past INT_MAX are refused too, not wrapped to 1 row or a
+  // negative count, and so is a StreamIt index no int can hold.
+  const auto request = [](int id, const std::string& generator, const std::string& grid) {
+    return R"({"id":)" + std::to_string(id) + R"(,"generator":)" + generator +
+           R"(,"topology":)" + grid + R"(,"solver":"greedy","period":1.0})";
+  };
+  const std::string small = R"({"n":12,"ymax":3,"seed":5})";
+  const std::string mesh = R"({"rows":3,"cols":3})";
+  Stack stack(1);
+  const auto run = run_lines(
+      stack.engine,
+      {request(1, small, R"({"rows":17,"cols":3})"), request(2, small, R"({"rows":3,"cols":64})"),
+       request(3, small, R"({"rows":4294967297,"cols":3})"),
+       request(4, small, R"({"rows":2147483648,"cols":3})"),
+       request(5, R"({"n":10001,"ymax":3})", mesh),
+       request(6, R"({"n":12,"ymax":1000000000000})", mesh),
+       R"({"id":7,"streamit":1e300,"solver":"greedy","period":1.0})",
+       gen_request(8, 5, "greedy")});
+
+  ASSERT_EQ(run.lines.size(), 8u);
+  EXPECT_EQ(run.summary.errors, 7u);
+  for (std::size_t i = 0; i < 7; ++i) {
+    const auto doc = util::parse_json(run.lines[i]);
+    EXPECT_EQ(doc.at("id").as_number("id"), static_cast<double>(i + 1));
+    EXPECT_EQ(doc.at("code").as_number("code"), 2.0) << run.lines[i];
+    EXPECT_NE(doc.at("error").as_string("error").find("expected an integer in [1, "),
+              std::string::npos)
+        << run.lines[i];
+  }
+  const auto ok = util::parse_json(run.lines[7]);
+  EXPECT_EQ(ok.at("status").as_string("status"), "ok");
+  EXPECT_EQ(ok.at("id").as_number("id"), 8.0);
+
+  // The limits themselves are accepted.
+  EXPECT_NO_THROW((void)serve::parse_request(util::parse_json(
+      request(9, small, R"({"rows":16,"cols":16})"))));
+  EXPECT_NO_THROW(
+      (void)serve::parse_request(util::parse_json(request(10, R"({"n":10000,"ymax":3})", mesh))));
 }
 
 TEST(Stream, BlankLinesSkippedAndTornLastLineSubmitted) {

@@ -1,13 +1,17 @@
 // Tests for the SP decomposition tree: recognition, rejection of non-SP
-// DAGs, and exact ideal counting validated against brute-force enumeration
-// on random SPGs.
+// DAGs, exact ideal counting validated against brute-force enumeration on
+// random SPGs, the perfect rank of the ideals checked against the ideals
+// themselves, and decomposition of graphs as large as serve accepts.
 
 #include <gtest/gtest.h>
+
+#include <unordered_set>
 
 #include "spg/compose.hpp"
 #include "spg/generator.hpp"
 #include "spg/sp_tree.hpp"
 #include "spg/streamit.hpp"
+#include "util/bitset.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -33,6 +37,48 @@ std::uint64_t brute_ideals(const Spg& g) {
     count += ok;
   }
   return count;
+}
+
+/// Every order ideal of `g`, found breadth-first from the empty set by
+/// adding one ready stage at a time (ideal_count_enumerated's search).
+std::vector<util::DynBitset> all_ideals(const Spg& g) {
+  std::unordered_set<util::DynBitset, util::DynBitsetHash> seen{util::DynBitset(g.size())};
+  std::vector<util::DynBitset> ideals{util::DynBitset(g.size())};
+  for (std::size_t i = 0; i < ideals.size(); ++i) {
+    for (spg::StageId v = 0; v < g.size(); ++v) {
+      if (ideals[i].test(v)) continue;
+      bool ready = true;
+      for (const spg::EdgeId e : g.in_edges(v)) ready = ready && ideals[i].test(g.edge(e).src);
+      if (!ready) continue;
+      util::DynBitset next = ideals[i];
+      next.set(v);
+      if (seen.insert(next).second) ideals.push_back(std::move(next));
+    }
+  }
+  return ideals;
+}
+
+/// The rank maps the ideals one-to-one onto [0, ideal count), and every
+/// weight is positive, so a strict subset ranks strictly lower.
+void expect_perfect_rank(const Spg& g) {
+  const auto tree = spg::SpTree::decompose(g);
+  ASSERT_TRUE(tree.has_value());
+  const auto rank = tree->ideal_rank(1u << 20);
+  const auto ideals = all_ideals(g);
+  ASSERT_EQ(rank.count, ideals.size());
+  ASSERT_EQ(rank.count, tree->ideal_count(1u << 20));
+  ASSERT_EQ(rank.weight.size(), g.size());
+  for (const std::uint64_t w : rank.weight) EXPECT_GT(w, 0u);
+  std::vector<char> taken(rank.count, 0);
+  for (const auto& ideal : ideals) {
+    std::uint64_t r = 0;
+    for (spg::StageId v = 0; v < g.size(); ++v) {
+      if (ideal.test(v)) r += rank.weight[v];
+    }
+    ASSERT_LT(r, rank.count);
+    EXPECT_FALSE(taken[r]) << "two ideals of rank " << r;
+    taken[r] = 1;
+  }
 }
 
 TEST(SpTree, ChainDecomposesToSeriesOnly) {
@@ -106,6 +152,56 @@ TEST(SpTree, SaturatesAtCap) {
 TEST(SpTree, StreamItSuiteIsSeriesParallel) {
   for (const auto& info : spg::streamit_table()) {
     EXPECT_TRUE(spg::is_series_parallel(spg::make_streamit(info))) << info.name;
+  }
+}
+
+TEST(SpTree, RankIsABijectionOnRandomSpgs) {
+  util::Rng rng(33);
+  for (int rep = 0; rep < 40; ++rep) {
+    const auto n = static_cast<std::size_t>(rng.uniform_int(2, 14));
+    const int y = static_cast<int>(
+        rng.uniform_int(1, std::max<std::int64_t>(1, static_cast<std::int64_t>(n) - 2)));
+    SCOPED_TRACE(::testing::Message() << "n=" << n << " y=" << y);
+    expect_perfect_rank(spg::random_spg(n, y, rng));
+  }
+}
+
+TEST(SpTree, RankIsABijectionOnStreamItGraphs) {
+  std::size_t checked = 0;
+  for (const auto& info : spg::streamit_table()) {
+    const Spg g = spg::make_streamit(info);
+    if (spg::ideal_count(g, 100000) > 100000) continue;
+    SCOPED_TRACE(info.name);
+    expect_perfect_rank(g);
+    ++checked;
+  }
+  EXPECT_EQ(checked, 7u);  // BitonicSort, DCT, DES, FFT, MPEG2, Serpent, TDE
+}
+
+TEST(SpTree, RankWeightsOnlyWithinTheCap) {
+  const auto tree = spg::SpTree::decompose(spg::make_streamit(2));
+  ASSERT_TRUE(tree.has_value());
+  const auto over = tree->ideal_rank(1000);
+  EXPECT_EQ(over.count, 1001u);
+  EXPECT_TRUE(over.weight.empty());
+  // Weights of a chain: source and sink 1, each inner stage 1.
+  const auto chain_rank = spg::SpTree::decompose(chain(5))->ideal_rank(1000);
+  EXPECT_EQ(chain_rank.count, 6u);
+  EXPECT_EQ(chain_rank.weight, std::vector<std::uint64_t>(5, 1));
+}
+
+TEST(SpTree, DecomposesTheLargestGeneratedGraphs) {
+  // Serve accepts generated graphs of up to 10 000 stages; the reduction
+  // worklist decomposes one in about linear time.  Whatever the reduction
+  // order, each inner stage is one series node and the rest of the m - 1
+  // composites are parallel.
+  util::Rng rng(34);
+  for (const int y : {1, 40, 2000}) {
+    const Spg g = spg::random_spg(10000, y, rng);
+    const auto tree = spg::SpTree::decompose(g);
+    ASSERT_TRUE(tree.has_value()) << "y=" << y;
+    EXPECT_EQ(tree->series_count(), g.size() - 2);
+    EXPECT_EQ(tree->parallel_count(), g.edge_count() - g.size() + 1);
   }
 }
 
