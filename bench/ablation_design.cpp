@@ -217,8 +217,8 @@ void refinement_ablation(std::size_t reps) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const spgcmp::util::Args args(argc, argv);
+int main(int argc, char** argv) try {
+  const spgcmp::util::Args args(argc, argv, {"reps", "trace", "metrics"});
   const auto obs = spgcmp::obs::ScopedFiles::from_args(args);
   const auto reps =
       static_cast<std::size_t>(args.get_int("reps", "REPRO_ABLATION_REPS", 10));
@@ -231,4 +231,7 @@ int main(int argc, char** argv) {
   link_dvfs_ablation(reps);
   refinement_ablation(reps);
   return 0;
+} catch (const spgcmp::util::UsageError& e) {
+  std::fprintf(stderr, "ablation_design: %s\n", e.what());
+  return 2;
 }

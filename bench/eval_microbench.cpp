@@ -8,11 +8,6 @@
 // identical work.  The first probes are also cross-checked (energy within
 // 1e-9 relative, validity bit-equal); any disagreement fails the run.
 //
-// A final scenario ("exact_enum") times the exact solver's placement
-// enumeration with full per-candidate re-evaluation versus the
-// bind/evaluate_move/commit_move delta path, over the identical candidate
-// sequence; both sides must agree on the optimal energy.
-//
 // A "trace_overhead" scenario times the incremental probe loop plain
 // versus wrapped in a (disabled) obs::Span per probe; CI gates its
 // overhead_ratio at <= 1.02, keeping the tracing layer honest about its
@@ -36,7 +31,6 @@
 #include <vector>
 
 #include "harness/sweep_engine.hpp"
-#include "heuristics/exact.hpp"
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
 #include "mapping/evaluator.hpp"
@@ -93,7 +87,7 @@ double us_per_op(Clock::duration d, std::size_t ops) {
 }  // namespace
 
 int main(int argc, char** argv) try {
-  const util::Args args(argc, argv);
+  const util::Args args(argc, argv, {"moves", "seed", "json", "trace", "metrics"});
   const auto obs = obs::ScopedFiles::from_args(args);
   const auto moves =
       static_cast<std::size_t>(args.get_int("moves", "REPRO_MOVES", 2000));
@@ -208,102 +202,6 @@ int main(int argc, char** argv) try {
     rep.cells.push_back(std::move(cell));
   }
 
-  // Batched placement scoring: a stage's full candidate sweep through
-  // evaluate_placement_batch versus the scalar evaluate_placement loop it
-  // replaces (per-candidate work accumulation and slowest-feasible mode
-  // derivation included — the scalar caller has to do both).  Identical
-  // candidate sequence on both sides; scores must be bit-identical, not
-  // merely close, because that is the batch API's contract.
-  util::Table batch_table({"scenario", "loop (us)", "batch (us)", "speedup"});
-  {
-    rep.meta.emplace_back("batch_placement_cells", "loop_us, batch_us, speedup");
-    util::Rng rng(harness::instance_seed(seed, 150 * 100 + 6));
-    spg::Spg g = spg::random_spg(150, 6, rng);
-    g.rescale_ccr(1.0);
-    const auto p = cmp::Platform::reference(6, 6);
-    const auto seeded = find_seed(g, p);
-    const double T = seeded.T;
-    const auto cores = static_cast<std::size_t>(p.grid().core_count());
-    const std::vector<int>& base = seeded.m.core_of;
-
-    std::vector<int> targets(cores);
-    for (std::size_t c = 0; c < cores; ++c) targets[c] = static_cast<int>(c);
-    const std::size_t rounds = std::max<std::size_t>(1, moves / cores);
-    std::vector<spg::StageId> stages(rounds);
-    for (auto& s : stages) {
-      s = static_cast<spg::StageId>(
-          rng.uniform_int(0, static_cast<std::int64_t>(g.size()) - 1));
-    }
-
-    mapping::Evaluator evaluator(g, p, T);
-    std::vector<int> cand;
-    std::vector<double> work(cores);
-    std::vector<std::size_t> modes(cores);
-    const auto scalar_score = [&](spg::StageId s,
-                                  int t) -> const mapping::Evaluation& {
-      cand = base;
-      cand[s] = t;
-      std::fill(work.begin(), work.end(), 0.0);
-      for (std::size_t i = 0; i < g.size(); ++i) {
-        work[static_cast<std::size_t>(cand[i])] += g.stage(i).work;
-      }
-      for (std::size_t c = 0; c < cores; ++c) {
-        modes[c] = 0;
-        if (work[c] <= 0.0) continue;
-        const double scale = p.topology.core_speed_scale(static_cast<int>(c));
-        const std::size_t k = p.speeds.slowest_feasible(work[c] / scale, T);
-        modes[c] = k == p.speeds.mode_count() ? k - 1 : k;
-      }
-      return evaluator.evaluate_placement(cand, modes);
-    };
-
-    // Cross-check one full sweep bit-for-bit before timing anything.
-    {
-      const std::vector<mapping::BatchScore> batch =
-          evaluator.evaluate_placement_batch(base, stages[0], targets);
-      for (std::size_t k = 0; k < targets.size(); ++k) {
-        const auto& sc = scalar_score(stages[0], targets[k]);
-        if (batch[k].energy != sc.energy || batch[k].valid() != sc.valid()) {
-          std::fprintf(stderr,
-                       "MISMATCH batch_placement target %zu: batch (%d, %.17g) "
-                       "vs scalar (%d, %.17g)\n",
-                       k, batch[k].valid(), batch[k].energy, sc.valid(),
-                       sc.energy);
-          return 1;
-        }
-      }
-    }
-
-    const auto t0 = Clock::now();
-    for (const auto s : stages) {
-      for (const int t : targets) sink += scalar_score(s, t).energy;
-    }
-    const auto loop_dt = Clock::now() - t0;
-
-    const auto t1 = Clock::now();
-    for (const auto s : stages) {
-      for (const auto& b : evaluator.evaluate_placement_batch(base, s, targets)) {
-        sink += b.energy;
-      }
-    }
-    const auto batch_dt = Clock::now() - t1;
-
-    const std::size_t ops = rounds * cores;
-    const double loop_us = us_per_op(loop_dt, ops);
-    const double batch_us = us_per_op(batch_dt, ops);
-    const double speedup = batch_us > 0.0 ? loop_us / batch_us : 0.0;
-    batch_table.add_row({"batch_placement n=150 6x6", util::fmt_double(loop_us, 3),
-                         util::fmt_double(batch_us, 3),
-                         util::fmt_double(speedup, 2)});
-    harness::BenchCell cell;
-    cell.labels = {{"scenario", "batch_placement"}, {"n", "150"}, {"grid", "6x6"}};
-    cell.period = T;
-    cell.values = {loop_us, batch_us, speedup};
-    cell.failures = {0, 0, 0};
-    cell.workloads = ops;
-    rep.cells.push_back(std::move(cell));
-  }
-
   // Disabled-tracing overhead: the incremental evaluate_move probe loop on
   // the n=150 / 6x6 scenario, plain versus wrapped in a per-probe
   // obs::Span while tracing is off.  The span must cost one relaxed atomic
@@ -374,62 +272,6 @@ int main(int argc, char** argv) try {
       cell.workloads = probes.size();
       rep.cells.push_back(std::move(cell));
     }
-  }
-
-  // Exact-solver placement enumeration, full vs delta path.  Tiny instance
-  // (the solver's regime); YX routes off so every candidate is scored by
-  // exactly one evaluation on both sides.
-  {
-    util::Rng rng(harness::instance_seed(seed, 999));
-    spg::Spg g = spg::random_spg(12, 3, rng);
-    g.rescale_ccr(1.0);
-    const auto p = cmp::Platform::reference(2, 3);
-    // Relax the bound: at a tight T most candidates short-circuit in
-    // assign_slowest_modes before being scored, which would compare the
-    // delta path's complete scoring against mostly-skipped work.
-    const double T = find_seed(g, p).T * 4.0;
-
-    const auto timed_run = [&](bool incremental, std::size_t& candidates) {
-      heuristics::ExactSolver::Options opt;
-      opt.try_yx_routes = false;
-      opt.max_candidates = 30000;
-      opt.use_incremental = incremental;
-      opt.evaluated_out = &candidates;
-      const heuristics::ExactSolver solver(opt);
-      const auto t0 = Clock::now();
-      auto r = solver.run(g, p, T);
-      const auto dt = Clock::now() - t0;
-      if (r.success) sink += r.eval.energy;
-      return std::make_pair(std::move(r), dt);
-    };
-
-    std::size_t full_cands = 0, inc_cands = 0;
-    const auto [full_r, full_dt] = timed_run(false, full_cands);
-    const auto [inc_r, inc_dt] = timed_run(true, inc_cands);
-    if (full_r.success != inc_r.success || full_cands != inc_cands ||
-        (full_r.success &&
-         std::abs(full_r.eval.energy - inc_r.eval.energy) >
-             1e-9 * std::max(1.0, std::abs(full_r.eval.energy)))) {
-      std::fprintf(stderr,
-                   "MISMATCH exact_enum: full (%d, %.17g, %zu cands) vs "
-                   "delta (%d, %.17g, %zu cands)\n",
-                   full_r.success, full_r.eval.energy, full_cands,
-                   inc_r.success, inc_r.eval.energy, inc_cands);
-      return 1;
-    }
-
-    const double full_us = us_per_op(full_dt, full_cands);
-    const double inc_us = us_per_op(inc_dt, inc_cands);
-    const double speedup = inc_us > 0.0 ? full_us / inc_us : 0.0;
-    table.add_row({"exact_enum n=12", "2x3", util::fmt_double(full_us, 3),
-                   util::fmt_double(inc_us, 3), util::fmt_double(speedup, 2)});
-    harness::BenchCell cell;
-    cell.labels = {{"n", "12"}, {"grid", "2x3"}, {"scenario", "exact_enum"}};
-    cell.period = T;
-    cell.values = {full_us, inc_us, speedup};
-    cell.failures = {0, 0, 0};
-    cell.workloads = full_cands;
-    rep.cells.push_back(std::move(cell));
   }
 
   // Per-solver SolveReport trajectories on the n=50 / 4x4 scenario: one
@@ -594,9 +436,6 @@ int main(int argc, char** argv) try {
   std::cout << "Evaluator microbenchmark: full vs incremental re-evaluation ("
             << moves << " probes per scenario)\n";
   table.print(std::cout);
-  std::cout << "\nBatched placement scoring: scalar candidate loop vs "
-               "evaluate_placement_batch\n";
-  batch_table.print(std::cout);
   std::cout << "\nDisabled-tracing overhead: evaluate_move probes, plain vs "
                "per-probe obs::Span\n";
   trace_table.print(std::cout);

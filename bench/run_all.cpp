@@ -26,8 +26,8 @@
 //                                                 [REPRO_TRACE/REPRO_METRICS]
 //
 // Exit codes follow the tools' contract (tools/tool_common.hpp): 2 with the
-// registry listing for an unknown solver, 2 for an unknown topology, 1 for
-// anything else (I/O, malformed numbers).
+// registry listing for an unknown solver, 2 for an unknown topology or
+// flag, 1 for anything else (I/O, malformed numbers).
 //
 // Paper-exact replication: --apps=100 --apps150=100 --step=1 --step150=1.
 
@@ -212,6 +212,9 @@ int run(const util::Args& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const util::Args args(argc, argv);
-  return tools::run_tool("bench_run_all", [&] { return run(args); });
+  return tools::run_tool("bench_run_all", [&] {
+    return run(util::Args(argc, argv,
+                          {"threads", "apps", "apps150", "step", "step150", "out",
+                           "topology", "heuristics", "trace", "metrics"}));
+  });
 }

@@ -14,9 +14,9 @@
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace spgcmp;
-  const util::Args args(argc, argv);
+  const util::Args args(argc, argv, {"n", "ymax", "ccr", "seed"});
   const std::size_t n = static_cast<std::size_t>(args.get_int("n", "REPRO_N", 40));
   const int ymax = static_cast<int>(args.get_int("ymax", "REPRO_YMAX", 6));
   const double ccr = args.get_double("ccr", "REPRO_CCR", 10.0);
@@ -61,4 +61,7 @@ int main(int argc, char** argv) {
   std::printf("\nLarger grids admit tighter periods (more parallelism) but pay\n"
               "more leakage per active core; the sweet spot depends on the CCR.\n");
   return 0;
+} catch (const spgcmp::util::UsageError& e) {
+  std::fprintf(stderr, "design_space: %s\n", e.what());
+  return 2;
 }

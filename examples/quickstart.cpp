@@ -15,9 +15,9 @@
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace spgcmp;
-  const util::Args args(argc, argv);
+  const util::Args args(argc, argv, {"period"});
 
   // A small video-pipeline-like workflow: capture -> (3 parallel filter
   // chains) -> merge -> encode.  Works are in cycles per frame, volumes in
@@ -76,4 +76,7 @@ int main(int argc, char** argv) {
               sim.datasets, sim.steady_period * 1e3, T * 1e3,
               sim.mean_latency * 1e3);
   return 0;
+} catch (const spgcmp::util::UsageError& e) {
+  std::fprintf(stderr, "quickstart: %s\n", e.what());
+  return 2;
 }

@@ -14,9 +14,9 @@
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace spgcmp;
-  const util::Args args(argc, argv);
+  const util::Args args(argc, argv, {"app", "rows", "cols"});
   const int app = static_cast<int>(args.get_int("app", "REPRO_APP", 10));
   const int rows = static_cast<int>(args.get_int("rows", "REPRO_ROWS", 4));
   const int cols = static_cast<int>(args.get_int("cols", "REPRO_COLS", 4));
@@ -62,4 +62,7 @@ int main(int argc, char** argv) {
   std::printf("\nThroughput caps at the bottleneck; pushing the input faster only\n"
               "grows the latency (queueing in front of the bottleneck resource).\n");
   return 0;
+} catch (const spgcmp::util::UsageError& e) {
+  std::fprintf(stderr, "simulate_stream: %s\n", e.what());
+  return 2;
 }

@@ -14,9 +14,9 @@
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace spgcmp;
-  const util::Args args(argc, argv);
+  const util::Args args(argc, argv, {"app", "rows", "cols", "ccr", "dot"});
   const int app = static_cast<int>(args.get_int("app", "REPRO_APP", 6));
   const int rows = static_cast<int>(args.get_int("rows", "REPRO_ROWS", 4));
   const int cols = static_cast<int>(args.get_int("cols", "REPRO_COLS", 4));
@@ -59,4 +59,7 @@ int main(int argc, char** argv) {
   }
   t.print(std::cout);
   return 0;
+} catch (const spgcmp::util::UsageError& e) {
+  std::fprintf(stderr, "streamit_study: %s\n", e.what());
+  return 2;
 }

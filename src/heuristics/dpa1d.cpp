@@ -9,6 +9,7 @@
 #include <optional>
 #include <vector>
 
+#include "heuristics/row_store.hpp"
 #include "obs/trace.hpp"
 #include "spg/sp_tree.hpp"
 #include "util/bitset.hpp"
@@ -70,9 +71,10 @@ constexpr std::uint64_t kMaxDenseIdeals = std::uint64_t{1} << 22;
 ///
 /// States are the nonempty order ideals the forward pass reaches, with
 /// dense ids in insertion order.  State `id` owns a row of stage-set words
-/// and a row of r DP values in block arenas.  A set's key is the wrapping
-/// sum of per-stage keys, so the walk keeps the key of G ∪ H current in
-/// O(1) per added or removed stage, and the key leads to the set's id:
+/// in a block arena and a row of DP values in a RowStore.  A set's key is
+/// the wrapping sum of per-stage keys, so the walk keeps the key of G ∪ H
+/// current in O(1) per added or removed stage, and the key leads to the
+/// set's id:
 /// - on an SP graph with at most kMaxDenseIdeals ideals, the stage keys are
 ///   the rank weights of spg::SpTree::ideal_rank, so a set's key is its
 ///   perfect rank and `id_of_[key]` its id, with no stage set compared;
@@ -144,8 +146,8 @@ class Dpa1dSolver {
     auto seed = [&](double w) {
       const double e = cluster_energy_at(w, 0);
       if (!std::isfinite(e)) return;
-      double* row = rows_[find_or_insert()];
-      row[0] = std::min(row[0], e);
+      double& entry = *rows_.cover(find_or_insert(), 0, 0, upper());
+      entry = std::min(entry, e);
     };
     walk(ready_.find_first(), 0.0, seed);
     if (budget_blown_) return false;
@@ -165,10 +167,11 @@ class Dpa1dSolver {
         const double cut = cut_bytes(G);
         if (cut > cut_cap_ * (1 + 1e-12)) continue;  // link saturated
         const double cut_energy = cut * comm_e;
-        const double* row = rows_[id];
+        const auto row = rows_.window(id);
         sources.clear();
-        for (std::size_t k = 0; k + 1 < r_; ++k) {
-          if (std::isfinite(row[k])) sources.push_back({k, row[k] + cut_energy});
+        for (std::size_t k = row.lo; k < row.hi && k + 1 < r_; ++k) {
+          const double e = row.entries[k - row.lo];
+          if (std::isfinite(e)) sources.push_back({k, e + cut_energy});
         }
 
         move_walk_to(G);
@@ -178,7 +181,11 @@ class Dpa1dSolver {
           // is re-derived per transition on heterogeneous fabrics.
           const double e_loose = cluster_energy(w, max_scale_);
           if (!std::isfinite(e_loose)) return;
-          double* row2 = rows_[find_or_insert()];
+          const std::uint32_t id2 = find_or_insert();
+          if (sources.empty()) return;
+          // row2[i] is entry first + i of G ∪ H's row.
+          const std::size_t first = sources.front().k + 1;
+          double* row2 = rows_.cover(id2, first, sources.back().k + 1, upper());
           for (const auto& [k, base] : sources) {
             const double e_cluster =
                 heterogeneous_ && pos_scale_[k + 1] != max_scale_
@@ -186,7 +193,7 @@ class Dpa1dSolver {
                     : e_loose;
             if (!std::isfinite(e_cluster)) continue;
             const double cand = base + e_cluster;
-            if (cand < row2[k + 1]) row2[k + 1] = cand;
+            if (cand < row2[k + 1 - first]) row2[k + 1 - first] = cand;
           }
         };
         walk(ready_.find_first(), 0.0, extend);
@@ -232,12 +239,12 @@ class Dpa1dSolver {
     const auto full = find(cur.data());
     if (!full) return Outcome::Infeasible;
 
-    const double* full_row = rows_[*full];
     std::size_t best_k = r_;
     double best_e = kInf;
     for (std::size_t k = 0; k < r_; ++k) {
-      if (full_row[k] < best_e) {
-        best_e = full_row[k];
+      const double e = rows_.at(*full, k);
+      if (e < best_e) {
+        best_e = e;
         best_k = k;
       }
     }
@@ -259,14 +266,14 @@ class Dpa1dSolver {
         if (!std::isfinite(e_cluster)) return false;
         for (std::size_t i = 0; i < nw_; ++i) prev[i] = cur[i] & ~H[i];
         const auto id = find(prev.data());
-        if (!id || !std::isfinite(rows_[*id][k - 1])) return false;
+        if (!id || !std::isfinite(rows_.at(*id, k - 1))) return false;
         const double cut = cut_bytes(prev.data());
         if (cut > cut_cap_ * (1 + 1e-12)) return false;
-        if (!close(rows_[*id][k - 1] + cut * comm_e + e_cluster, target)) return false;
+        if (!close(rows_.at(*id, k - 1) + cut * comm_e + e_cluster, target)) return false;
         for (std::size_t pos = 0; pos < n_; ++pos) {
           if (test(H.data(), pos)) cluster_of[by_topo_[pos]] = static_cast<int>(k);
         }
-        target = rows_[*id][k - 1];
+        target = rows_.at(*id, k - 1);
         return true;
       });
       // Every finite entry came from some transition, so a miss means the
@@ -315,6 +322,10 @@ class Dpa1dSolver {
     }
     return b;
   }
+
+  /// The last entry a row of G ∪ H can make finite: a set of s stages runs
+  /// on at most min(s, r) cores.
+  [[nodiscard]] std::size_t upper() const noexcept { return std::min(gh_count_, r_) - 1; }
 
   /// Add stage `pos`, which must be ready, to G ∪ H.
   void add(std::size_t pos) {
@@ -468,7 +479,7 @@ class Dpa1dSolver {
            "every state is a distinct nonempty ideal, and solve()'s pre-pass "
            "bounds the ideal count by max_states");
     std::copy(gh_.begin(), gh_.end(), words_.push(0));
-    rows_.push(kInf);
+    rows_.push();
     buckets_[gh_count_].push_back(id);
     return id;
   }
@@ -490,10 +501,10 @@ class Dpa1dSolver {
   double max_scale_ = 1.0;
   bool heterogeneous_ = false;
 
-  // States: stage-set words and DP rows (rows_[id][k] = min energy to run
-  // the set on exactly k+1 leading cores).
+  // States: stage-set words and DP rows (rows_.at(id, k) = min energy to
+  // run the set on exactly k+1 leading cores).
   BlockArena<std::uint64_t> words_;
-  BlockArena<double> rows_;
+  RowStore rows_;
 
   // The walk: G ∪ H with its key and size, the ready frontier (stages
   // outside G ∪ H whose predecessors are all in it), and per position the

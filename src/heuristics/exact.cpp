@@ -107,8 +107,8 @@ Result ExactSolver::run(const spg::Spg& g, const cmp::Platform& p, double T) con
   // Two evaluators reused across the whole enumeration (candidate counts
   // run into the tens of thousands; per-candidate workspace allocation
   // would dominate).  `delta` holds the bound state of the incremental
-  // protocol; `full` serves the YX variant and the non-incremental path,
-  // whose evaluate_full calls must not clobber the bound state.
+  // protocol; `full` scores the YX routes, whose evaluate_full calls must
+  // not clobber the bound state.
   mapping::Evaluator delta(g, p, T);
   mapping::Evaluator full(g, p, T);
 
@@ -151,37 +151,32 @@ Result ExactSolver::run(const spg::Spg& g, const cmp::Platform& p, double T) con
     bool have_bound = false;
     std::vector<int> bound_choice(static_cast<std::size_t>(k), -1);
 
-    // Full evaluation of the current `choice` under topology default routes
-    // (variant 0) or manual YX paths (variant 1), via the `full` evaluator.
-    const auto evaluate_variant = [&](int variant) {
+    // Full evaluation of the current `choice` under manual YX paths, via
+    // the `full` evaluator.  YX routes vertically first — equivalent to XY
+    // on the transposed pair — which can relieve a saturated link on
+    // square grids.
+    const auto evaluate_yx = [&]() {
       mapping::Mapping cand;
       cand.core_of.resize(g.size());
       for (spg::StageId i = 0; i < g.size(); ++i) {
         cand.core_of[i] = choice[static_cast<std::size_t>(cluster_of[i])];
       }
-      if (variant == 0) {
-        mapping::attach_routes(g, p.topology, cand);
-      } else {
-        // YX: route vertically first — equivalent to XY on the transposed
-        // pair; build manually.  Can relieve a saturated link on square
-        // grids.
-        cand.edge_paths.assign(g.edge_count(), {});
-        for (spg::EdgeId e = 0; e < g.edge_count(); ++e) {
-          const auto& edge = g.edge(e);
-          cmp::CoreId a = p.grid().core_at(cand.core_of[edge.src]);
-          const cmp::CoreId b = p.grid().core_at(cand.core_of[edge.dst]);
-          if (a == b) continue;
-          auto& path = cand.edge_paths[e];
-          while (a.row != b.row) {
-            const cmp::Dir d = a.row < b.row ? cmp::Dir::South : cmp::Dir::North;
-            path.push_back(cmp::LinkId{a, d});
-            a = p.grid().neighbor(a, d);
-          }
-          while (a.col != b.col) {
-            const cmp::Dir d = a.col < b.col ? cmp::Dir::East : cmp::Dir::West;
-            path.push_back(cmp::LinkId{a, d});
-            a = p.grid().neighbor(a, d);
-          }
+      cand.edge_paths.assign(g.edge_count(), {});
+      for (spg::EdgeId e = 0; e < g.edge_count(); ++e) {
+        const auto& edge = g.edge(e);
+        cmp::CoreId a = p.grid().core_at(cand.core_of[edge.src]);
+        const cmp::CoreId b = p.grid().core_at(cand.core_of[edge.dst]);
+        if (a == b) continue;
+        auto& path = cand.edge_paths[e];
+        while (a.row != b.row) {
+          const cmp::Dir d = a.row < b.row ? cmp::Dir::South : cmp::Dir::North;
+          path.push_back(cmp::LinkId{a, d});
+          a = p.grid().neighbor(a, d);
+        }
+        while (a.col != b.col) {
+          const cmp::Dir d = a.col < b.col ? cmp::Dir::East : cmp::Dir::West;
+          path.push_back(cmp::LinkId{a, d});
+          a = p.grid().neighbor(a, d);
         }
       }
       if (!mapping::assign_slowest_modes(g, p, T, cand)) return;
@@ -238,8 +233,7 @@ Result ExactSolver::run(const spg::Spg& g, const cmp::Platform& p, double T) con
         budget_hit = true;
         return;
       }
-      if (depth == k - 1 && have_bound && options_.use_incremental &&
-          !options_.try_yx_routes &&
+      if (depth == k - 1 && have_bound && !options_.try_yx_routes &&
           members[static_cast<std::size_t>(k - 1)].size() == 1) {
         // Innermost level with a singleton last cluster: sync the bound
         // state to the prefix choices once, then score every remaining core
@@ -305,12 +299,8 @@ Result ExactSolver::run(const spg::Spg& g, const cmp::Platform& p, double T) con
       }
       if (depth == k) {
         --fuel;
-        if (options_.use_incremental) {
-          evaluate_delta();
-        } else {
-          evaluate_variant(0);
-        }
-        if (options_.try_yx_routes) evaluate_variant(1);
+        evaluate_delta();
+        if (options_.try_yx_routes) evaluate_yx();
         return;
       }
       for (int c = 0; c < cores; ++c) {
@@ -341,9 +331,6 @@ Result ExactSolver::run(const spg::Spg& g, const cmp::Platform& p, double T) con
     }
   }
 
-  if (options_.evaluated_out != nullptr) {
-    *options_.evaluated_out = options_.max_candidates - fuel;
-  }
   if (!best.success && budget_hit) {
     return Result::fail("Exact: enumeration budget exceeded");
   }

@@ -10,6 +10,9 @@
 //   * every injective cluster -> core placement is tried;
 //   * communications follow XY routes (optionally also YX, to cover both
 //     minimal route shapes of a 2D mesh);
+//   * default-route placements are scored on the evaluator's delta path:
+//     consecutive placements differ in a cluster suffix, so only the moved
+//     stages' cores and routes are re-aggregated;
 //   * each active core runs at the slowest feasible speed (optimal, since
 //     energy is increasing in speed for a fixed assignment).
 //
@@ -36,15 +39,6 @@ class ExactSolver final : public Heuristic {
     /// quotient; such mappings are not executable by the streaming
     /// simulator but quantify the energy gap the DAG-partition rule costs.
     bool require_dag_partition = true;
-    /// Score default-route placements through the evaluator's
-    /// bind/evaluate_move/commit_move delta path: consecutive placements in
-    /// the enumeration differ in a cluster suffix, so only the moved
-    /// stages' cores and routes are re-aggregated.  false restores full
-    /// re-evaluation per candidate (the bench_eval_microbench baseline).
-    bool use_incremental = true;
-    /// When set, receives the number of candidate placements evaluated
-    /// (throughput denominator for the microbench).
-    std::size_t* evaluated_out = nullptr;
   };
 
   ExactSolver() : ExactSolver(Options{}) {}

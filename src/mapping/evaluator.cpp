@@ -56,20 +56,10 @@ void copy_scalars(Evaluation& dst, const Evaluation& src) {
 
 thread_local EvalCounterSink* tl_eval_sink = nullptr;
 
-/// Bump one counter kind on the thread-local counters and, when a per-solve
-/// sink is installed on this thread, on the sink as well.
-inline void count_eval(std::uint64_t EvalCounters::*counter,
-                       std::atomic<std::uint64_t> EvalCounterSink::*cell) noexcept {
-  ++(eval_counters().*counter);
-  if (EvalCounterSink* sink = tl_eval_sink) {
-    (sink->*cell).fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-/// Bulk variant: one counter update for a whole batch of candidates.
-inline void count_eval_n(std::uint64_t n, std::uint64_t EvalCounters::*counter,
-                         std::atomic<std::uint64_t> EvalCounterSink::*cell) noexcept {
-  (eval_counters().*counter) += n;
+/// Add `n` calls of one kind to the per-solve sink installed on this
+/// thread, if any.
+inline void count_eval(std::atomic<std::uint64_t> EvalCounterSink::*cell,
+                       std::uint64_t n = 1) noexcept {
   if (EvalCounterSink* sink = tl_eval_sink) {
     (sink->*cell).fetch_add(n, std::memory_order_relaxed);
   }
@@ -105,11 +95,6 @@ const bool kEvalSinkPropagatorRegistered = [] {
 }();
 
 }  // namespace
-
-EvalCounters& eval_counters() noexcept {
-  thread_local EvalCounters counters;
-  return counters;
-}
 
 EvalCounterSink* eval_sink() noexcept { return tl_eval_sink; }
 
@@ -153,8 +138,8 @@ void Evaluator::accumulate_work(const std::vector<int>& core_of) {
 // loads), shared verbatim by every evaluation path — scalar and batched —
 // so all of them produce bit-identical energies for identical arena state.
 // The quotient check is the caller's job (out.dag_partition_ok is left
-// untouched): full paths rebuild `q_`, incremental and batched paths apply
-// an O(deg) delta to the maintained quotient instead.
+// untouched): full paths rebuild `q_`, the incremental and batch paths
+// apply an O(deg) delta to the maintained quotient instead.
 const Evaluation& Evaluator::aggregate_scalars(
     Evaluation& out, const std::vector<std::size_t>& mode_of_core) {
   const auto& speeds = p_->speeds;
@@ -206,7 +191,7 @@ const Evaluation& Evaluator::aggregate_scalars(
 }
 
 const Evaluation& Evaluator::evaluate_full(const Mapping& m) {
-  count_eval(&EvalCounters::full, &EvalCounterSink::full);
+  count_eval(&EvalCounterSink::full);
   bound_ = false;
   have_pending_ = false;
   reset_scalars(ev_);
@@ -288,7 +273,7 @@ const Evaluation& Evaluator::evaluate_full(const Mapping& m) {
 
 const Evaluation& Evaluator::evaluate_placement(
     const std::vector<int>& core_of, const std::vector<std::size_t>& mode_of_core) {
-  count_eval(&EvalCounters::placement, &EvalCounterSink::placement);
+  count_eval(&EvalCounterSink::placement);
   bound_ = false;
   have_pending_ = false;
   reset_scalars(ev_);
@@ -415,7 +400,7 @@ void Evaluator::materialize_default_routes(spg::StageId s, int to) {
 
 const Evaluation& Evaluator::evaluate_move(spg::StageId s, int to) {
   if (!bound_) throw std::logic_error("Evaluator: evaluate_move without bind");
-  count_eval(&EvalCounters::incremental, &EvalCounterSink::incremental);
+  count_eval(&EvalCounterSink::incremental);
   if (to < 0 || to >= p_->grid().core_count()) {
     throw std::out_of_range("Evaluator: move target outside the grid");
   }
@@ -433,7 +418,7 @@ const Evaluation& Evaluator::evaluate_move(spg::StageId s, int to) {
   }
 
   // Acyclicity: shift the stage's quotient edges to `to`, test, shift back
-  // — the same answer the batch paths get from their frozen closure, by
+  // — the same answer the batch path gets from its frozen closure, by
   // an independent route.
   shift_quotient(s, from, to);
   const bool dag_ok = q_.acyclic();
@@ -578,7 +563,7 @@ void Evaluator::apply_move(spg::StageId s, int to) {
 
 const Evaluation& Evaluator::refresh() {
   if (!bound_) throw std::logic_error("Evaluator: refresh without bind");
-  count_eval(&EvalCounters::incremental, &EvalCounterSink::incremental);
+  count_eval(&EvalCounterSink::incremental);
   have_pending_ = false;
   accumulate_work(m_.core_of);
   const int cores = p_->grid().core_count();
@@ -590,15 +575,6 @@ const Evaluation& Evaluator::refresh() {
   // The maintained quotient already reflects every applied move.
   ev_.dag_partition_ok = q_.acyclic();
   return aggregate_scalars(ev_, m_.mode_of_core);
-}
-
-bool Evaluator::freeze_batch_closure() {
-  batch_pred_ =
-      util::DynBitset(static_cast<std::size_t>(p_->grid().core_count()));
-  for (const auto& be : batch_edges_) {
-    if (be.incoming) batch_pred_.set(static_cast<std::size_t>(be.other));
-  }
-  return q_.acyclic();
 }
 
 bool Evaluator::batch_stays_acyclic(int t) {
@@ -625,182 +601,6 @@ bool Evaluator::batch_stays_acyclic(int t) {
   return ok;
 }
 
-const std::vector<BatchScore>& Evaluator::evaluate_placement_batch(
-    const std::vector<int>& core_of, spg::StageId s,
-    const std::vector<int>& targets) {
-  const auto& grid = p_->grid();
-  const auto& topo = p_->topology;
-  const int cores = grid.core_count();
-  if (core_of.size() != g_->size()) {
-    throw std::invalid_argument("Evaluator: core_of arity mismatch");
-  }
-  for (spg::StageId i = 0; i < g_->size(); ++i) {
-    // Entry s is overridden by every candidate and never read.
-    if (i != s && (core_of[i] < 0 || core_of[i] >= cores)) {
-      throw std::out_of_range("Evaluator: stage mapped outside the grid");
-    }
-  }
-  for (const int t : targets) {
-    if (t < 0 || t >= cores) {
-      throw std::out_of_range("Evaluator: batch target outside the grid");
-    }
-  }
-  count_eval_n(targets.size(), &EvalCounters::batch, &EvalCounterSink::batch);
-  bound_ = false;
-  have_pending_ = false;
-
-  // Per-core work in scalar accumulation order, twice: excluding stage s
-  // (the base), and with s's work added at its stage position (the value a
-  // candidate core takes when s lands on it).  Both replay accumulate_work's
-  // stage order exactly, so sums are bit-identical to the scalar path.
-  const auto kc = static_cast<std::size_t>(cores);
-  batch_base_work_.assign(kc, 0.0);
-  batch_incl_work_.assign(kc, 0.0);
-  std::fill(stage_count_.begin(), stage_count_.end(), 0);
-  const double sw = g_->stage(s).work;
-  for (spg::StageId i = 0; i < g_->size(); ++i) {
-    if (i == s) {
-      for (std::size_t c = 0; c < kc; ++c) batch_incl_work_[c] += sw;
-      continue;
-    }
-    const auto c = static_cast<std::size_t>(core_of[i]);
-    batch_base_work_[c] += g_->stage(i).work;
-    batch_incl_work_[c] += g_->stage(i).work;
-    ++stage_count_[c];
-  }
-
-  // Base link loads and the per-link CSR of non-incident contributions,
-  // both in edge-id order.  Candidate sums for touched links are rebuilt by
-  // merging the incident contributions into this stream by edge id — the
-  // exact order the scalar pass adds them in.
-  std::fill(ev_.link_load.begin(), ev_.link_load.end(), 0.0);
-  const int links = topo.link_count();
-  batch_link_off_.assign(static_cast<std::size_t>(links) + 1, 0);
-  for (const auto& e : g_->edges()) {
-    if (e.src == s || e.dst == s) continue;
-    const int a = core_of[e.src];
-    const int b = core_of[e.dst];
-    if (a == b) continue;
-    for (const int idx : topo.route_links(a, b)) {
-      ++batch_link_off_[static_cast<std::size_t>(idx) + 1];
-    }
-  }
-  for (int l = 0; l < links; ++l) {
-    batch_link_off_[static_cast<std::size_t>(l) + 1] +=
-        batch_link_off_[static_cast<std::size_t>(l)];
-  }
-  batch_link_contrib_.resize(
-      static_cast<std::size_t>(batch_link_off_[static_cast<std::size_t>(links)]));
-  // Reuse link_paths_ as the CSR fill cursor; every non-batch entry point
-  // refills it before reading, so the clobber is safe.
-  std::copy(batch_link_off_.begin(), batch_link_off_.end() - 1,
-            link_paths_.begin());
-  for (spg::EdgeId e = 0; e < g_->edge_count(); ++e) {
-    const auto& edge = g_->edge(e);
-    if (edge.src == s || edge.dst == s) continue;
-    const int a = core_of[edge.src];
-    const int b = core_of[edge.dst];
-    if (a == b) continue;
-    for (const int idx : topo.route_links(a, b)) {
-      const auto k = static_cast<std::size_t>(idx);
-      batch_link_contrib_[static_cast<std::size_t>(link_paths_[k]++)] =
-          LinkContrib{e, edge.bytes};
-      ev_.link_load[k] += edge.bytes;
-    }
-  }
-
-  // Base modes and the base quotient (s unplaced).
-  batch_modes_.resize(kc);
-  for (int c = 0; c < cores; ++c) {
-    batch_modes_[static_cast<std::size_t>(c)] =
-        downgraded_mode(batch_base_work_[static_cast<std::size_t>(c)], c);
-  }
-  batch_core_of_ = core_of;
-  batch_core_of_[s] = -1;
-  q_.build(*g_, batch_core_of_, cores);
-
-  // Incident edges of s in edge-id order — the merge below interleaves by
-  // id, so the cached list must be id-sorted.
-  batch_edges_.clear();
-  for (const spg::EdgeId e : g_->in_edges(s)) {
-    const auto& edge = g_->edge(e);
-    batch_edges_.push_back(BatchEdge{e, core_of[edge.src], true, edge.bytes, 0, 0});
-  }
-  for (const spg::EdgeId e : g_->out_edges(s)) {
-    const auto& edge = g_->edge(e);
-    batch_edges_.push_back(BatchEdge{e, core_of[edge.dst], false, edge.bytes, 0, 0});
-  }
-  std::sort(batch_edges_.begin(), batch_edges_.end(),
-            [](const BatchEdge& a, const BatchEdge& b) { return a.id < b.id; });
-
-  const bool base_acyclic = freeze_batch_closure();
-
-  ev_.core_work = batch_base_work_;
-
-  batch_scores_.resize(targets.size());
-  for (std::size_t ci = 0; ci < targets.size(); ++ci) {
-    const int t = targets[ci];
-    const auto kt = static_cast<std::size_t>(t);
-
-    const bool dag_ok = base_acyclic && batch_stays_acyclic(t);
-
-    // Incident link contributions in edge-id order; touched links journal
-    // their base load for the rollback.
-    batch_inc_.clear();
-    journal_links_.clear();
-    if (++epoch_ == 0) {
-      std::fill(link_epoch_.begin(), link_epoch_.end(), 0);
-      epoch_ = 1;
-    }
-    for (const auto& be : batch_edges_) {
-      if (be.other == t) continue;
-      const int a = be.incoming ? be.other : t;
-      const int b = be.incoming ? t : be.other;
-      for (const int idx : topo.route_links(a, b)) {
-        touch_link(idx);
-        batch_inc_.push_back(IncContrib{idx, be.id, be.bytes});
-      }
-    }
-    // Rebuild each touched link's load as the full edge-id-order sum of its
-    // base stream merged with this candidate's incident contributions.
-    for (const auto& old : journal_links_) {
-      const auto idx = static_cast<std::size_t>(old.index);
-      double sum = 0.0;
-      auto bi = static_cast<std::size_t>(batch_link_off_[idx]);
-      const auto bend = static_cast<std::size_t>(batch_link_off_[idx + 1]);
-      for (const auto& ic : batch_inc_) {
-        if (ic.link != old.index) continue;
-        while (bi < bend && batch_link_contrib_[bi].edge < ic.edge) {
-          sum += batch_link_contrib_[bi++].bytes;
-        }
-        sum += ic.bytes;
-      }
-      while (bi < bend) sum += batch_link_contrib_[bi++].bytes;
-      ev_.link_load[idx] = sum;
-    }
-
-    const double old_wt = ev_.core_work[kt];
-    const std::size_t old_mt = batch_modes_[kt];
-    ev_.core_work[kt] = batch_incl_work_[kt];
-    ++stage_count_[kt];
-    batch_modes_[kt] = downgraded_mode(batch_incl_work_[kt], t);
-
-    reset_scalars(batch_ev_);
-    batch_ev_.dag_partition_ok = dag_ok;
-    aggregate_scalars(batch_ev_, batch_modes_);
-    to_score(batch_ev_, batch_scores_[ci]);
-
-    ev_.core_work[kt] = old_wt;
-    --stage_count_[kt];
-    batch_modes_[kt] = old_mt;
-    for (const auto& old : journal_links_) {
-      ev_.link_load[static_cast<std::size_t>(old.index)] = old.load;
-      link_paths_[static_cast<std::size_t>(old.index)] = old.paths;
-    }
-  }
-  return batch_scores_;
-}
-
 const std::vector<BatchScore>& Evaluator::evaluate_move_batch(
     spg::StageId s, const std::vector<int>& targets) {
   if (!bound_) {
@@ -816,7 +616,7 @@ const std::vector<BatchScore>& Evaluator::evaluate_move_batch(
       throw std::invalid_argument("Evaluator: stage already on the target core");
     }
   }
-  count_eval_n(targets.size(), &EvalCounters::batch, &EvalCounterSink::batch);
+  count_eval(&EvalCounterSink::batch, targets.size());
   have_pending_ = false;  // any pending evaluate_move is invalidated
 
   // Cache the incident edges in the scalar processing order (in-edges, then
@@ -827,7 +627,6 @@ const std::vector<BatchScore>& Evaluator::evaluate_move_batch(
   const auto compile = [&](spg::EdgeId e, bool incoming) {
     const auto& edge = g_->edge(e);
     BatchEdge be;
-    be.id = e;
     be.incoming = incoming;
     be.bytes = edge.bytes;
     be.other = m_.core_of[incoming ? edge.src : edge.dst];
@@ -851,7 +650,13 @@ const std::vector<BatchScore>& Evaluator::evaluate_move_batch(
     if (be.incoming) q_.remove_edge(be.other, from); else q_.remove_edge(from, be.other);
   }
 
-  const bool base_acyclic = freeze_batch_closure();
+  // Freeze the base: the predecessor cores the per-candidate cycle test
+  // probes, and the detached quotient's reachability closure.
+  batch_pred_ = util::DynBitset(static_cast<std::size_t>(cores));
+  for (const auto& be : batch_edges_) {
+    if (be.incoming) batch_pred_.set(static_cast<std::size_t>(be.other));
+  }
+  const bool base_acyclic = q_.acyclic();
 
   // Source-core work / mode are candidate-independent: pre-apply them.
   const double w = g_->stage(s).work;

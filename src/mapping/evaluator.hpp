@@ -15,7 +15,7 @@
 //   * the platform topology's precomputed routing tables, so default routes
 //     are spans instead of freshly built std::vectors.
 //
-// Three modes, fastest last:
+// Scoring paths:
 //
 //   evaluate_full(m)        arbitrary mapping with explicit paths; validates
 //                           structure and produces results identical to
@@ -30,6 +30,10 @@
 //                           the cheap O(cores + links + edges) scalar pass
 //                           re-aggregates.  evaluate_move leaves the bound
 //                           state untouched until commit_move.
+//   evaluate_move_batch     evaluate_move for every target core of one
+//                           stage in a single pass, bit for bit.
+//   apply_move / refresh    several moves of the bound state, aggregated
+//                           once.
 //
 // Move evaluations return scalar results only (their `core_work` /
 // `link_load` vectors stay empty); full evaluations expose the arenas.
@@ -45,28 +49,21 @@
 
 namespace spgcmp::mapping {
 
-/// Per-thread evaluator call counters, incremented by every Evaluator on
-/// the thread (and by the free mapping::evaluate()).  Useful for ad-hoc
-/// same-thread deltas; per-*solve* attribution goes through the explicit
-/// EvalCounterSink below instead, which survives internal parallelism.
+/// Evaluator call counts by path: the value type of EvalCounterSink::totals().
 struct EvalCounters {
   std::uint64_t full = 0;         ///< evaluate_full / bind / free evaluate()
   std::uint64_t placement = 0;    ///< evaluate_placement
   std::uint64_t incremental = 0;  ///< evaluate_move / refresh
-  std::uint64_t batch = 0;        ///< candidates scored by the batch APIs
+  std::uint64_t batch = 0;        ///< candidates scored by evaluate_move_batch
 };
-
-/// The calling thread's counters (mutable; callers only ever read deltas).
-[[nodiscard]] EvalCounters& eval_counters() noexcept;
 
 /// Explicit per-solve accumulation target.  solve::run installs one on the
 /// calling thread for the duration of a solve (ScopedEvalSink); every
-/// evaluator call on a thread with a sink installed also counts into it.
+/// evaluator call on a thread with a sink installed counts into it.
 /// The util thread-pool layers re-install the spawning thread's sink around
 /// worker tasks (see util::register_thread_context), so a solver that fans
 /// work out to a ThreadPool or parallel_for still attributes every
-/// evaluation to its own solve — a plain thread-local before/after snapshot
-/// would report those as zero.
+/// evaluation to its own solve.
 struct EvalCounterSink {
   std::atomic<std::uint64_t> full{0};
   std::atomic<std::uint64_t> placement{0};
@@ -181,25 +178,15 @@ class Evaluator {
 
   // --- batched scoring --------------------------------------------------
   //
-  // Both batch entry points score every candidate placement of ONE stage in
-  // a single structure-of-arrays pass: incident-edge lists, routes,
-  // per-core base work/modes and per-link base loads are hoisted out of the
-  // per-candidate loop, so each candidate costs O(deg + cores + links)
-  // instead of a full O(stages + edges) re-evaluation.  Scores are
-  // bit-identical to the scalar calls they replace: the aggregation runs
-  // through the same code on the same arenas, and per-link sums replay the
-  // scalar operation order exactly (FP addition is not associative, so the
-  // order is part of the contract).  The returned reference is invalidated
-  // by the next batch call on this Evaluator.
-
-  /// Score `core_of` with stage `s` reassigned to each entry of `targets`,
-  /// under implicit topology default routes and per-core slowest-feasible
-  /// ("downgraded") modes.  Element i is bit-identical to
-  /// evaluate_placement(core_of with [s] = targets[i], downgraded modes).
-  /// Targets may repeat and may include core_of[s].  Invalidates bind().
-  const std::vector<BatchScore>& evaluate_placement_batch(
-      const std::vector<int>& core_of, spg::StageId s,
-      const std::vector<int>& targets);
+  // evaluate_move_batch scores every candidate core of ONE stage in a single
+  // structure-of-arrays pass: incident-edge lists, bound-path drops and the
+  // source core's work/mode are hoisted out of the per-candidate loop, so
+  // each candidate costs O(deg + cores + links).  Scores are bit-identical
+  // to evaluate_move: the aggregation runs through the same code on the
+  // same arenas, and per-link sums replay the scalar operation order
+  // exactly (FP addition is not associative, so the order is part of the
+  // contract).  The returned reference is invalidated by the next batch
+  // call on this Evaluator.
 
   /// Score moving bound stage `s` to each entry of `targets` (each distinct
   /// from its current core).  Element i is bit-identical to
@@ -228,12 +215,9 @@ class Evaluator {
   /// Rewrite the moved stage's incident edge paths to the topology default
   /// routes its links were charged with (m_.core_of[s] must already be `to`).
   void materialize_default_routes(spg::StageId s, int to);
-  /// Both batch paths, once the batched stage's quotient edges are
-  /// detached: load its predecessor cores into batch_pred_ and freeze the
-  /// base reachability closure; returns whether the base is acyclic.
-  bool freeze_batch_closure();
   /// Whether placing the batched stage on core `t` keeps the quotient
-  /// acyclic, given an acyclic frozen base.
+  /// acyclic, given the acyclic frozen base closure (the stage's quotient
+  /// edges detached) and its predecessor cores in batch_pred_.
   bool batch_stays_acyclic(int t);
 
   const spg::Spg* g_;
@@ -262,15 +246,10 @@ class Evaluator {
 
   // Batch arenas.
   std::vector<BatchScore> batch_scores_;
-  Evaluation batch_ev_;                   ///< scalar scratch for aggregation
-  std::vector<std::size_t> batch_modes_;  ///< per-candidate downgraded modes
-  std::vector<int> batch_core_of_;        ///< placement with `s` unplaced
-  std::vector<double> batch_base_work_;   ///< per-core work excluding s
-  std::vector<double> batch_incl_work_;   ///< per-core work as if s were there
-  /// One cached incident edge of the batched stage, in the order the scalar
-  /// path processes them.
+  Evaluation batch_ev_;  ///< scalar scratch for aggregation
+  /// One cached incident edge of the batched stage, in the order
+  /// evaluate_move processes them (in-edges, then out-edges).
   struct BatchEdge {
-    spg::EdgeId id;
     int other;        ///< core of the fixed endpoint
     bool incoming;    ///< true: other -> s, false: s -> other
     double bytes;
@@ -278,29 +257,12 @@ class Evaluator {
   };
   std::vector<BatchEdge> batch_edges_;
   /// Precompiled (link, bytes) drop operations replaying the bound paths of
-  /// the incident edges (move batches only).
+  /// the incident edges.
   struct LinkOp {
     int link;
     double bytes;
   };
   std::vector<LinkOp> batch_drops_;
-  /// Placement batches: per-link base contributions (edge id, bytes) of all
-  /// non-incident cross edges, CSR by link, in edge order — candidate link
-  /// sums merge incident contributions into this order-exact stream.
-  struct LinkContrib {
-    spg::EdgeId edge;
-    double bytes;
-  };
-  std::vector<LinkContrib> batch_link_contrib_;
-  std::vector<int> batch_link_off_;
-  /// Per-candidate incident contributions (link, edge, bytes), appended in
-  /// edge-id order so each link's slice is already merge-ready.
-  struct IncContrib {
-    int link;
-    spg::EdgeId edge;
-    double bytes;
-  };
-  std::vector<IncContrib> batch_inc_;
   /// Cores feeding the batched stage (its quotient predecessors), as a
   /// bitset probed against the base closure for the per-candidate cycle test.
   util::DynBitset batch_pred_;

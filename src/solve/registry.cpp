@@ -139,9 +139,7 @@ void register_builtins(SolverRegistry& reg) {
             {"cores", "6", "max cores"},
             {"candidates", "5000000", "placement evaluation budget"},
             {"yx", "true", "also explore YX routes"},
-            {"dag", "true", "require an acyclic quotient"},
-            {"incremental", "true", "score placements on the evaluator delta "
-                                    "path"}},
+            {"dag", "true", "require an acyclic quotient"}},
            false},
           [](const SolverOptions& o, const SolveContext&,
              std::unique_ptr<Heuristic>) -> std::unique_ptr<Heuristic> {
@@ -153,7 +151,6 @@ void register_builtins(SolverRegistry& reg) {
                 o.get_int_in("candidates", 5000000, 1, 10000000000));
             opt.try_yx_routes = o.get_bool("yx", true);
             opt.require_dag_partition = o.get_bool("dag", true);
-            opt.use_incremental = o.get_bool("incremental", true);
             return std::make_unique<heuristics::ExactSolver>(opt);
           });
 

@@ -1,27 +1,36 @@
 #include "util/cli.hpp"
 
+#include <algorithm>
+#include <cassert>
 #include <cstdlib>
-#include <stdexcept>
+#include <utility>
 
 #include "util/parse.hpp"
 
 namespace spgcmp::util {
 
-Args::Args(int argc, const char* const* argv) {
+Args::Args(int argc, const char* const* argv,
+           std::initializer_list<std::string_view> accepted)
+    : accepted_(accepted.begin(), accepted.end()) {
   for (int i = 1; i < argc; ++i) {
     std::string_view arg = argv[i];
     if (arg.rfind("--", 0) != 0) continue;  // ignore positional arguments
     arg.remove_prefix(2);
     const auto eq = arg.find('=');
-    if (eq == std::string_view::npos) {
-      kv_.emplace_back(std::string(arg), "");
-    } else {
-      kv_.emplace_back(std::string(arg.substr(0, eq)), std::string(arg.substr(eq + 1)));
+    std::string key(arg.substr(0, eq));
+    if (std::find(accepted_.begin(), accepted_.end(), key) == accepted_.end()) {
+      std::string names;
+      for (const auto& name : accepted_) names += (names.empty() ? "--" : ", --") + name;
+      throw UsageError("unknown flag '--" + key + "' (expected " + names + ")");
     }
+    kv_.emplace_back(std::move(key), eq == std::string_view::npos
+                                         ? std::string()
+                                         : std::string(arg.substr(eq + 1)));
   }
 }
 
 std::optional<std::string> Args::get(std::string_view key) const {
+  assert(std::find(accepted_.begin(), accepted_.end(), key) != accepted_.end());
   for (const auto& [k, v] : kv_) {
     if (k == key) return v;
   }

@@ -131,6 +131,13 @@ def check_cli_listing_and_exit_codes(d):
     # Anything else, like an --out path under a regular file, exits 1.
     open(os.path.join(d, "afile"), "w").close()
     run([RUN_ALL, "--out=afile/sub", "--heuristics=greedy"] + QUICK, d, (1,))
+    # An unknown flag exits 2 before any work: no grid, no BENCH files.
+    empty = os.path.join(d, "empty")
+    os.mkdir(empty)
+    p = run([RUN_ALL, "--thread=4"], empty, (2,))
+    check("'--thread'" in p.stderr and not p.stdout and not os.listdir(empty),
+          "bench_run_all --thread=4: " + p.stderr + p.stdout[:200])
+    run([CAMPAIGN, "status", "--dir=camp-x", "--jsn"], d, (2,))
 
 
 def check_new_solvers_deterministic(d):

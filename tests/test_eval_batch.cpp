@@ -1,11 +1,11 @@
-// Batch-vs-scalar equivalence for the Evaluator's SoA scoring paths.
+// Batch-vs-scalar equivalence for the Evaluator's move-batch scoring path.
 //
-// The batch APIs promise *bit-identical* scores to the scalar calls they
-// replace (FP addition is not associative, so operation order is part of
-// the contract).  Every comparison below is EXPECT_EQ on raw doubles — no
-// tolerances — across all four reference topologies, including infeasible
-// candidates (cyclic quotients, over-period loads) and under concurrent
-// evaluators on a thread pool.
+// evaluate_move_batch promises *bit-identical* scores to the scalar
+// evaluate_move calls it replaces (FP addition is not associative, so
+// operation order is part of the contract).  Every comparison below is
+// EXPECT_EQ on raw doubles — no tolerances — across all four reference
+// topologies, including infeasible candidates (cyclic quotients,
+// over-period loads) and under concurrent evaluators on a thread pool.
 
 #include <gtest/gtest.h>
 
@@ -32,27 +32,6 @@ using mapping::Mapping;
 
 const char* const kTopologies[] = {"mesh", "snake", "torus", "hetero"};
 
-/// Per-core slowest-feasible modes for a placement, replicating the
-/// evaluator's internal clamp (a core that cannot meet T even at maximum
-/// speed gets the fastest mode; the period check fails on its own).
-std::vector<std::size_t> downgraded_modes(const spg::Spg& g,
-                                          const cmp::Platform& p, double T,
-                                          const std::vector<int>& core_of) {
-  const auto cores = static_cast<std::size_t>(p.grid().core_count());
-  std::vector<double> work(cores, 0.0);
-  for (std::size_t s = 0; s < g.size(); ++s) {
-    if (core_of[s] >= 0) work[static_cast<std::size_t>(core_of[s])] += g.stage(s).work;
-  }
-  std::vector<std::size_t> modes(cores, 0);
-  for (std::size_t c = 0; c < cores; ++c) {
-    if (work[c] <= 0.0) continue;
-    const double scale = p.topology.core_speed_scale(static_cast<int>(c));
-    const std::size_t k = p.speeds.slowest_feasible(work[c] / scale, T);
-    modes[c] = k == p.speeds.mode_count() ? k - 1 : k;
-  }
-  return modes;
-}
-
 void expect_bitwise(const BatchScore& b, const Evaluation& e,
                     const std::string& where) {
   SCOPED_TRACE(where);
@@ -68,14 +47,6 @@ void expect_bitwise(const BatchScore& b, const Evaluation& e,
   EXPECT_EQ(b.valid(), e.valid());
 }
 
-/// A random placement over all cores (always in range, feasibility not
-/// guaranteed — exactly the population heuristic scans).
-std::vector<int> random_placement(const spg::Spg& g, int cores, util::Rng& rng) {
-  std::vector<int> core_of(g.size());
-  for (auto& c : core_of) c = static_cast<int>(rng.uniform_int(0, cores - 1));
-  return core_of;
-}
-
 /// Blocks of the topological order: quotient edges only ever point to later
 /// blocks, so the partition is acyclic by construction — a valid bind().
 std::vector<int> block_placement(const spg::Spg& g, int cores) {
@@ -89,39 +60,23 @@ std::vector<int> block_placement(const spg::Spg& g, int cores) {
   return core_of;
 }
 
-TEST(EvalBatch, PlacementBatchMatchesScalarAcrossTopologies) {
-  const spg::Spg g = test::random_workload(17, 40, 4, 1.0);
-  for (const char* topo : kTopologies) {
-    const cmp::Platform p = cmp::Platform::reference(topo, 4, 4);
-    const int cores = p.grid().core_count();
-    const double T = test::pick_period(g, p);
-    Evaluator ev(g, p, T);
-    util::Rng rng(99);
+/// block_placement on topology default routes with slowest-feasible modes
+/// (clamped to the fastest mode where T is out of reach): always bindable.
+Mapping block_mapping(const spg::Spg& g, const cmp::Platform& p, double T) {
+  Mapping m;
+  m.core_of = block_placement(g, p.grid().core_count());
+  (void)mapping::assign_slowest_modes(g, p, T, m);
+  mapping::attach_routes(g, p.topology, m);
+  return m;
+}
 
-    std::vector<int> targets(static_cast<std::size_t>(cores));
-    for (int c = 0; c < cores; ++c) targets[static_cast<std::size_t>(c)] = c;
-
-    for (int round = 0; round < 4; ++round) {
-      const std::vector<int> base = random_placement(g, cores, rng);
-      const auto s = static_cast<spg::StageId>(
-          rng.uniform_int(0, static_cast<std::int64_t>(g.size()) - 1));
-
-      const std::vector<BatchScore> batch =
-          ev.evaluate_placement_batch(base, s, targets);
-      ASSERT_EQ(batch.size(), targets.size());
-
-      for (std::size_t k = 0; k < targets.size(); ++k) {
-        std::vector<int> cand = base;
-        cand[s] = targets[k];
-        const auto modes = downgraded_modes(g, p, T, cand);
-        const Evaluation& scalar = ev.evaluate_placement(cand, modes);
-        expect_bitwise(batch[k], scalar,
-                       std::string(topo) + " round " + std::to_string(round) +
-                           " stage " + std::to_string(s) + " -> core " +
-                           std::to_string(targets[k]));
-      }
-    }
+/// Every core but the one stage `s` of the bound mapping sits on.
+std::vector<int> other_cores(const Evaluator& ev, spg::StageId s, int cores) {
+  std::vector<int> targets;
+  for (int c = 0; c < cores; ++c) {
+    if (c != ev.mapping().core_of[s]) targets.push_back(c);
   }
+  return targets;
 }
 
 TEST(EvalBatch, MoveBatchMatchesScalarAcrossTopologies) {
@@ -168,30 +123,6 @@ TEST(EvalBatch, MoveBatchMatchesScalarAcrossTopologies) {
   }
 }
 
-TEST(EvalBatch, PlacementBatchHandlesCyclicQuotientCandidates) {
-  // diamond on {0,1,0,t}: t == 0 closes the 0 -> 1 -> 0 quotient cycle.
-  const spg::Spg g = test::diamond();
-  const cmp::Platform p = test::grid2x2();
-  const double T = test::pick_period(g, p);
-  Evaluator ev(g, p, T);
-
-  const std::vector<int> base = {0, 1, 0, 1};
-  const std::vector<int> targets = {0, 1, 2, 3};
-  const std::vector<BatchScore> batch =
-      ev.evaluate_placement_batch(base, 3, targets);
-  ASSERT_EQ(batch.size(), targets.size());
-  EXPECT_FALSE(batch[0].dag_partition_ok);  // the cycle
-  EXPECT_TRUE(batch[1].dag_partition_ok);
-
-  for (std::size_t k = 0; k < targets.size(); ++k) {
-    std::vector<int> cand = base;
-    cand[3] = targets[k];
-    const auto modes = downgraded_modes(g, p, T, cand);
-    expect_bitwise(batch[k], ev.evaluate_placement(cand, modes),
-                   "diamond target " + std::to_string(targets[k]));
-  }
-}
-
 TEST(EvalBatch, MoveBatchHandlesCyclicQuotientCandidates) {
   // diamond bound on {0,1,0,1}: moving stage 3 to core 0 turns its 1 -> 3
   // edge into a 1 -> 0 quotient edge, closing 0 -> 1 -> 0.  The scalar
@@ -223,24 +154,23 @@ TEST(EvalBatch, MoveBatchHandlesCyclicQuotientCandidates) {
   }
 }
 
-TEST(EvalBatch, PlacementBatchHandlesOverPeriodCandidates) {
+TEST(EvalBatch, MoveBatchHandlesOverPeriodCandidates) {
   // A period nobody can meet: every candidate fails meets_period, and the
   // clamped-mode scores must still match the scalar path bit for bit.
   const spg::Spg g = test::random_workload(31, 12, 3, 1.0);
   const cmp::Platform p = test::grid2x2();
   const double T = test::pick_period(g, p) * 1e-6;
   Evaluator ev(g, p, T);
+  const Evaluation& bound = ev.bind(block_mapping(g, p, T));
+  ASSERT_TRUE(bound.error.empty()) << bound.error;
+  ASSERT_FALSE(bound.meets_period);
 
-  const std::vector<int> base(g.size(), 0);
-  const std::vector<int> targets = {0, 1, 2, 3};
-  const std::vector<BatchScore> batch =
-      ev.evaluate_placement_batch(base, 5, targets);
+  const std::vector<int> targets = other_cores(ev, 5, p.grid().core_count());
+  const std::vector<BatchScore> batch = ev.evaluate_move_batch(5, targets);
+  ASSERT_EQ(batch.size(), targets.size());
   for (std::size_t k = 0; k < targets.size(); ++k) {
     EXPECT_FALSE(batch[k].meets_period);
-    std::vector<int> cand = base;
-    cand[5] = targets[k];
-    const auto modes = downgraded_modes(g, p, T, cand);
-    expect_bitwise(batch[k], ev.evaluate_placement(cand, modes),
+    expect_bitwise(batch[k], ev.evaluate_move(5, targets[k]),
                    "over-period target " + std::to_string(targets[k]));
   }
 }
@@ -248,17 +178,13 @@ TEST(EvalBatch, PlacementBatchHandlesOverPeriodCandidates) {
 TEST(EvalBatch, BatchScoresIdenticalAcrossThreadCounts) {
   const spg::Spg g = test::random_workload(41, 40, 4, 1.0);
   const cmp::Platform p = test::grid4x4();
-  const int cores = p.grid().core_count();
   const double T = test::pick_period(g, p);
-
-  util::Rng rng(5);
-  const std::vector<int> base = random_placement(g, cores, rng);
-  std::vector<int> targets(static_cast<std::size_t>(cores));
-  for (int c = 0; c < cores; ++c) targets[static_cast<std::size_t>(c)] = c;
+  const Mapping m = block_mapping(g, p, T);
 
   Evaluator reference(g, p, T);
-  const std::vector<BatchScore> expected =
-      reference.evaluate_placement_batch(base, 9, targets);
+  reference.bind(m);
+  const std::vector<int> targets = other_cores(reference, 9, p.grid().core_count());
+  const std::vector<BatchScore> expected = reference.evaluate_move_batch(9, targets);
 
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     util::ThreadPool pool(threads);
@@ -266,7 +192,8 @@ TEST(EvalBatch, BatchScoresIdenticalAcrossThreadCounts) {
     for (auto& slot : got) {
       pool.submit([&, out = &slot] {
         Evaluator local(g, p, T);  // evaluators are per-thread by contract
-        *out = local.evaluate_placement_batch(base, 9, targets);
+        local.bind(m);
+        *out = local.evaluate_move_batch(9, targets);
       });
     }
     pool.wait_idle();
@@ -309,20 +236,15 @@ TEST(EvalBatch, BatchCallsCountCandidates) {
   mapping::EvalCounterSink sink;
   {
     const mapping::ScopedEvalSink scope(&sink);
-    const std::vector<int> base(g.size(), 0);
-    ev.evaluate_placement_batch(base, 0, {0, 1, 2, 3});
-
-    Mapping m;
-    m.core_of = block_placement(g, p.grid().core_count());
-    m.mode_of_core.assign(4, 0);
-    m.edge_paths.assign(g.edge_count(), {});
-    ASSERT_TRUE(mapping::assign_slowest_modes(g, p, T, m));
-    mapping::attach_routes(g, p.topology, m);
-    ev.bind(m);
-    ev.evaluate_move_batch(0, {1, 2});
+    ev.bind(block_mapping(g, p, T));
+    const std::vector<int> targets = other_cores(ev, 0, p.grid().core_count());
+    ASSERT_EQ(targets.size(), 3u);
+    ev.evaluate_move_batch(0, targets);
+    ev.evaluate_move_batch(0, {targets[0]});
   }
-  EXPECT_EQ(sink.totals().batch, 6u);  // 4 placement + 2 move candidates
+  EXPECT_EQ(sink.totals().batch, 4u);  // 3 + 1 move candidates
   EXPECT_EQ(sink.totals().full, 1u);   // the bind
+  EXPECT_EQ(sink.totals().incremental, 0u);
 }
 
 }  // namespace

@@ -23,6 +23,8 @@
 #include "heuristics/greedy.hpp"
 #include "heuristics/heuristic.hpp"
 #include "heuristics/random_heuristic.hpp"
+#include "heuristics/row_store.hpp"
+#include "mapping/mapping.hpp"
 #include "obs/trace.hpp"
 #include "solve/registry.hpp"
 #include "spg/compose.hpp"
@@ -282,6 +284,42 @@ TEST(Dpa1d, MatchesBruteForceOverIdealChains) {
   // Both verdicts are common, so neither side of the comparison is vacuous.
   EXPECT_GT(solved, 200u);
   EXPECT_GT(infeasible, 100u);
+}
+
+/// DPA1D's rows hold windows of their entries: random covers (growing a
+/// window down, up, past its first slot and into recycled slots) and
+/// writes must read back exactly as in a plain table of r entries a row.
+TEST(RowStore, WindowsReadLikeFullWidthRows) {
+  constexpr std::size_t r = 20;
+  constexpr double inf = std::numeric_limits<double>::infinity();
+  util::Rng rng(11);
+  heuristics::RowStore store(r);
+  std::vector<std::vector<double>> want;
+  std::vector<std::size_t> upper;
+  for (int op = 0; op < 20000; ++op) {
+    if (want.empty() || rng.uniform_int(0, 9) == 0) {
+      store.push();
+      want.emplace_back(r, inf);
+      upper.push_back(static_cast<std::size_t>(rng.uniform_int(0, r - 1)));
+    }
+    const auto id = static_cast<std::uint32_t>(rng.uniform_int(0, want.size() - 1));
+    const auto first = static_cast<std::size_t>(rng.uniform_int(0, upper[id]));
+    const auto last = static_cast<std::size_t>(rng.uniform_int(first, upper[id]));
+    double* entries = store.cover(id, first, last, upper[id]);
+    for (std::size_t k = first; k <= last; ++k) {
+      if (rng.uniform_int(0, 1) == 0) continue;
+      entries[k - first] = want[id][k] = rng.uniform_real(0.0, 1.0);
+    }
+  }
+  ASSERT_EQ(store.size(), want.size());
+  for (std::uint32_t id = 0; id < want.size(); ++id) {
+    const auto w = store.window(id);
+    for (std::size_t k = 0; k < r; ++k) {
+      const bool inside = k >= w.lo && k < w.hi;
+      EXPECT_EQ(store.at(id, k), want[id][k]) << "row " << id << ", entry " << k;
+      EXPECT_EQ(inside ? w.entries[k - w.lo] : inf, want[id][k]) << "row " << id << ", entry " << k;
+    }
+  }
 }
 
 /// The "N" DAG of test_sp_tree's RejectsNonSpDag (s -> a, s -> b, a -> c,
@@ -720,6 +758,63 @@ TEST(Exact, RefusesOversizedInstances) {
   const spg::Spg small = spg::chain(4);
   const auto big = cmp::Platform::reference(4, 4);
   EXPECT_FALSE(heuristics::ExactSolver().run(small, big, 1.0).success);
+}
+
+TEST(Exact, DeltaPathOptimumMatchesFullEvaluationBruteForce) {
+  // Exact scores default-route placements on the evaluator's delta path
+  // (bind, apply_move + refresh, evaluate_move_batch).  Its optimum must be
+  // the least valid energy over every stage -> core function, each scored
+  // by the free mapping::evaluate on default routes and slowest-feasible
+  // modes: a function is an injectively placed DAG-partition exactly when
+  // its quotient is acyclic, which valid() demands.
+  heuristics::ExactSolver::Options opt;
+  opt.try_yx_routes = false;
+  const heuristics::ExactSolver exact(opt);
+  std::size_t feasible = 0;
+  std::size_t infeasible = 0;
+  std::uint64_t seed = 0;
+  for (const char* topo : {"mesh", "torus", "hetero"}) {
+    for (const int cols : {2, 3}) {
+      const auto p = cmp::Platform::reference(topo, 2, cols);
+      const int cores = p.grid().core_count();
+      util::Rng rng(++seed);
+      spg::Spg g = spg::random_spg(6, 3, rng);
+      g.rescale_ccr(1.0);
+      for (const double scale : {0.45, 0.35}) {
+        const double T = pick_period(g, p) * scale;
+        SCOPED_TRACE(::testing::Message() << topo << " 2x" << cols << " seed " << seed
+                                          << " T " << T);
+        bool found = false;
+        double best = 0.0;
+        mapping::Mapping m;
+        m.core_of.assign(g.size(), 0);
+        for (;;) {
+          mapping::attach_routes(g, p.topology, m);
+          if (mapping::assign_slowest_modes(g, p, T, m)) {
+            const auto ev = mapping::evaluate(g, p, m, T);
+            if (ev.valid() && (!found || ev.energy < best)) {
+              found = true;
+              best = ev.energy;
+            }
+          }
+          std::size_t i = 0;  // odometer step over core_of
+          for (; i < g.size() && ++m.core_of[i] == cores; ++i) m.core_of[i] = 0;
+          if (i == g.size()) break;
+        }
+        const Result r = exact.run(g, p, T);
+        ASSERT_EQ(r.success, found) << r.failure;
+        if (found) {
+          ++feasible;
+          EXPECT_NEAR(r.eval.energy, best, 1e-9 * best);
+        } else {
+          ++infeasible;
+        }
+      }
+    }
+  }
+  // Both verdicts occur, so the check pins infeasibility as well as optima.
+  EXPECT_GT(feasible, 0u);
+  EXPECT_GT(infeasible, 0u);
 }
 
 TEST(Factory, ProducesPaperOrder) {

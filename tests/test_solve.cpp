@@ -114,7 +114,7 @@ TEST(SolverRegistry, GoldenDiagnostics) {
                       /*prefix=*/true);
   expect_solver_error("exact(capx=9)",
                       "solver 'exact': unknown option 'capx' (expected cap, "
-                      "cores, candidates, yx, dag, incremental)");
+                      "cores, candidates, yx, dag)");
   expect_solver_error("exact(cap=banana)",
                       "solver 'exact': option 'cap': expected an integer, got "
                       "'banana'");

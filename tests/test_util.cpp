@@ -217,7 +217,7 @@ TEST(FmtDouble, StableFormatting) {
 
 TEST(Args, ParsesKeyValues) {
   const char* argv[] = {"prog", "--alpha=3", "--flag", "positional"};
-  Args args(4, argv);
+  Args args(4, argv, {"alpha", "flag", "positional", "missing"});
   EXPECT_EQ(args.get("alpha"), "3");
   EXPECT_TRUE(args.has("flag"));
   EXPECT_FALSE(args.has("positional"));
@@ -225,10 +225,27 @@ TEST(Args, ParsesKeyValues) {
   EXPECT_EQ(args.get_int("missing", "NO_SUCH_ENV", 7), 7);
 }
 
+TEST(Args, RejectsUnknownFlagsByName) {
+  // Regression: unknown flags used to be ignored, so `bench_run_all --help`
+  // or `--thread=4` ran the whole default grid.
+  const char* typo[] = {"prog", "run", "--threads=4", "--thread=4"};
+  try {
+    const Args args(4, typo, {"threads", "out"});
+    FAIL() << "expected UsageError";
+  } catch (const UsageError& e) {
+    EXPECT_STREQ(e.what(), "unknown flag '--thread' (expected --threads, --out)");
+  }
+  // Known keys, with or without a value, and positionals are accepted.
+  const char* ok[] = {"prog", "run", "--threads=4", "--out", "more"};
+  const Args args(5, ok, {"threads", "out"});
+  EXPECT_EQ(args.get("threads"), "4");
+  EXPECT_EQ(args.get("out"), "");
+}
+
 TEST(Args, EnvFallback) {
   ::setenv("SPGCMP_TEST_ENV", "19", 1);
   const char* argv[] = {"prog"};
-  Args args(1, argv);
+  Args args(1, argv, {"missing"});
   EXPECT_EQ(args.get_int("missing", "SPGCMP_TEST_ENV", 7), 19);
   ::unsetenv("SPGCMP_TEST_ENV");
 }
@@ -238,7 +255,7 @@ TEST(Args, RejectsGarbageNumbersNamingTheFlag) {
   // exception ("what(): stoll"), aborting unattended bench runs with no
   // hint of which flag was wrong.
   const char* argv[] = {"prog", "--threads=abc", "--apps=3x"};
-  Args args(3, argv);
+  Args args(3, argv, {"threads", "apps"});
   try {
     (void)args.get_int("threads", "NO_SUCH_ENV", 0);
     FAIL() << "expected invalid_argument";
@@ -295,7 +312,7 @@ TEST(ParseNumber, DoubleGrammarIsFiniteDecimalOnly) {
 
 TEST(Args, SharedGrammarRejectsSignedWhitespaceAndNonFinite) {
   const char* argv[] = {"prog", "--a=+5", "--b= 5", "--c=nan", "--d=0x10"};
-  Args args(5, argv);
+  Args args(5, argv, {"a", "b", "c", "d"});
   EXPECT_THROW((void)args.get_int("a", "NO_SUCH_ENV", 0), std::invalid_argument);
   EXPECT_THROW((void)args.get_int("b", "NO_SUCH_ENV", 0), std::invalid_argument);
   EXPECT_THROW((void)args.get_double("c", "NO_SUCH_ENV", 0.0),

@@ -357,9 +357,13 @@ int cmd_merge(const util::Args& args) {
 
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
-  const util::Args args(argc, argv);
   const std::string cmd = argv[1];
   return tools::run_tool("spgcmp_campaign", [&]() -> int {
+    const util::Args args(argc, argv,
+                          {"spec", "dir", "threads", "max-shards", "workers", "worker",
+                           "lease-ttl", "apps", "apps150", "step", "step150",
+                           "topology", "json", "interval", "out", "heuristics",
+                           "list-solvers", "trace", "metrics"});
     const auto obs_files = obs::ScopedFiles::from_args(args);
     if (tools::handle_list_solvers(args)) return 0;
     if (cmd == "run") return cmd_run(args);

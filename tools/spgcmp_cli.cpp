@@ -226,9 +226,12 @@ int cmd_ilp(const util::Args& args) {
 
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
-  const util::Args args(argc, argv);
   const std::string cmd = argv[1];
   return tools::run_tool("spgcmp", [&]() -> int {
+    const util::Args args(argc, argv,
+                          {"in", "out", "rows", "cols", "topology", "n", "ymax", "ccr",
+                           "seed", "dot", "period", "show-placement", "datasets",
+                           "heuristics", "list-solvers", "trace", "metrics"});
     const auto obs_files = obs::ScopedFiles::from_args(args);
     if (tools::handle_list_solvers(args)) return 0;
     if (cmd == "gen") return cmd_gen(args);

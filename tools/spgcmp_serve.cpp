@@ -254,9 +254,13 @@ int usage() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const util::Args args(argc, argv);
-  if (args.has("help")) return usage();
   return tools::run_tool("spgcmp_serve", [&]() -> int {
+    const util::Args args(argc, argv,
+                          {"in", "listen", "threads", "cache", "max-inflight", "log",
+                           "replay", "max-conns", "idle-timeout-ms", "max-frame-bytes",
+                           "stats-out", "help", "heuristics", "list-solvers", "trace",
+                           "metrics"});
+    if (args.has("help")) return usage();
     if (tools::handle_list_solvers(args)) return 0;
     try {
       return serve_main(args);

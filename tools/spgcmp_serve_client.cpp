@@ -198,8 +198,11 @@ int client_main(const util::Args& args) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const spgcmp::util::Args args(argc, argv);
+int main(int argc, char** argv) try {
+  const spgcmp::util::Args args(argc, argv, {"connect", "stats", "in", "help"});
   if (args.has("help")) return usage();
   return client_main(args);
+} catch (const spgcmp::util::UsageError& e) {
+  std::fprintf(stderr, "spgcmp_serve_client: %s\n", e.what());
+  return 2;
 }

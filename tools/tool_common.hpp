@@ -7,11 +7,13 @@
 //   unknown solver / bad solver option   exit 2, solver registry listing
 //   unknown topology                     exit 2, topology name listing
 //   campaign-spec errors (line-numbered) exit 2
+//   unknown --flag                       exit 2, accepted flag names
 //   --list-solvers                       print the registry listing, exit 0
 //   anything else (I/O, invalid input)   exit 1
 //
-// run_tool wraps a tool's command dispatch in that contract so the two
-// binaries cannot drift apart again.
+// run_tool wraps a tool's command dispatch in that contract so the
+// binaries cannot drift apart again; each constructs its util::Args inside
+// run_tool, so an unknown flag takes the exit-2 path.
 
 #include <cstdio>
 #include <sstream>
@@ -61,6 +63,9 @@ int run_tool(const char* tool, Fn&& fn) {
     std::fprintf(stderr, "%s: %s\n", tool, e.what());
     return 2;
   } catch (const util::SpecError& e) {
+    std::fprintf(stderr, "%s: %s\n", tool, e.what());
+    return 2;
+  } catch (const util::UsageError& e) {
     std::fprintf(stderr, "%s: %s\n", tool, e.what());
     return 2;
   } catch (const std::exception& e) {
