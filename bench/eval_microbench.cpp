@@ -9,7 +9,8 @@
 // 1e-9 relative, validity bit-equal); any disagreement fails the run.
 //
 // A "trace_overhead" scenario times the incremental probe loop plain
-// versus wrapped in a (disabled) obs::Span per probe; CI gates its
+// versus wrapped in a (disabled) obs::Span per probe, each side the fastest
+// of five rounds that alternate which loop goes first; CI gates its
 // overhead_ratio at <= 1.02, keeping the tracing layer honest about its
 // off-path cost.
 //
@@ -22,6 +23,7 @@
 //        --seed=S  workload seed (default 42)
 //        --json=DIR  BENCH_eval.json directory (default ".") [REPRO_JSON]
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -240,22 +242,32 @@ int main(int argc, char** argv) try {
                    "trace_overhead: skipped (tracing is live; the cell "
                    "measures the disabled path)\n");
     } else {
-      // Warm both loops once so neither side pays first-touch costs.
-      for (const auto& pr : probes) {
-        sink += evaluator.evaluate_move(pr.stage, pr.core).energy;
+      const auto plain = [&] {
+        const auto t0 = Clock::now();
+        for (const auto& pr : probes) {
+          sink += evaluator.evaluate_move(pr.stage, pr.core).energy;
+        }
+        return Clock::now() - t0;
+      };
+      const auto spanned = [&] {
+        const auto t0 = Clock::now();
+        for (const auto& pr : probes) {
+          const obs::Span span("bench.probe");
+          sink += evaluator.evaluate_move(pr.stage, pr.core).energy;
+        }
+        return Clock::now() - t0;
+      };
+      // Warm up once, then time five rounds that alternate which loop goes
+      // first, so run order and warm-up fall on both sides alike; each side
+      // keeps its fastest round.
+      (void)plain();
+      auto plain_dt = Clock::duration::max();
+      auto spanned_dt = Clock::duration::max();
+      for (int round = 0; round < 5; ++round) {
+        if (round % 2 == 0) plain_dt = std::min(plain_dt, plain());
+        spanned_dt = std::min(spanned_dt, spanned());
+        if (round % 2 == 1) plain_dt = std::min(plain_dt, plain());
       }
-      const auto t0 = Clock::now();
-      for (const auto& pr : probes) {
-        sink += evaluator.evaluate_move(pr.stage, pr.core).energy;
-      }
-      const auto plain_dt = Clock::now() - t0;
-
-      const auto t1 = Clock::now();
-      for (const auto& pr : probes) {
-        const obs::Span span("bench.probe");
-        sink += evaluator.evaluate_move(pr.stage, pr.core).energy;
-      }
-      const auto spanned_dt = Clock::now() - t1;
 
       const double plain_us = us_per_op(plain_dt, probes.size());
       const double spanned_us = us_per_op(spanned_dt, probes.size());

@@ -8,6 +8,13 @@
 // *all* heuristics fail, and retain the penultimate value.  The heuristics
 // are then compared at that retained bound; individual failures at the
 // retained bound are what Tables 2 and 3 count.
+//
+// The search needs one bit per period it probes: did any heuristic succeed?
+// So a probe runs the set in order and stops at the first success; only a
+// period where every heuristic fails runs them all.  Once the search stops,
+// the retained period's skipped heuristics run, so the result holds every
+// heuristic's outcome at the retained bound, exactly as if each had run at
+// every probed period (heuristics are stateless; see heuristic.hpp).
 
 #include <cstddef>
 #include <string>
@@ -32,8 +39,9 @@ struct Campaign {
   [[nodiscard]] std::size_t success_count() const;
 };
 
-/// Run every solver of the set with the paper's period-bound search.  The
-/// set is instantiated once and reused at every period the search visits.
+/// Run the set with the paper's period-bound search: at each probed period
+/// the solvers up to the first success, at the retained period all of
+/// them.  The set is instantiated once and reused at every period.
 [[nodiscard]] Campaign run_campaign(const spg::Spg& g, const cmp::Platform& p,
                                     const solve::SolverSet& solvers);
 

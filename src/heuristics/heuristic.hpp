@@ -11,7 +11,10 @@
 //
 // Heuristics are stateless and thread-safe: `run` is const and any
 // randomness is derived deterministically from the instance seed and the
-// problem signature, so concurrent sweeps are reproducible.
+// problem signature (T included), so concurrent sweeps are reproducible.
+// The period search (harness/experiment.hpp) relies on this: it runs a
+// heuristic only at the periods whose verdict it needs, which must give the
+// same result as running it at every period in turn.
 
 #include <string>
 

@@ -30,33 +30,51 @@ std::uint64_t sat_mul(std::uint64_t a, std::uint64_t b, std::uint64_t cap) {
 }  // namespace
 
 std::uint64_t ideal_count_enumerated(const Spg& g, std::uint64_t cap) {
-  using util::DynBitset;
+  // DPA1D's walk from the empty ideal: add ready stages in increasing
+  // topological position.  A stage an addition makes ready comes later in
+  // the order than the stage added, so the ideal {p1 < ... < pk} is reached
+  // once, by adding p1, ..., pk in turn, and nothing needs remembering.
   const std::size_t n = g.size();
-  std::unordered_map<DynBitset, char, util::DynBitsetHash> seen;
-  std::vector<DynBitset> frontier{DynBitset(n)};
-  seen.emplace(frontier.front(), 1);
-  while (!frontier.empty()) {
-    const DynBitset G = frontier.back();
-    frontier.pop_back();
-    for (StageId j = 0; j < n; ++j) {
-      if (G.test(j)) continue;
-      bool ready = true;
-      for (EdgeId e : g.in_edges(j)) {
-        if (!G.test(g.edge(e).src)) {
-          ready = false;
-          break;
-        }
-      }
-      if (!ready) continue;
-      DynBitset G2 = G;
-      G2.set(j);
-      if (seen.emplace(G2, 1).second) {
-        if (seen.size() > cap) return cap + 1;
-        frontier.push_back(std::move(G2));
-      }
+  const std::vector<StageId> by_topo = g.topological_order();
+  std::vector<std::size_t> pos_of(n), pending(n);
+  util::DynBitset ready(n);
+  for (std::size_t pos = 0; pos < n; ++pos) {
+    pos_of[by_topo[pos]] = pos;
+    pending[pos] = g.in_edges(by_topo[pos]).size();
+    if (pending[pos] == 0) ready.set(pos);
+  }
+  const auto add = [&](std::size_t pos) {
+    ready.reset(pos);
+    for (const EdgeId e : g.out_edges(by_topo[pos])) {
+      const std::size_t next = pos_of[g.edge(e).dst];
+      if (--pending[next] == 0) ready.set(next);
+    }
+  };
+  const auto undo = [&](std::size_t pos) {
+    for (const EdgeId e : g.out_edges(by_topo[pos])) {
+      const std::size_t next = pos_of[g.edge(e).dst];
+      if (pending[next]++ == 0) ready.reset(next);
+    }
+    ready.set(pos);
+  };
+
+  std::uint64_t count = 1;         // the empty ideal
+  std::vector<std::size_t> added;  // the current ideal, in increasing position
+  for (std::size_t pos = ready.find_first();;) {
+    if (pos != util::DynBitset::npos) {
+      add(pos);
+      if (++count > cap) return cap + 1;
+      added.push_back(pos);
+      pos = ready.find_next(pos);
+    } else if (!added.empty()) {
+      pos = added.back();
+      added.pop_back();
+      undo(pos);
+      pos = ready.find_next(pos);
+    } else {
+      return count;
     }
   }
-  return seen.size();
 }
 
 std::optional<SpTree> SpTree::decompose(const Spg& g) {

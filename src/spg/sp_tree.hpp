@@ -104,8 +104,10 @@ class SpTree {
 /// explicit enumeration when the graph is not SP-decomposable.
 [[nodiscard]] std::uint64_t ideal_count(const Spg& g, std::uint64_t cap);
 
-/// Ideal count by breadth-first enumeration of the ideals, saturated at
-/// `cap`: works on any DAG, in time and memory proportional to the count.
+/// Ideal count by enumeration of the ideals, saturated at `cap`: works on
+/// any DAG, in memory linear in the graph (no ideal is stored) but time
+/// linear in the count, ~34 ns per ideal on Beamformer plus a cross edge
+/// (4-core Xeon VM), so a cap of 1e9 costs ~35 s.
 [[nodiscard]] std::uint64_t ideal_count_enumerated(const Spg& g, std::uint64_t cap);
 
 }  // namespace spgcmp::spg

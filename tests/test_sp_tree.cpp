@@ -40,7 +40,7 @@ std::uint64_t brute_ideals(const Spg& g) {
 }
 
 /// Every order ideal of `g`, found breadth-first from the empty set by
-/// adding one ready stage at a time (ideal_count_enumerated's search).
+/// adding one ready stage at a time and remembering each set seen.
 std::vector<util::DynBitset> all_ideals(const Spg& g) {
   std::unordered_set<util::DynBitset, util::DynBitsetHash> seen{util::DynBitset(g.size())};
   std::vector<util::DynBitset> ideals{util::DynBitset(g.size())};
@@ -147,6 +147,38 @@ TEST(SpTree, SaturatesAtCap) {
   const Spg g = spg::make_streamit(2);
   EXPECT_EQ(spg::ideal_count(g, 1000), 1001u);
   EXPECT_GT(spg::ideal_count(g, 1u << 30), 1000u);
+}
+
+TEST(SpTree, EnumeratedCountMatchesBruteForceOnNonSpDags) {
+  // Random SPGs plus up to three extra edges forward in a topological
+  // order: still DAGs with one source and one sink, mostly not SP.
+  util::Rng rng(35);
+  std::size_t non_sp = 0;
+  for (int rep = 0; rep < 60; ++rep) {
+    const auto n = static_cast<std::size_t>(rng.uniform_int(4, 20));
+    const int y = static_cast<int>(
+        rng.uniform_int(1, std::max<std::int64_t>(1, static_cast<std::int64_t>(n) - 2)));
+    const Spg sp = spg::random_spg(n, y, rng);
+    const auto order = sp.topological_order();
+    std::vector<spg::Edge> edges = sp.edges();
+    const auto extra = rng.uniform_int(0, 3);
+    for (std::int64_t k = 0; k < extra; ++k) {
+      const auto a = static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(n) - 2));
+      const auto b = static_cast<std::size_t>(
+          rng.uniform_int(static_cast<std::int64_t>(a) + 1, static_cast<std::int64_t>(n) - 1));
+      edges.push_back({order[a], order[b], 1.0});
+    }
+    const Spg g(sp.stages(), edges);
+    non_sp += !spg::is_series_parallel(g);
+    SCOPED_TRACE(::testing::Message() << "rep=" << rep << " n=" << n << " y=" << y);
+    const std::uint64_t count = brute_ideals(g);
+    EXPECT_EQ(spg::ideal_count_enumerated(g, std::uint64_t{1} << 40), count);
+    // Over the cap it answers cap + 1; at the count itself, the count.
+    EXPECT_EQ(spg::ideal_count_enumerated(g, count), count);
+    EXPECT_EQ(spg::ideal_count_enumerated(g, count - 1), count);
+    EXPECT_EQ(spg::ideal_count_enumerated(g, count / 2), count / 2 + 1);
+  }
+  EXPECT_GE(non_sp, 20u);
 }
 
 TEST(SpTree, StreamItSuiteIsSeriesParallel) {
