@@ -288,7 +288,11 @@ SocketSummary SocketServer::run(const std::atomic<bool>* stop) {
           opt_.max_inflight != 0 && loop.engine_inflight >= opt_.max_inflight;
       const auto now = Clock::now();
       for (auto& [id, c] : loop.conns) {
-        const bool want_read = !c->read_closed && !gate_reads;
+        // A reader that stops reading its answers stops being read: past
+        // one frame cap of unsent output it gets no new requests in.
+        const bool backlogged =
+            opt_.max_frame_bytes != 0 && c->wbuf.size() > opt_.max_frame_bytes;
+        const bool want_read = !c->read_closed && !gate_reads && !backlogged;
         const bool want_write = !c->wbuf.empty();
         if (!c->read_closed || want_write || c->inflight != 0) {
           all_drained = false;
@@ -386,30 +390,27 @@ SocketSummary SocketServer::run(const std::atomic<bool>* stop) {
         bool kill = false;
 
         if (readable) {
-          while (true) {
-            const ssize_t n = ::read(c.fd, buf, sizeof buf);
-            if (n > 0) {
-              c.rbuf.append(buf, static_cast<std::size_t>(n));
-              c.last_activity = Clock::now();
-              // Frame per chunk so an endless unterminated blast hits the
-              // oversize answer instead of growing the accumulator.
-              loop.process_rbuf(it->first, c, /*final_flush=*/false);
-              // One chunk a cycle for the stream: a regular file never
-              // says EAGAIN, and the read gate must get its say.
-              if (c.stream) break;
-              continue;
-            }
-            if (n < 0 && errno == EINTR) continue;
+          // One chunk a cycle: a regular file never says EAGAIN, nor does
+          // a socket whose writer outruns the loop, and the read gates
+          // must get their say between chunks.
+          ssize_t n = 0;
+          do {
+            n = ::read(c.fd, buf, sizeof buf);
+          } while (n < 0 && errno == EINTR);
+          if (n > 0) {
+            c.rbuf.append(buf, static_cast<std::size_t>(n));
+            c.last_activity = Clock::now();
+            // Frame per chunk so an endless unterminated blast hits the
+            // oversize answer instead of growing the accumulator.
+            loop.process_rbuf(it->first, c, /*final_flush=*/false);
+          } else if (n == 0 ||
+                     (c.stream && errno != EAGAIN && errno != EWOULDBLOCK)) {
             // A stream's read error ends its input like EOF would: poll
             // reports a broken fd readable forever.
-            if (n == 0 ||
-                (c.stream && errno != EAGAIN && errno != EWOULDBLOCK)) {
-              c.read_closed = true;
-              loop.process_rbuf(it->first, c, /*final_flush=*/true);
-            }
-            // EAGAIN, EOF handled, or a hard error poll surfaces later.
-            break;
+            c.read_closed = true;
+            loop.process_rbuf(it->first, c, /*final_flush=*/true);
           }
+          // Otherwise EAGAIN, or a hard socket error poll surfaces later.
         }
 
         if (!c.wbuf.empty()) {

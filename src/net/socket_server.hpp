@@ -27,9 +27,12 @@
 //     with `interrupted` set.
 //
 // The max_inflight read gate is one budget shared by every connection,
-// the stream included.  Idle connections (no activity for
-// idle_timeout_ms, nothing in flight) are closed quietly, so a forgotten
-// client cannot hold a connection slot forever.
+// the stream included.  A connection whose unsent answers exceed
+// max_frame_bytes is not read until they drain, so a client that sends
+// and never reads stalls itself instead of growing the server's buffer.
+// Idle connections (no activity for idle_timeout_ms, nothing in flight)
+// are closed quietly, so a forgotten client cannot hold a connection slot
+// forever.
 //
 // The stream differs from a socket in four ways: it is exempt from
 // max_connections and the idle timeout; it is read one chunk per poll

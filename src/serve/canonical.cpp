@@ -1,8 +1,10 @@
 #include "serve/canonical.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <numeric>
-#include <sstream>
 #include <vector>
 
 #include "cmp/cmp.hpp"
@@ -66,34 +68,89 @@ std::string normalize_solver_spec(std::string_view spec) {
   return out;
 }
 
-std::string canonical_key(const spg::Spg& g, const cmp::Platform& platform,
-                          const std::string& normalized_solver, double period) {
-  std::ostringstream key;
-  key << "v1;solver=" << normalized_solver
-      << ";T=" << util::json_number(period);
+namespace {
+
+/// canonical_key's writer: values and separators as text.
+struct TextKey {
+  std::string out;
+  void lit(std::string_view s) { out += s; }
+  void str(std::string_view s) { out += s; }
+  void count(std::uint64_t n) { out += std::to_string(n); }
+  void label(int v) { out += std::to_string(v); }
+  void list(std::size_t) {}  // delimited by the separators around it
+  void num(double v) { out += util::json_number(v); }
+};
+
+/// compact_key's writer: no separators, strings length-prefixed, integers
+/// as LEB128 varints, doubles as their 8 raw bytes.  json_number writes
+/// every non-finite value as "null", so those share one bit pattern here.
+struct CompactKey {
+  std::string out;
+  void lit(std::string_view) {}
+  void str(std::string_view s) {
+    count(s.size());
+    out += s;
+  }
+  void count(std::uint64_t n) {
+    for (; n >= 0x80; n >>= 7) out += static_cast<char>((n & 0x7F) | 0x80);
+    out += static_cast<char>(n);
+  }
+  void label(int v) {  // negative labels stay distinct
+    count(static_cast<std::uint64_t>(static_cast<std::int64_t>(v)));
+  }
+  void list(std::size_t n) { count(n); }
+  void num(double v) {
+    if (!std::isfinite(v)) v = std::numeric_limits<double>::quiet_NaN();
+    char raw[sizeof v];
+    std::memcpy(raw, &v, sizeof v);
+    out.append(raw, sizeof raw);
+  }
+};
+
+/// Write one solve's identity through `k`: the key's fields in one fixed
+/// order, whichever writer formats them.
+template <typename Key>
+void write_key(const spg::Spg& g, const cmp::Platform& platform,
+               const std::string& normalized_solver, double period, Key& k) {
+  k.lit("v1;solver=");
+  k.str(normalized_solver);
+  k.lit(";T=");
+  k.num(period);
 
   // Platform: topology identity plus every constant energy and speed
   // depend on.  The heterogeneous mesh's per-core scales are covered by
   // the explicit scale list.
   const auto& topo = platform.topology;
-  key << ";topo=" << topo.name() << ":" << topo.grid().rows() << "x"
-      << topo.grid().cols() << ";bw=" << util::json_number(topo.grid().bandwidth());
+  k.lit(";topo=");
+  k.str(topo.name());
+  k.lit(":");
+  k.label(topo.grid().rows());
+  k.lit("x");
+  k.label(topo.grid().cols());
+  k.lit(";bw=");
+  k.num(topo.grid().bandwidth());
+  k.list(topo.heterogeneous() ? static_cast<std::size_t>(topo.core_count()) : 0);
   if (topo.heterogeneous()) {
-    key << ";scale=";
+    k.lit(";scale=");
     for (int c = 0; c < topo.core_count(); ++c) {
-      if (c != 0) key << ",";
-      key << util::json_number(topo.core_speed_scale(c));
+      if (c != 0) k.lit(",");
+      k.num(topo.core_speed_scale(c));
     }
   }
-  key << ";speeds=";
-  for (std::size_t k = 0; k < platform.speeds.mode_count(); ++k) {
-    if (k != 0) key << ",";
-    key << util::json_number(platform.speeds.speed(k)) << ":"
-        << util::json_number(platform.speeds.dynamic_power(k));
+  k.lit(";speeds=");
+  k.list(platform.speeds.mode_count());
+  for (std::size_t m = 0; m < platform.speeds.mode_count(); ++m) {
+    if (m != 0) k.lit(",");
+    k.num(platform.speeds.speed(m));
+    k.lit(":");
+    k.num(platform.speeds.dynamic_power(m));
   }
-  key << ";leak=" << util::json_number(platform.speeds.leak_power())
-      << ";ebyte=" << util::json_number(platform.comm.energy_per_byte)
-      << ";commleak=" << util::json_number(platform.comm.leak_power);
+  k.lit(";leak=");
+  k.num(platform.speeds.leak_power());
+  k.lit(";ebyte=");
+  k.num(platform.comm.energy_per_byte);
+  k.lit(";commleak=");
+  k.num(platform.comm.leak_power);
 
   // SPG: stages in (x, y) label order — labels are unique by the SPG
   // invariants, so this order is a property of the graph, not of the
@@ -109,10 +166,18 @@ std::string canonical_key(const spg::Spg& g, const cmp::Platform& platform,
   std::vector<std::size_t> rank(g.size());
   for (std::size_t i = 0; i < order.size(); ++i) rank[order[i]] = i;
 
-  key << ";spg=" << g.size() << "/" << g.edge_count();
+  k.lit(";spg=");
+  k.count(g.size());
+  k.lit("/");
+  k.count(g.edge_count());
   for (const auto id : order) {
     const auto& s = g.stage(id);
-    key << ";s" << s.x << "," << s.y << "," << util::json_number(s.work);
+    k.lit(";s");
+    k.label(s.x);
+    k.lit(",");
+    k.label(s.y);
+    k.lit(",");
+    k.num(s.work);
   }
 
   struct EdgeKey {
@@ -130,9 +195,29 @@ std::string canonical_key(const spg::Spg& g, const cmp::Platform& platform,
     return a.bytes < b.bytes;
   });
   for (const auto& e : edges) {
-    key << ";e" << e.src << ">" << e.dst << "," << util::json_number(e.bytes);
+    k.lit(";e");
+    k.count(e.src);
+    k.lit(">");
+    k.count(e.dst);
+    k.lit(",");
+    k.num(e.bytes);
   }
-  return key.str();
+}
+
+}  // namespace
+
+std::string canonical_key(const spg::Spg& g, const cmp::Platform& platform,
+                          const std::string& normalized_solver, double period) {
+  TextKey k;
+  write_key(g, platform, normalized_solver, period, k);
+  return std::move(k.out);
+}
+
+std::string compact_key(const spg::Spg& g, const cmp::Platform& platform,
+                        const std::string& normalized_solver, double period) {
+  CompactKey k;
+  write_key(g, platform, normalized_solver, period, k);
+  return std::move(k.out);
 }
 
 std::uint64_t fnv1a64(std::string_view s) noexcept {
@@ -144,9 +229,10 @@ std::uint64_t fnv1a64(std::string_view s) noexcept {
   return h;
 }
 
-std::string key_digest(std::string_view key) {
+std::string key_digest(std::string_view key) { return hex_digest(fnv1a64(key)); }
+
+std::string hex_digest(std::uint64_t h) {
   static const char* hex = "0123456789abcdef";
-  std::uint64_t h = fnv1a64(key);
   std::string out(16, '0');
   for (int i = 15; i >= 0; --i) {
     out[static_cast<std::size_t>(i)] = hex[h & 0xF];

@@ -22,6 +22,13 @@
 // solver's context seed from the key itself (fnv1a64), so identical
 // problems run identical solves; an explicit seed= option is part of the
 // normalized spec and thus part of the key.
+//
+// One identity, two spellings.  The text key (canonical_key) is the wire
+// contract: its digest is the response's "key" and its fnv1a64 is the
+// solver seed, so it is formatted once per solve, on a miss.  The memo
+// cache and the coalescing queue key on compact_key instead: the same
+// fields in the same order, written without json_number's formatting
+// cost and at under half the size.
 
 #include <cstdint>
 #include <string>
@@ -52,10 +59,23 @@ namespace spgcmp::serve {
                                         const std::string& normalized_solver,
                                         double period);
 
+/// The compact exact key of the same solve: canonical_key's fields in its
+/// order, strings length-prefixed, integers as LEB128 varints and doubles
+/// as their raw bits (every non-finite value as one pattern, as
+/// json_number writes them all as "null").  Two compact keys are equal
+/// exactly when the two canonical_key texts are; binary, not for display.
+[[nodiscard]] std::string compact_key(const spg::Spg& g,
+                                      const cmp::Platform& platform,
+                                      const std::string& normalized_solver,
+                                      double period);
+
 /// FNV-1a 64-bit hash; also the deterministic solver seed for a key.
 [[nodiscard]] std::uint64_t fnv1a64(std::string_view s) noexcept;
 
 /// 16-hex-digit digest of a key, for response frames and logs.
 [[nodiscard]] std::string key_digest(std::string_view key);
+
+/// The 16 hex digits of a hash key_digest would print.
+[[nodiscard]] std::string hex_digest(std::uint64_t hash);
 
 }  // namespace spgcmp::serve

@@ -1,7 +1,9 @@
 #include "serve/engine.hpp"
 
 #include <chrono>
+#include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -24,18 +26,10 @@ double us_since(Clock::time_point t0) {
 /// The "id" member of a possibly-malformed request document, re-rendered
 /// as JSON for the error frame; "null" whenever that is not possible.
 std::string id_of(const util::JsonValue& doc) {
-  const util::JsonValue* id = doc.find("id");
-  if (id == nullptr) return "null";
-  switch (id->type) {
-    case util::JsonValue::Type::Number: return util::json_number(id->number);
-    case util::JsonValue::Type::String: {
-      // Append, not operator+ chains: GCC 12 -Wrestrict false positive.
-      std::string s = "\"";
-      s += util::json_escape(id->string);
-      s += '"';
-      return s;
-    }
-    default: return "null";
+  try {
+    return request_id(doc);
+  } catch (const RequestError&) {
+    return "null";
   }
 }
 
@@ -235,54 +229,99 @@ Engine::Result Engine::handle(const std::string& line, std::uint64_t s,
     }
     return {render_stats(id, stats_document(-1)), ResponseKind::Stats};
   }
+  const auto t0 = Clock::now();
+  // A repeat is recognised by its text before anything is materialized;
+  // the probe counts nothing, so the one counted lookup below keeps the
+  // cache counters what the canonical path alone would make them.
+  std::string alias;
+  std::optional<MemoCache::Aliased> aliased;
+  {
+    const obs::Span span("serve.alias");
+    alias = request_alias(doc);
+    if (!alias.empty()) aliased = cache_.find_alias(alias);
+  }
   bool registered = false;
   try {
-    const auto t0 = Clock::now();
-    Request req = [&] {
-      const obs::Span span("serve.parse_request");
-      return parse_request(doc);
-    }();
-    register_turn(s, &req.key);
+    std::optional<Request> req;
+    std::string key;
+    std::string id_json;
+    if (aliased) {
+      id_json = request_id(doc);  // the one check an alias does not cover
+      key = std::move(aliased->key);
+    } else {
+      req = [&] {
+        const obs::Span span("serve.parse_request");
+        return parse_request(doc);
+      }();
+      id_json = req->id_json;
+      key = std::move(req->key);
+    }
+    register_turn(s, &key);
     registered = true;
 
-    Ticket ticket{*this, req.key, s};
+    Ticket ticket{*this, key, s};
 
+    std::optional<MemoCache::Hit> hit;
     {
       // Wait until no one is solving this key and every earlier request
       // for it is done, then probe exactly once: a coalesced waiter sees
       // the fresh entry as an ordinary hit, and per-request lookup counts
       // stay deterministic.
       const util::MutexLock lk(solve_mutex_);
-      while (solving_.count(req.key) != 0 ||
-             *key_queue_.find(req.key)->second.begin() != s) {
+      while (solving_.count(key) != 0 ||
+             *key_queue_.find(key)->second.begin() != s) {
         cv_solved_.wait(solve_mutex_);
       }
       const obs::Span lookup_span("serve.lookup");
-      if (auto cached = cache_.lookup(req.key)) {
-        return {render_ok(req, *cached, /*hit=*/true, 0, us_since(t0)),
-                ResponseKind::OkHit};
+      hit = cache_.lookup(key);
+      if (!hit) {
+        if (stop != nullptr && stop->load(std::memory_order_relaxed)) {
+          // Draining: don't start new solves; the cache-hit path above
+          // still answers what it can.
+          return {render_error(id, 3, "daemon is shutting down; solve refused"),
+                  ResponseKind::Shutdown};
+        }
+        solving_.insert(key);
+        ticket.claimed = true;
       }
-      if (stop != nullptr && stop->load(std::memory_order_relaxed)) {
-        // Draining: don't start new solves; the cache-hit path above
-        // still answers what it can.
-        return {render_error(id, 3, "daemon is shutting down; solve refused"),
-                ResponseKind::Shutdown};
-      }
-      solving_.insert(req.key);
-      ticket.claimed = true;
     }
+    if (hit) {
+      static auto& m_alias_hits =
+          obs::Registry::instance().counter("serve.alias_hits");
+      if (aliased) {
+        m_alias_hits.inc();
+      } else {
+        cache_.set_alias(key, std::move(alias));
+      }
+      return {render_ok(id_json, hit->digest, hit->payload, /*hit=*/true, 0,
+                        us_since(t0)),
+              ResponseKind::OkHit};
+    }
+    if (!req) {
+      // The aliased entry was evicted after the probe (a full cache):
+      // materialize the request and solve it like any miss.
+      req = parse_request(doc);
+      if (req->key != key) {
+        throw std::logic_error("serve: an alias named another problem's key");
+      }
+    }
+    // The text key is the wire contract: its digest answers "key" and
+    // seeds the solver, so identical problems solve identically.
+    const std::uint64_t digest =
+        fnv1a64(canonical_key(req->spg, req->platform, req->solver, req->period));
     solve::SolveRequest sreq;
-    sreq.spg = &req.spg;
-    sreq.platform = &req.platform;
-    sreq.period = req.period;
-    sreq.seed = fnv1a64(req.key);  // identical problems solve identically
+    sreq.spg = &req->spg;
+    sreq.platform = &req->platform;
+    sreq.period = req->period;
+    sreq.seed = digest;
     const auto report = [&] {
       const obs::Span span("serve.solve");
-      return solve::run(req.solver, sreq);
+      return solve::run(req->solver, sreq);
     }();
-    std::string payload = render_report(req, report);
-    cache_.insert(req.key, payload);
-    return {render_ok(req, payload, /*hit=*/false,
+    std::string payload = render_report(*req, report);
+    cache_.insert(key, payload, digest);
+    cache_.set_alias(key, std::move(alias));
+    return {render_ok(id_json, digest, payload, /*hit=*/false,
                       report.stats.evaluator_calls(), us_since(t0)),
             ResponseKind::OkMiss};
   } catch (const RequestError& e) {

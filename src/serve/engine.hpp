@@ -3,7 +3,8 @@
 // The transport-independent request engine behind the serve daemon.
 //
 // An Engine turns raw newline-delimited request lines into rendered
-// response lines: parse, coalesce identical in-flight requests
+// response lines: parse, recognise a repeat by its text (protocol.hpp) or
+// else materialize the request, coalesce identical in-flight requests
 // deterministically, memoize solved reports in the shared MemoCache, and
 // answer in-band {"stats":true} control frames from live state.  It knows
 // nothing about where lines come from or where responses go: its one
@@ -112,9 +113,9 @@ class Engine {
                               const std::atomic<bool>* stop)
       SPGCMP_EXCLUDES(solve_mutex_);
 
-  /// Take request `s`'s registration turn, enqueueing it under `key`;
-  /// keyless requests (malformed or failed parses) pass null and just
-  /// cede the turn so later requests can register.
+  /// Take request `s`'s registration turn, enqueueing it under its
+  /// compact `key`; keyless requests (malformed or failed parses) pass
+  /// null and just cede the turn so later requests can register.
   void register_turn(std::uint64_t s, const std::string* key)
       SPGCMP_EXCLUDES(solve_mutex_);
 

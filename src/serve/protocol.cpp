@@ -1,8 +1,10 @@
 #include "serve/protocol.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 #include <utility>
+#include <vector>
 
 #include "serve/canonical.hpp"
 #include "spg/generator.hpp"
@@ -151,23 +153,49 @@ cmp::Platform build_platform(const JsonValue& doc) {
   return cmp::Platform::reference(name, rows, cols);
 }
 
-std::string render_id(const JsonValue& doc) {
-  const JsonValue* id = doc.find("id");
-  if (id == nullptr) return "null";
-  switch (id->type) {
-    case JsonValue::Type::Null: return "null";
-    case JsonValue::Type::Number: return util::json_number(id->number);
-    case JsonValue::Type::String: {
-      // Built with append rather than operator+ chains: GCC 12's -Wrestrict
-      // false-positives on `"..." + std::string(...)` in -O2 builds.
-      std::string s = "\"";
-      s += util::json_escape(id->string);
-      s += '"';
-      return s;
-    }
-    default:
-      throw RequestError("request 'id': expected a string or number");
+/// Append `v` re-rendered compactly with object members stable-sorted by
+/// key (top-level "id" members dropped when `top`); false on a non-finite
+/// number.
+bool append_alias(const JsonValue& v, bool top, std::string& out) {
+  switch (v.type) {
+    case JsonValue::Type::Null: out += "null"; return true;
+    case JsonValue::Type::Bool: out += v.boolean ? "true" : "false"; return true;
+    case JsonValue::Type::Number:
+      if (!std::isfinite(v.number)) return false;
+      out += util::json_number(v.number);
+      return true;
+    case JsonValue::Type::String:
+      out += '"';
+      out += util::json_escape(v.string);
+      out += '"';
+      return true;
+    case JsonValue::Type::Array:
+      out += '[';
+      for (std::size_t i = 0; i < v.array.size(); ++i) {
+        if (i != 0) out += ',';
+        if (!append_alias(v.array[i], false, out)) return false;
+      }
+      out += ']';
+      return true;
+    case JsonValue::Type::Object: break;
   }
+  std::vector<const std::pair<std::string, JsonValue>*> members;
+  members.reserve(v.object.size());
+  for (const auto& m : v.object) {
+    if (!top || m.first != "id") members.push_back(&m);
+  }
+  std::stable_sort(members.begin(), members.end(),
+                   [](const auto* a, const auto* b) { return a->first < b->first; });
+  out += '{';
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    if (i != 0) out += ',';
+    out += '"';
+    out += util::json_escape(members[i]->first);
+    out += "\":";
+    if (!append_alias(members[i]->second, false, out)) return false;
+  }
+  out += '}';
+  return true;
 }
 
 Request parse_request_impl(const JsonValue& doc) {
@@ -194,13 +222,40 @@ Request parse_request_impl(const JsonValue& doc) {
     throw RequestError("request 'period': expected a finite value > 0");
   }
 
-  Request req{render_id(doc), build_spg(doc), build_platform(doc),
+  Request req{request_id(doc), build_spg(doc), build_platform(doc),
               normalize_solver_spec(spec), period, std::string()};
-  req.key = canonical_key(req.spg, req.platform, req.solver, req.period);
+  req.key = compact_key(req.spg, req.platform, req.solver, req.period);
   return req;
 }
 
 }  // namespace
+
+std::string request_alias(const JsonValue& doc) {
+  std::string alias;
+  if (doc.type != JsonValue::Type::Object || !append_alias(doc, true, alias)) {
+    return {};
+  }
+  return alias;
+}
+
+std::string request_id(const JsonValue& doc) {
+  const JsonValue* id = doc.find("id");
+  if (id == nullptr) return "null";
+  switch (id->type) {
+    case JsonValue::Type::Null: return "null";
+    case JsonValue::Type::Number: return util::json_number(id->number);
+    case JsonValue::Type::String: {
+      // Built with append rather than operator+ chains: GCC 12's -Wrestrict
+      // false-positives on `"..." + std::string(...)` in -O2 builds.
+      std::string s = "\"";
+      s += util::json_escape(id->string);
+      s += '"';
+      return s;
+    }
+    default:
+      throw RequestError("request 'id': expected a string or number");
+  }
+}
 
 Request parse_request(const JsonValue& doc) {
   try {
@@ -253,17 +308,18 @@ std::string render_report(const Request& req, const solve::SolveReport& report) 
   return os.str();
 }
 
-std::string render_ok(const Request& req, const std::string& report_payload,
-                      bool hit, std::uint64_t request_evals, double wall_us) {
+std::string render_ok(const std::string& id_json, std::uint64_t digest,
+                      const std::string& report_payload, bool hit,
+                      std::uint64_t request_evals, double wall_us) {
   std::ostringstream os;
   {
     util::JsonWriter w(os, /*indent=*/-1);
     w.begin_object();
     w.key("id");
-    w.raw(req.id_json);
+    w.raw(id_json);
     w.kv("status", "ok");
     w.kv("cache", hit ? "hit" : "miss");
-    w.kv("key", key_digest(req.key));
+    w.kv("key", hex_digest(digest));
     w.kv("request_evals", request_evals);
     w.kv("wall_us", wall_us);
     w.key("report");
@@ -271,6 +327,14 @@ std::string render_ok(const Request& req, const std::string& report_payload,
     w.end_object();
   }
   return os.str();
+}
+
+std::string render_ok(const Request& req, const std::string& report_payload,
+                      bool hit, std::uint64_t request_evals, double wall_us) {
+  return render_ok(req.id_json,
+                   fnv1a64(canonical_key(req.spg, req.platform, req.solver,
+                                         req.period)),
+                   report_payload, hit, request_evals, wall_us);
 }
 
 std::string render_error(const std::string& id_json, int code,

@@ -32,6 +32,19 @@
 // "stats" is a control frame: its other members besides "id" are not
 // interpreted.
 //
+// A repeated request is recognised by its text.  request_alias re-renders
+// the document compactly without its top-level "id" (object members
+// stable-sorted by key, numbers through util::json_number), so spellings
+// that differ only in id, member order, whitespace or number form (1 vs
+// 1.0) share one alias.  The alias is exact text, never a digest: equal
+// aliases parse to equal documents, which build the same problem.  The
+// engine probes the memo cache's alias index before parse_request; on a
+// hit it answers from the entry without regenerating the graph, building
+// the platform or formatting a key.  A request that misses the alias
+// index is materialized here, and once it hits or solves on its compact
+// key its alias is recorded on that entry, so every variant and every
+// entry a --replay rebuilt gets its alias on first use.
+//
 // Response (ok):
 //   {"id":7,"status":"ok","cache":"hit"|"miss","key":"<16-hex digest>",
 //    "request_evals":N,"wall_us":X,"report":{...}}
@@ -75,19 +88,37 @@ struct Request {
   cmp::Platform platform;
   std::string solver;  ///< normalized spec (canonical.hpp)
   double period = 0.0;
-  std::string key;  ///< full canonical key
+  std::string key;  ///< compact exact key (canonical.hpp compact_key)
 };
 
 /// Parse and materialize one request document.  Throws RequestError,
 /// solve::SolverError or cmp::TopologyError (all answered with code 2).
+/// Formats no text key: that is done once, for a miss's solve.
 [[nodiscard]] Request parse_request(const util::JsonValue& doc);
+
+/// The request's alias (see the header comment); empty when `doc` is not
+/// an object or holds a non-finite number (json_number writes those as
+/// null, so they get no alias).
+[[nodiscard]] std::string request_alias(const util::JsonValue& doc);
+
+/// The "id" member re-rendered as JSON ("null" if absent), as
+/// parse_request checks it: RequestError unless a string, number or null.
+[[nodiscard]] std::string request_id(const util::JsonValue& doc);
 
 /// Render the cacheable report payload of one solve (compact JSON object,
 /// no wall time — see the header comment).
 [[nodiscard]] std::string render_report(const Request& req,
                                         const solve::SolveReport& report);
 
-/// Render a complete ok-response line (no trailing newline).
+/// Render a complete ok-response line (no trailing newline).  `digest` is
+/// the text key's fnv1a64, which the memo cache stores with the payload.
+[[nodiscard]] std::string render_ok(const std::string& id_json,
+                                    std::uint64_t digest,
+                                    const std::string& report_payload, bool hit,
+                                    std::uint64_t request_evals, double wall_us);
+
+/// The same for a materialized request; formats its text key for the
+/// digest.
 [[nodiscard]] std::string render_ok(const Request& req,
                                     const std::string& report_payload, bool hit,
                                     std::uint64_t request_evals, double wall_us);

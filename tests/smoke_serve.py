@@ -5,7 +5,8 @@ usage: smoke_serve.py SPGCMP_SERVE SPGCMP_SERVE_CLIENT
 
 Every mode of the daemon runs one poll loop; this drives each way a
 request can arrive: stdin, --replay, a --in FIFO, --listen sockets, and
---in together with --listen, plus a traced session's in-band stats.  Each
+--in together with --listen, plus a traced session's in-band stats and a
+reordered repeat recognised by its text over a socket.  Each
 check works in its own fresh temp dir (safe under ctest -j) and waits on
 an observable condition with a deadline, never on a fixed sleep.  Exits
 nonzero with a message on the first failed check.
@@ -289,6 +290,33 @@ def check_fifo_and_socket_in_one_loop():
     check("served: 2 accepted" in err and "1 from cache" in err, err)
 
 
+def check_socket_repeat_hits_by_its_text():
+    # A repeat with a new id and its members in another order is a free
+    # hit with its miss's key and report bytes.
+    proc = start(["--listen=alias.sock", "--threads=2"])
+    wait_for(lambda: connectable("alias.sock"), "the daemon to listen")
+    s = socket.socket(socket.AF_UNIX)
+    s.settimeout(DEADLINE_S)
+    s.connect("alias.sock")
+    doc = json.loads(request(5, 1))
+    doc["id"] = "again"
+    reordered = json.dumps(dict(reversed(list(doc.items()))))
+    s.sendall((request(5, 1) + "\n" + reordered + "\n").encode())
+    data = b""
+    while data.count(b"\n") < 2:
+        chunk = s.recv(65536)
+        check(chunk, "connection closed before both answers")
+        data += chunk
+    s.close()
+    miss, hit = data.decode().splitlines()
+    m, h = json.loads(miss), json.loads(hit)
+    check(m["cache"] == "miss", miss)
+    check(h["cache"] == "hit" and h["id"] == "again" and h["request_evals"] == 0, hit)
+    check(h["key"] == m["key"] and report(hit) == report(miss),
+          "hit not byte-identical to its miss")
+    stop(proc)
+
+
 CHECKS = [
     check_stream_duplicates,
     check_traced_session_answers_live_stats,
@@ -297,6 +325,7 @@ CHECKS = [
     check_sockets_share_the_cache,
     check_socket_drain,
     check_fifo_and_socket_in_one_loop,
+    check_socket_repeat_hits_by_its_text,
 ]
 
 

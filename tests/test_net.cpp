@@ -2,7 +2,8 @@
 // with per-connection response ordering and a shared cache, oversized and
 // torn frames answered in-band with code 2, mid-request disconnects that
 // must not wedge the daemon, the connection cap's code-3 refusal, idle
-// timeouts, the stats scrape document, and the drain-on-stop contract
+// timeouts, the stats scrape document, a stalled reader that stops being
+// read while its answers wait, and the drain-on-stop contract
 // (every accepted request answered, connections closed, run() returns
 // interrupted).
 
@@ -345,6 +346,45 @@ TEST(SocketServer, IdleConnectionsAreClosedQuietly) {
   EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(10));
   const auto summary = daemon.finish();
   EXPECT_EQ(summary.idle_closed, 1u);
+}
+
+TEST(SocketServer, StalledReaderIsNotReadUntilItsAnswersDrain) {
+  // A client pipelines 20k cache hits and reads nothing.  Once more than a
+  // frame cap of its answers waits in the server's write buffer, the
+  // server stops reading it, so the engine accepts only a prefix; the
+  // max_inflight gate keeps the loop from reading far ahead of the
+  // answers.  When the client reads, the rest flows, in order.
+  net::SocketServerOptions opt;
+  opt.max_frame_bytes = 16 * 1024;
+  opt.max_inflight = 64;
+  opt.poll_interval_ms = 20;
+  SocketDaemon daemon(opt);
+  constexpr int kRequests = 20000;
+  Client c(daemon.path());
+  std::string text;
+  for (int i = 0; i < kRequests; ++i) text += gen_request(i, 5) + "\n";
+  std::thread writer([&] { c.send(text); });
+
+  // Stalled: the accepted count stays put for 20 poll intervals.
+  std::uint64_t accepted = 0;
+  for (int still = 0; still < 20;) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(opt.poll_interval_ms));
+    const std::uint64_t now = daemon.engine().lifetime().accepted;
+    still = now == accepted ? still + 1 : 0;
+    accepted = now;
+  }
+  EXPECT_GT(accepted, 0u);
+  EXPECT_LT(accepted, static_cast<std::uint64_t>(kRequests) / 2);
+
+  for (int i = 0; i < kRequests; ++i) {
+    const auto line = c.recv_line();
+    ASSERT_TRUE(line.has_value()) << "answer " << i;
+    const auto doc = util::parse_json(*line);
+    ASSERT_EQ(doc.at("id").as_number("id"), static_cast<double>(i));
+    ASSERT_EQ(doc.at("status").as_string("status"), "ok");
+  }
+  writer.join();
+  EXPECT_EQ(daemon.finish().serve.accepted, static_cast<std::uint64_t>(kRequests));
 }
 
 TEST(SocketServer, DrainOnStopAnswersAcceptedRequestsThenCloses) {

@@ -8,6 +8,11 @@
 // the shutdown drain (every accepted request is answered, never hung or
 // dropped), the frame cap, a FIFO opened before its writer, one cache
 // shared with a socket client, and borrowed fds handed back as found.
+// The alias path: textual variants of a request hit byte-identically
+// without materializing it, near misses stay misses, the cache counters
+// read as the canonical path alone made them, an entry evicted between
+// the alias probe and the counted lookup is solved as a miss, and compact
+// keys are equal exactly when text keys are.
 
 #include <gtest/gtest.h>
 
@@ -18,9 +23,16 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
+#include <condition_variable>
 #include <csignal>
 #include <filesystem>
 #include <fstream>
+#include <future>
+#include <limits>
+#include <map>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -33,7 +45,9 @@
 #include "serve/canonical.hpp"
 #include "serve/engine.hpp"
 #include "serve/protocol.hpp"
+#include "solve/registry.hpp"
 #include "spg/generator.hpp"
+#include "obs/metrics.hpp"
 #include "util/json.hpp"
 #include "util/jsonl.hpp"
 #include "util/rng.hpp"
@@ -194,6 +208,45 @@ std::string report_tail(const std::string& line) {
   return pos == std::string::npos ? std::string() : line.substr(pos);
 }
 
+/// A response line without its id and wall time: what must repeat byte
+/// for byte between a miss and every answer built from its entry.
+std::string without_id_and_wall(std::string line) {
+  line.erase(1, line.find("\"status\"") - 1);  // the leading "id" member
+  const auto wall = line.find("\"wall_us\"");
+  line.erase(wall, line.find(',', wall) + 1 - wall);
+  return line;
+}
+
+/// The seed-5 shared instance as an explicit `spg` request (no id).
+std::string explicit_request() {
+  std::ostringstream spg_text;
+  test_graph().serialize(spg_text);
+  std::ostringstream os;
+  util::JsonWriter w(os, /*indent=*/-1);
+  w.begin_object();
+  w.kv("spg", spg_text.str());
+  w.key("topology");
+  w.begin_object();
+  w.kv("rows", 3);
+  w.kv("cols", 3);
+  w.end_object();
+  w.kv("solver", "greedy");
+  w.kv("period", kPeriod);
+  w.end_object();
+  return os.str();
+}
+
+/// Submit `line` to `engine`; the future holds its answer.  The callback
+/// owns the promise, so it outlives the pool task that fulfils it.
+std::future<serve::Engine::Result> submit(serve::Engine& engine,
+                                          const std::string& line) {
+  auto done = std::make_shared<std::promise<serve::Engine::Result>>();
+  auto answer = done->get_future();
+  engine.submit(line, /*log_line=*/false, nullptr,
+                [done](serve::Engine::Result r) { done->set_value(std::move(r)); });
+  return answer;
+}
+
 // ------------------------------------------------------------ canonical --
 
 TEST(CanonicalSpec, SortsOptionsTrimsWhitespaceKeepsChains) {
@@ -263,28 +316,10 @@ TEST(CanonicalKey, DistinctProblemsGetDistinctKeys) {
 TEST(CanonicalKey, GeneratorAndExplicitSpgRequestsCollide) {
   // The same problem spelled two ways: generator+seed, and the explicit
   // serialized graph the generator materializes to.
-  const spg::Spg g = test_graph();
-  std::ostringstream spg_text;
-  g.serialize(spg_text);
-
-  std::ostringstream explicit_line;
-  {
-    util::JsonWriter w(explicit_line, /*indent=*/-1);
-    w.begin_object();
-    w.kv("spg", spg_text.str());
-    w.key("topology");
-    w.begin_object();
-    w.kv("rows", 3);
-    w.kv("cols", 3);
-    w.end_object();
-    w.kv("solver", "greedy");
-    w.kv("period", kPeriod);
-    w.end_object();
-  }
   const auto req_gen =
       serve::parse_request(util::parse_json(gen_request(1, 5, "greedy")));
   const auto req_explicit =
-      serve::parse_request(util::parse_json(explicit_line.str()));
+      serve::parse_request(util::parse_json(explicit_request()));
   EXPECT_EQ(req_gen.key, req_explicit.key);
   EXPECT_EQ(req_gen.id_json, "1");
   EXPECT_EQ(req_explicit.id_json, "null");
@@ -329,16 +364,22 @@ TEST(Protocol, RejectsBadRequestsWithNamedDiagnostics) {
 
 // ---------------------------------------------------------------- cache --
 
+/// The payload a counted lookup returns, "" on a miss.
+std::string payload_of(serve::MemoCache& cache, const std::string& key) {
+  const auto hit = cache.lookup(key);
+  return hit ? hit->payload : std::string();
+}
+
 TEST(MemoCache, LruEvictionOrderAndCounters) {
   serve::MemoCache cache(2);
   EXPECT_FALSE(cache.lookup("a").has_value());
   cache.insert("a", "A");
   cache.insert("b", "B");
-  EXPECT_EQ(cache.lookup("a").value_or(""), "A");  // bumps a over b
+  EXPECT_EQ(payload_of(cache, "a"), "A");  // bumps a over b
   cache.insert("c", "C");                          // evicts b, the LRU entry
   EXPECT_FALSE(cache.lookup("b").has_value());
-  EXPECT_EQ(cache.lookup("a").value_or(""), "A");
-  EXPECT_EQ(cache.lookup("c").value_or(""), "C");
+  EXPECT_EQ(payload_of(cache, "a"), "A");
+  EXPECT_EQ(payload_of(cache, "c"), "C");
 
   const auto stats = cache.stats();
   EXPECT_EQ(stats.hits, 3u);
@@ -356,9 +397,9 @@ TEST(MemoCache, OwnsItsKeys) {
   cache.insert(key('b'), "B");
   cache.insert(key('a'), "stale");  // a refresh keeps the first payload
   cache.insert(key('c'), "C");      // evicts b
-  EXPECT_EQ(cache.lookup(key('a')).value_or(""), "A");
+  EXPECT_EQ(payload_of(cache, key('a')), "A");
   EXPECT_FALSE(cache.lookup(key('b')).has_value());
-  EXPECT_EQ(cache.lookup(key('c')).value_or(""), "C");
+  EXPECT_EQ(payload_of(cache, key('c')), "C");
   EXPECT_EQ(cache.stats().size, 2u);
 }
 
@@ -549,8 +590,13 @@ TEST(Stream, CachePersistsAcrossRunsAndReplayRebuildsItWithoutRelogging) {
   EXPECT_EQ(replayed.accepted, 2u);
   EXPECT_EQ(replayed.hits, 1u);
   EXPECT_EQ(read_lines(log.str()).size(), 2u);  // replayed lines not re-logged
+  // The replay gave the rebuilt entry its alias as it went, writing
+  // nothing new to the log: a repeat with yet another id hits by its text.
+  const auto& alias_hits = obs::Registry::instance().counter("serve.alias_hits");
+  const std::uint64_t before = alias_hits.value();
   const auto live = run_lines(stack.engine, {gen_request(3, 5, "greedy")});
   EXPECT_EQ(live.summary.hits, 1u);
+  EXPECT_EQ(alias_hits.value(), before + 1);
   EXPECT_EQ(live.summary.cache.misses, 1u);  // only the replay's cold solve
   EXPECT_EQ(read_lines(log.str()).size(), 3u);  // live lines still are
 }
@@ -754,6 +800,372 @@ TEST(StopSignal, RaisedSignalSetsFlagAndServerExitsInterrupted) {
   EXPECT_TRUE(run.summary.interrupted);
   EXPECT_EQ(run.summary.answered, run.summary.accepted);
   util::clear_stop_flag();
+}
+
+// ---------------------------------------------------------------- alias --
+
+TEST(Alias, VariantsHitByteIdentical) {
+  // One problem spelt nine ways: the first is a miss, every other one hits
+  // by its text with the miss's key and report bytes and no evaluator call.
+  const std::string body =
+      R"("generator":{"n":12,"ymax":3,"seed":5,"ccr":1},)"
+      R"("topology":{"rows":3,"cols":3},"solver":"greedy","period":1)";
+  const std::vector<std::string> variants = {
+      "{\"id\":1," + body + "}",
+      "{\"id\":\"two\"," + body + "}",
+      "{" + body + "}",
+      R"({"period":1,"solver":"greedy","topology":{"cols":3,"rows":3},)"
+      R"("generator":{"seed":5,"ccr":1,"ymax":3,"n":12},"id":4})",
+      R"({"id":5,"generator":{"n":12.0,"ymax":3,"seed":5,"ccr":1.0},)"
+      R"("topology":{"rows":3,"cols":3.0},"solver":"greedy","period":1.0})",
+      R"({"id":6,"generator":{"n":12,"ymax":3,"seed":5,"ccr":10e-1},)"
+      R"("topology":{"rows":3,"cols":3},"solver":"greedy","period":1e0})",
+      "  {  \"id\" : 7 ,\t" + body + " }  ",
+      R"({"id":null,"generator":{"n":12,"ymax":3,"seed":5,"ccr":1},)"
+      R"("topology":{"rows":3,"cols":3},"solver":"greedy","period":1})",
+      R"({ "solver" : "greedy", "id" : 9, "period" : 1,)"
+      R"( "topology" : { "cols" : 3, "rows" : 3 },)"
+      R"( "generator" : { "ccr" : 1, "n" : 12, "seed" : 5, "ymax" : 3 } })"};
+  // One pool thread: with two, a repeat can probe while the miss is still
+  // solving, find no alias yet and hit through the canonical path.
+  Stack stack(1);
+  const auto& alias_hits = obs::Registry::instance().counter("serve.alias_hits");
+  const std::uint64_t before = alias_hits.value();
+  const auto run = run_lines(stack.engine, variants);
+  ASSERT_EQ(run.lines.size(), variants.size());
+  EXPECT_EQ(run.summary.cache.misses, 1u);
+  EXPECT_EQ(run.summary.hits, variants.size() - 1);
+  EXPECT_EQ(alias_hits.value() - before, variants.size() - 1);
+  const auto cold = util::parse_json(run.lines[0]);
+  EXPECT_EQ(cold.at("cache").as_string("cache"), "miss");
+  for (std::size_t i = 1; i < run.lines.size(); ++i) {
+    const auto doc = util::parse_json(run.lines[i]);
+    EXPECT_EQ(doc.at("cache").as_string("cache"), "hit") << run.lines[i];
+    EXPECT_EQ(doc.at("request_evals").as_number("evals"), 0.0);
+    EXPECT_EQ(doc.at("key").as_string("key"), cold.at("key").as_string("key"));
+    EXPECT_EQ(report_tail(run.lines[i]), report_tail(run.lines[0]));
+  }
+  // Each answer echoes its own id.
+  EXPECT_EQ(util::parse_json(run.lines[1]).at("id").as_string("id"), "two");
+  EXPECT_EQ(run.lines[2].rfind(R"({"id": null,)", 0), 0u) << run.lines[2];
+  EXPECT_EQ(util::parse_json(run.lines[8]).at("id").as_number("id"), 9.0);
+}
+
+TEST(Alias, NearMissesStayDistinct) {
+  // Each differs from the first in one value its alias keeps: all misses.
+  const auto request = [](const std::string& generator, const std::string& grid,
+                          const std::string& solver, const std::string& period) {
+    return R"({"generator":)" + generator + R"(,"topology":)" + grid +
+           R"(,"solver":)" + solver + R"(,"period":)" + period + "}";
+  };
+  const std::string gen = R"({"n":12,"ymax":3,"seed":5,"ccr":1})";
+  const std::string grid = R"({"rows":3,"cols":3})";
+  const std::vector<std::string> requests = {
+      request(gen, grid, R"("greedy")", "1"),
+      request(gen, grid, R"("greedy")", "0.1"),
+      request(R"({"n":12,"ymax":3,"seed":6,"ccr":1})", grid, R"("greedy")", "1"),
+      request(R"({"n":12,"ymax":3,"seed":5,"ccr":2})", grid, R"("greedy")", "1"),
+      request(gen, R"({"rows":3,"cols":4})", R"("greedy")", "1"),
+      request(gen, R"({"rows":4,"cols":3})", R"("greedy")", "1"),
+      request(gen, grid, R"x("random(trials=5)")x", "1"),
+      request(gen, grid, R"x("random(trials=6)")x", "1"),
+      request(gen, grid, R"("random")", "1")};
+  Stack stack(2);
+  const auto run = run_lines(stack.engine, requests);
+  ASSERT_EQ(run.lines.size(), requests.size());
+  for (const auto& line : run.lines) {
+    EXPECT_EQ(util::parse_json(line).at("cache").as_string("cache"), "miss") << line;
+  }
+  EXPECT_EQ(run.summary.cache.misses, requests.size());
+  EXPECT_EQ(run.summary.cache.size, requests.size());
+}
+
+TEST(Alias, CountersMatchTheCanonicalPath) {
+  // Misses, alias hits, canonical-path hits (the explicit form of a
+  // generated graph), errors and stats frames.  The cache fields and the
+  // counters are the ones the daemon answered before requests had
+  // aliases (spgcmp_serve --threads=1 on this script), written in here.
+  const std::string spg_form = explicit_request();
+  const std::vector<std::string> script = {
+      gen_request(1, 5, "greedy"),                        // miss
+      gen_request(2, 5, "greedy"),                        // hit (alias)
+      "{\"id\":3," + spg_form.substr(1),                  // hit (canonical)
+      "{\"id\":4," + spg_form.substr(1),                  // hit (alias)
+      gen_request(5, 9, "greedy"),                        // miss
+      "this is not json",                                 // error
+      R"({"id":[7],"generator":{"n":12,"ymax":3,"seed":5,"ccr":1},)"
+      R"("topology":{"rows":3,"cols":3},"solver":"greedy","period":1})",  // error
+      gen_request(8, 5, "bogus_solver"),                  // error, after a miss
+      R"({"id":"s1","stats":true})",
+      R"({"topology":{"cols":3,"rows":3},"id":10,"period":1.0,"solver":"greedy",)"
+      R"("generator":{"ccr":1,"seed":9,"ymax":3,"n":12}})",  // hit (alias)
+      gen_request(11, 5, "greedy", 0.5),                  // miss
+      R"({"id":"s2","stats":true})"};
+  const std::vector<std::string> expected_cache = {
+      "miss", "hit", "hit", "hit", "miss", "", "", "", "", "hit", "miss", ""};
+  // One pool thread: a stats frame waits for every earlier request, but
+  // with more threads a later hit may land before its snapshot.
+  Stack stack(1);
+  const auto run = run_lines(stack.engine, script);
+  ASSERT_EQ(run.lines.size(), script.size());
+  for (std::size_t i = 0; i < script.size(); ++i) {
+    const auto doc = util::parse_json(run.lines[i]);
+    const auto* cache = doc.find("cache");
+    EXPECT_EQ(cache == nullptr ? "" : cache->as_string("cache"), expected_cache[i])
+        << run.lines[i];
+  }
+  struct Counters {
+    double hits, misses, evictions, size, accepted, answered, ok, errors;
+  };
+  const auto counters = [&](std::size_t i) {
+    const auto doc = util::parse_json(run.lines[i]);
+    const auto& stats = doc.at("stats");
+    const auto& c = stats.at("cache");
+    const auto& s = stats.at("summary");
+    return Counters{c.at("hits").number,     c.at("misses").number,
+                    c.at("evictions").number, c.at("size").number,
+                    s.at("accepted").number,  s.at("answered").number,
+                    s.at("ok").number,        s.at("errors").number};
+  };
+  for (const auto& [line, want] :
+       {std::pair{std::size_t{8}, Counters{3, 3, 0, 2, 12, 8, 5, 3}},
+        std::pair{std::size_t{11}, Counters{4, 4, 0, 3, 12, 11, 8, 3}}}) {
+    const Counters got = counters(line);
+    EXPECT_EQ(got.hits, want.hits) << run.lines[line];
+    EXPECT_EQ(got.misses, want.misses);
+    EXPECT_EQ(got.evictions, want.evictions);
+    EXPECT_EQ(got.size, want.size);
+    EXPECT_EQ(got.accepted, want.accepted);
+    EXPECT_EQ(got.answered, want.answered);
+    EXPECT_EQ(got.ok, want.ok);
+    EXPECT_EQ(got.errors, want.errors);
+  }
+}
+
+/// `test_gate`: greedy, except that the first solve after arm() blocks
+/// until release() and then throws, so that solve inserts nothing.
+struct Gate {
+  std::mutex m;
+  std::condition_variable cv;
+  bool armed = false, entered = false, released = false;
+
+  void arm() {
+    const std::lock_guard lk(m);
+    armed = true;
+    entered = released = false;
+  }
+  void wait_entered() {
+    std::unique_lock lk(m);
+    cv.wait(lk, [&] { return entered; });
+  }
+  void release() {
+    {
+      const std::lock_guard lk(m);
+      released = true;
+    }
+    cv.notify_all();
+  }
+  /// Called by each solve; true when this one was the armed solve.
+  bool pass() {
+    std::unique_lock lk(m);
+    if (!armed) return false;
+    armed = false;
+    entered = true;
+    cv.notify_all();
+    cv.wait(lk, [&] { return released; });
+    return true;
+  }
+};
+
+Gate& gate() {
+  static Gate g;
+  static const solve::SolverRegistrar reg(
+      {"test_gate", "greedy behind a test gate (test-only)", {}, false},
+      [](const solve::SolverOptions&, const solve::SolveContext& ctx,
+         std::unique_ptr<heuristics::Heuristic>)
+          -> std::unique_ptr<heuristics::Heuristic> {
+        class Gated final : public heuristics::Heuristic {
+         public:
+          explicit Gated(std::unique_ptr<heuristics::Heuristic> inner)
+              : inner_(std::move(inner)) {}
+          [[nodiscard]] std::string name() const override { return "Gated"; }
+          [[nodiscard]] heuristics::Result run(const spg::Spg& g, const cmp::Platform& p,
+                                               double T) const override {
+            if (gate().pass()) throw std::runtime_error("gate closed");
+            return inner_->run(g, p, T);
+          }
+
+         private:
+          std::unique_ptr<heuristics::Heuristic> inner_;
+        };
+        return std::make_unique<Gated>(
+            solve::SolverRegistry::instance().make("greedy", ctx));
+      });
+  return g;
+}
+
+TEST(Alias, EntryEvictedAfterTheProbeIsSolvedAsAMiss) {
+  // The alias probe and the counted lookup are two steps; a full cache can
+  // evict the entry between them.  Forcing that order deterministically:
+  //   1. W misses on problem A and blocks in its (armed) solve, holding
+  //      A's coalescing slot.
+  //   2. A second engine over the same cache solves A, under the text Y
+  //      will send: the first solve, which inserts A with Y's alias.
+  //   3. Y probes its alias (a hit: A is cached), registers, and waits
+  //      behind W on A's key.
+  //   4. Z, a different problem, registers after Y (so after Y's probe)
+  //      and its insert evicts A from the one-entry cache.
+  //   5. W is released and fails, inserting nothing; only then does Y make
+  //      its counted lookup, which misses, and Y solves A as a miss.
+  Gate& g = gate();
+  serve::MemoCache cache(1);
+  util::ThreadPool pool(3), other_pool(1);
+  serve::Engine engine(pool, cache, nullptr), other(other_pool, cache, nullptr);
+  const auto request_a = [](int id) { return gen_request(id, 5, "test_gate"); };
+
+  g.arm();
+  auto w_answer = submit(engine, request_a(1));
+  g.wait_entered();
+
+  // EXPECT, not ASSERT, until W is released: returning early would leave
+  // it blocked in the gate while the pool joins.
+  const serve::Engine::Result first = submit(other, request_a(2)).get();
+  EXPECT_EQ(first.kind, serve::ResponseKind::OkMiss) << first.line;
+
+  auto y_answer = submit(engine, request_a(3));
+  const serve::Engine::Result z = submit(engine, gen_request(4, 9, "greedy")).get();
+  EXPECT_EQ(z.kind, serve::ResponseKind::OkMiss) << z.line;
+  EXPECT_EQ(cache.stats().evictions, 1u);  // Z's insert evicted A
+
+  g.release();
+  const serve::Engine::Result w = w_answer.get();
+  EXPECT_EQ(w.kind, serve::ResponseKind::Error);
+  EXPECT_NE(w.line.find("gate closed"), std::string::npos) << w.line;
+
+  const serve::Engine::Result y = y_answer.get();
+  ASSERT_EQ(y.kind, serve::ResponseKind::OkMiss) << y.line;
+  EXPECT_EQ(without_id_and_wall(y.line), without_id_and_wall(first.line));
+  EXPECT_EQ(util::parse_json(y.line).at("id").as_number("id"), 3.0);
+  const auto stats = cache.stats();
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.misses, 4u);  // W, the first solve, Z and Y
+  EXPECT_EQ(stats.evictions, 2u);
+}
+
+// ---------------------------------------------------------- compact key --
+
+TEST(CompactKey, EqualExactlyWhenTextKeysEqual) {
+  // Seeded random SPGs on mesh, torus and hetero grids from 2x2 to 6x6:
+  // each problem as generated, stage-permuted, through the generator form
+  // and the explicit-spg form of a request, and with a one-ulp change to a
+  // stage's work, an edge's bytes, the period and a mode speed.
+  struct Problem {
+    spg::Spg g;
+    cmp::Platform p;
+    double period;
+  };
+  const auto ulp = [](double v) {
+    return std::nextafter(v, std::numeric_limits<double>::infinity());
+  };
+  const char* topologies[] = {"mesh", "torus", "hetero"};
+  util::Rng rng(2024);
+  const auto below = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+  };
+  std::vector<Problem> problems;
+  std::size_t expected_equal = 0;
+  for (int i = 0; i < 200; ++i) {
+    const std::size_t n = 6 + below(25);
+    const int ymax = 2 + static_cast<int>(below(3));
+    const std::uint64_t seed = 1 + below(1000000);
+    const std::string topo = topologies[i % 3];
+    const int rows = 2 + static_cast<int>(below(5));
+    const int cols = 2 + static_cast<int>(below(5));
+    const double period = i % 2 == 0 ? 1.0 : 0.1;
+
+    std::ostringstream gen;
+    gen << R"({"generator":{"n":)" << n << R"(,"ymax":)" << ymax << R"(,"seed":)"
+        << seed << R"(,"ccr":1},"topology":{"name":")" << topo << R"(","rows":)"
+        << rows << R"(,"cols":)" << cols << R"(},"solver":"greedy","period":)"
+        << util::json_number(period) << "}";
+    const serve::Request req = serve::parse_request(util::parse_json(gen.str()));
+
+    std::ostringstream text;
+    req.spg.serialize(text);
+    std::ostringstream spg_form;
+    {
+      util::JsonWriter w(spg_form, /*indent=*/-1);
+      w.begin_object();
+      w.kv("spg", text.str());
+      w.key("topology");
+      w.begin_object();
+      w.kv("name", topo);
+      w.kv("rows", rows);
+      w.kv("cols", cols);
+      w.end_object();
+      w.kv("solver", "greedy");
+      w.kv("period", period);
+      w.end_object();
+    }
+    const serve::Request spg_req =
+        serve::parse_request(util::parse_json(spg_form.str()));
+    EXPECT_EQ(req.key, spg_req.key) << gen.str();
+
+    const std::size_t size = req.spg.size();
+    std::vector<spg::Stage> stages(size);
+    for (std::size_t s = 0; s < size; ++s) stages[size - 1 - s] = req.spg.stage(s);
+    std::vector<spg::Edge> edges;
+    for (const auto& e : req.spg.edges()) {
+      edges.push_back(spg::Edge{size - 1 - e.src, size - 1 - e.dst, e.bytes});
+    }
+
+    problems.push_back({req.spg, req.platform, period});
+    problems.push_back({spg_req.spg, spg_req.platform, period});
+    problems.push_back({spg::Spg(std::move(stages), std::move(edges)), req.platform, period});
+    expected_equal += 2;
+
+    Problem work{req.spg, req.platform, period};
+    const auto k = static_cast<spg::StageId>(below(size));
+    work.g.set_work(k, ulp(work.g.stage(k).work));
+    problems.push_back(std::move(work));
+
+    Problem bytes{req.spg, req.platform, period};
+    const auto e = static_cast<spg::EdgeId>(below(bytes.g.edge_count()));
+    bytes.g.set_bytes(e, ulp(bytes.g.edges()[e].bytes));
+    problems.push_back(std::move(bytes));
+
+    problems.push_back({req.spg, req.platform, ulp(period)});
+
+    Problem speed{req.spg, req.platform, period};
+    const auto& model = speed.p.speeds;
+    std::vector<double> speeds, power;
+    for (std::size_t m = 0; m < model.mode_count(); ++m) {
+      speeds.push_back(model.speed(m));
+      power.push_back(model.dynamic_power(m));
+    }
+    const std::size_t m = below(speeds.size());
+    speeds[m] = ulp(speeds[m]);
+    speed.p.speeds = cmp::SpeedModel(speeds, power, model.leak_power());
+    problems.push_back(std::move(speed));
+  }
+
+  // Text -> compact and compact -> text must both be functions.
+  std::map<std::string, std::string> compact_of, text_of;
+  std::size_t equal_pairs = 0;
+  for (const auto& pr : problems) {
+    const std::string text = serve::canonical_key(pr.g, pr.p, "greedy", pr.period);
+    const std::string compact = serve::compact_key(pr.g, pr.p, "greedy", pr.period);
+    const auto [t, fresh_text] = compact_of.emplace(text, compact);
+    const auto [c, fresh_compact] = text_of.emplace(compact, text);
+    EXPECT_EQ(t->second, compact) << text;
+    EXPECT_EQ(c->second, text) << text;
+    EXPECT_EQ(fresh_text, fresh_compact);
+    if (!fresh_text) ++equal_pairs;
+    EXPECT_LT(compact.size(), text.size());
+  }
+  // The three spellings of each problem met; every one-ulp change did not.
+  EXPECT_EQ(equal_pairs, expected_equal);
+  EXPECT_EQ(compact_of.size(), problems.size() - expected_equal);
 }
 
 }  // namespace
