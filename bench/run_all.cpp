@@ -1,11 +1,13 @@
 // One-shot reproduction driver: regenerates Figures 8-13 and Tables 1-3 in
 // a single invocation.  The grid of work is the built-in "paper" campaign
 // spec (campaign::CampaignSpec::paper — the same spec `spgcmp_campaign
-// run --spec=paper` executes shard by shard); this binary runs each sweep
-// through campaign::SweepPlan::run_all, renders it with sweep_report, and
-// derives Tables 2 and 3 from those reports with table_reports.  Output
-// (console tables and BENCH_*.json files) is byte-identical at any
-// --threads value and to a merged campaign over the same spec.
+// run --spec=paper` executes shard by shard); this binary feeds every
+// sweep to one harness::run_pipeline as a batch, so workers move on to the
+// next sweep while a sweep's last instances finish, renders each sweep
+// with sweep_report as it completes (in spec order), and derives Tables 2
+// and 3 from those reports with table_reports.  Output (console tables and
+// BENCH_*.json files) is byte-identical at any --threads value and to a
+// merged campaign over the same spec.
 //
 // To reproduce a single figure, write a campaign spec holding just that
 // [sweep] (see src/campaign/spec.hpp) and run `spgcmp_campaign run
@@ -38,6 +40,7 @@
 #include "campaign/report.hpp"
 #include "campaign/runner.hpp"
 #include "campaign/spec.hpp"
+#include "harness/sweep_engine.hpp"
 #include "obs/obs.hpp"
 #include "spg/streamit.hpp"
 #include "tool_common.hpp"
@@ -178,26 +181,33 @@ int run(const util::Args& args) {
   os << "\n== Table 1: characteristics of the StreamIt workflows ==\n";
   print_table1(os);
 
+  // One batch per sweep; each finished sweep prints in spec order.
   std::vector<harness::BenchReport> reports;
   reports.reserve(plans.size());
+  std::vector<harness::Batch> batches;
+  batches.reserve(plans.size());
   for (const auto& plan : plans) {
-    const campaign::SweepSpec& sweep = plan.spec();
-    os << "\n== Figure " << report_number(sweep.name, 3);
-    if (sweep.kind == campaign::SweepKind::Streamit) {
-      os << ": normalized energy, StreamIt suite, " << sweep.rows << "x"
-         << sweep.cols << " CMP ==\n";
-    } else {
-      os << ": random SPGs, n=" << sweep.n << ", " << sweep.rows << "x"
-         << sweep.cols << " CMP (" << sweep.apps << " workloads per point) ==\n";
-    }
-    reports.push_back(campaign::sweep_report(sweep, topology, plan.run_all(threads)));
-    if (sweep.kind == campaign::SweepKind::Streamit) {
-      print_streamit_report(reports.back(), os);
-    } else {
-      print_random_report(reports.back(), sweep, os);
-    }
-    write_json(reports.back());
+    batches.push_back(plan.batch(
+        0, plan.instance_count(), [&](std::vector<campaign::InstanceResult> results) {
+          const campaign::SweepSpec& sweep = plan.spec();
+          os << "\n== Figure " << report_number(sweep.name, 3);
+          if (sweep.kind == campaign::SweepKind::Streamit) {
+            os << ": normalized energy, StreamIt suite, " << sweep.rows << "x"
+               << sweep.cols << " CMP ==\n";
+          } else {
+            os << ": random SPGs, n=" << sweep.n << ", " << sweep.rows << "x"
+               << sweep.cols << " CMP (" << sweep.apps << " workloads per point) ==\n";
+          }
+          reports.push_back(campaign::sweep_report(sweep, topology, results));
+          if (sweep.kind == campaign::SweepKind::Streamit) {
+            print_streamit_report(reports.back(), os);
+          } else {
+            print_random_report(reports.back(), sweep, os);
+          }
+          write_json(reports.back());
+        }));
   }
+  harness::run_pipeline(std::move(batches), threads);
 
   const auto tables = campaign::table_reports(spec, reports);
   for (std::size_t i = 0; i < tables.size(); ++i) {

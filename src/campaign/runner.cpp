@@ -4,7 +4,7 @@
 #include <cmath>
 #include <iterator>
 #include <limits>
-#include <stdexcept>
+#include <memory>
 
 #include "spg/generator.hpp"
 #include "spg/streamit.hpp"
@@ -112,34 +112,26 @@ std::pair<std::size_t, std::size_t> SweepPlan::shard_range(
   return {first, last};
 }
 
-std::vector<InstanceResult> SweepPlan::run_slice(std::size_t first,
-                                                 std::size_t last,
-                                                 std::size_t threads) const {
-  const auto campaigns =
-      harness::run_tasks(tasks_, first, last, platform_, solvers_, threads);
-  std::vector<InstanceResult> results;
-  results.reserve(campaigns.size());
-  for (const auto& c : campaigns) results.push_back(summarize(c));
-  return results;
-}
-
-std::vector<InstanceResult> SweepPlan::run_shard(std::size_t shard,
-                                                 std::size_t threads) const {
-  if (shard >= shard_count()) {
-    throw std::out_of_range("sweep '" + spec_.name + "': shard " +
-                            std::to_string(shard) + " of " +
-                            std::to_string(shard_count()));
-  }
-  const auto [first, last] = shard_range(shard);
-  return run_slice(first, last, threads);
+harness::Batch SweepPlan::batch(
+    std::size_t first, std::size_t last,
+    std::function<void(std::vector<InstanceResult>)> done) const {
+  auto results = std::make_shared<std::vector<InstanceResult>>(last - first);
+  return {last - first,
+          [this, first, results](std::size_t i) {
+            (*results)[i] = summarize(
+                harness::run_task(tasks_[first + i], first + i, platform_, solvers_));
+          },
+          [results, done = std::move(done)] { done(std::move(*results)); }};
 }
 
 std::vector<InstanceResult> SweepPlan::run_all(std::size_t threads) const {
-  // One batch, not shard-by-shard: instances are independent and
-  // deterministic, so the results are identical, but a single slice keeps
-  // every worker busy across shard boundaries (the one-shot bench path has
-  // no persistence barrier to respect).
-  return run_slice(0, tasks_.size(), threads);
+  std::vector<InstanceResult> results;
+  std::vector<harness::Batch> one;
+  one.push_back(batch(0, tasks_.size(), [&](std::vector<InstanceResult> r) {
+    results = std::move(r);
+  }));
+  harness::run_pipeline(std::move(one), threads);
+  return results;
 }
 
 }  // namespace spgcmp::campaign

@@ -5,11 +5,11 @@
 // A SweepSpec expands into a SweepPlan: a deterministic, ordered list of
 // instance tasks (each carrying its own seed, so which shard or thread runs
 // it is irrelevant) cut into fixed-size shards.  Shards are the unit of
-// scheduling, persistence and resume: the service executes them in order
-// through harness::run_tasks, appends each finished shard to the
+// persistence and resume: the service feeds them in order to
+// harness::run_pipeline as batches, appends each finished shard to the
 // campaign's JSONL log, and a resumed campaign simply skips shard indices
-// already on disk.  The one-shot path (bench_run_all) runs a whole plan
-// through the same runner with run_all.
+// already on disk.  The one-shot path (bench_run_all) feeds whole plans to
+// the same pipeline, one batch per sweep; run_all is its one-batch case.
 //
 // Results are carried as InstanceResult — the raw per-heuristic outcome
 // (retained period, energy, success) of one instance.  Raw energies rather
@@ -20,6 +20,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -83,19 +84,17 @@ class SweepPlan {
   [[nodiscard]] std::pair<std::size_t, std::size_t> shard_range(
       std::size_t shard) const noexcept;
 
-  /// Execute one shard on the sweep pool; results in instance order.
-  [[nodiscard]] std::vector<InstanceResult> run_shard(std::size_t shard,
-                                                      std::size_t threads) const;
+  /// Instances [first, last) as one pipeline batch: each result is stored
+  /// by index, and `done` receives them in instance order once all have
+  /// run.  The plan must outlive the batch.
+  [[nodiscard]] harness::Batch batch(
+      std::size_t first, std::size_t last,
+      std::function<void(std::vector<InstanceResult>)> done) const;
 
-  /// Execute every shard back to back (the one-shot bench path).
+  /// Execute every instance as one batch on `threads` workers.
   [[nodiscard]] std::vector<InstanceResult> run_all(std::size_t threads) const;
 
  private:
-  /// Run instances [first, last) through harness::run_tasks.
-  [[nodiscard]] std::vector<InstanceResult> run_slice(std::size_t first,
-                                                      std::size_t last,
-                                                      std::size_t threads) const;
-
   SweepSpec spec_;
   std::string topology_;
   cmp::Platform platform_;

@@ -2,7 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
+#include <memory>
+#include <optional>
 #include <ostream>
+#include <set>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -114,38 +118,112 @@ std::vector<SweepPlan> CampaignService::plans() const {
   return out;
 }
 
-double CampaignService::execute_shard(const SweepPlan& plan, std::size_t shard,
-                                      std::size_t threads,
-                                      const ServiceOptions& opt) {
-  const auto [first, last] = plan.shard_range(shard);
-  if (opt.log != nullptr) {
-    *opt.log << "[campaign] " << plan.spec().name << " shard " << shard + 1
-             << "/" << plan.shard_count() << " (instances " << first << ".."
-             << last - 1 << ", " << threads << " threads)\n";
-    opt.log->flush();
+namespace {
+
+using Clock = std::chrono::steady_clock;
+using ShardKey = std::pair<std::string, std::size_t>;
+
+double wall_of(const CampaignStore::ShardMap& done) {
+  double wall = 0.0;
+  for (const auto& [key, rec] : done) {
+    if (rec.wall_seconds >= 0.0) wall += rec.wall_seconds;
   }
-  const auto t0 = std::chrono::steady_clock::now();
-  std::vector<InstanceResult> results;
-  {
-    // Begin/end so a killed campaign still shows the open shard in a
-    // partial trace.
-    obs::Span span("campaign.shard", obs::SpanMode::BeginEnd);
-    if (span.active()) {
-      span.detail("sweep", plan.spec().name);
-      span.detail("shard", static_cast<std::uint64_t>(shard));
-    }
-    results = plan.run_shard(shard, threads);
-  }
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  store_.append_shard(plan.spec().name, shard, results, wall);
-  static auto& m_shards = obs::Registry::instance().counter("campaign.shards");
-  static auto& m_wall = obs::Registry::instance().histogram("campaign.shard_us");
-  m_shards.inc();
-  m_wall.observe(wall * 1e6);
   return wall;
 }
+
+/// One run() call's shards: where their records go and what the records
+/// it persisted add up to.  Only the pipeline's `done` callbacks write the
+/// tallies, one at a time, so they need no lock.
+struct ShardRun {
+  ShardRun(CampaignStore& store, const std::string& campaign,
+           const ServiceOptions& opt, std::size_t total,
+           const CampaignStore::ShardMap& done)
+      : store(store),
+        campaign(campaign),
+        opt(opt),
+        threads(harness::normalize_threads(opt.threads)),
+        total(total),
+        completed(done.size()),
+        wall_done(wall_of(done)) {}
+
+  /// Open `shard` of `plan` as a pipeline batch: log it and start its
+  /// `campaign.shard` span.  The batch's `done` persists the shard, then
+  /// calls `after`.
+  harness::Batch open(const SweepPlan& plan, std::size_t shard,
+                      std::function<void()> after) {
+    const auto [first, last] = plan.shard_range(shard);
+    if (opt.log != nullptr) {
+      *opt.log << "[campaign] " << plan.spec().name << " shard " << shard + 1
+               << "/" << plan.shard_count() << " (instances " << first << ".."
+               << last - 1 << ", " << threads << " threads)\n";
+      opt.log->flush();
+    }
+    // From open to persisted, on a lane: shards overlap, and a shard is
+    // persisted by whichever worker finished it.
+    auto span = std::make_shared<obs::Span>("campaign.shard", obs::SpanMode::Lane);
+    if (span->active()) {
+      span->detail("sweep", plan.spec().name);
+      span->detail("shard", static_cast<std::uint64_t>(shard));
+    }
+    return plan.batch(first, last,
+                      [this, &plan, shard, span = std::move(span),
+                       after = std::move(after)](std::vector<InstanceResult> results) mutable {
+                        persist(plan, shard, results);
+                        span.reset();
+                        if (after) after();
+                      });
+  }
+
+  /// Append one shard's record and checkpoint the manifest every
+  /// `checkpoint_every` records.  The record's wall_seconds is the time
+  /// since this run's previous record (or its start), so however shards
+  /// overlap, the records of one run add up to its elapsed time.
+  void persist(const SweepPlan& plan, std::size_t shard,
+               const std::vector<InstanceResult>& results) {
+    const auto now = Clock::now();
+    const double wall = std::chrono::duration<double>(now - last).count();
+    last = now;
+    {
+      const obs::Span span("campaign.persist");
+      store.append_shard(plan.spec().name, shard, results, wall);
+    }
+    static auto& m_shards = obs::Registry::instance().counter("campaign.shards");
+    static auto& m_wall = obs::Registry::instance().histogram("campaign.shard_us");
+    m_shards.inc();
+    m_wall.observe(wall * 1e6);
+    ++persisted;
+    ++completed;
+    wall_done += wall;
+    if (opt.checkpoint_every != 0 && persisted % opt.checkpoint_every == 0) {
+      store.write_manifest({campaign, total, completed, wall_done});
+    }
+  }
+
+  CampaignStore& store;
+  const std::string& campaign;
+  const ServiceOptions& opt;
+  const std::size_t threads;
+  const std::size_t total;    ///< shards in the campaign
+  std::size_t completed;      ///< done in the store, as far as this run knows
+  double wall_done;           ///< their wall_seconds summed
+  std::size_t persisted = 0;  ///< records this run appended
+  Clock::time_point last = Clock::now();  ///< previous record, or the start
+};
+
+/// True, after logging the pause, when the stop flag is up.
+bool stop_requested(const ServiceOptions& opt, std::size_t opened) {
+  if (opt.stop == nullptr || !opt.stop->load(std::memory_order_relaxed)) {
+    return false;
+  }
+  if (opt.log != nullptr) {
+    *opt.log << "[campaign] stop requested; pausing after " << opened
+             << " shards\n";
+    opt.log->flush();
+  }
+  return true;
+}
+
+}  // namespace
 
 RunSummary CampaignService::run(const ServiceOptions& opt) {
   if (opt.worker.empty()) return run_single(opt);
@@ -158,54 +236,39 @@ RunSummary CampaignService::run_single(const ServiceOptions& opt) {
 
   RunSummary summary;
   for (const auto& plan : all) summary.shards_total += plan.shard_count();
-
-  std::size_t completed = done.size();
-  summary.shards_skipped = completed;
-
-  // Seed the manifest's wall-clock total from already-persisted timings so
+  summary.shards_skipped = done.size();
+  // Seeded from the records already persisted, so the manifest's
   // throughput survives pause/resume cycles.
-  double wall_done = 0.0;
-  for (const auto& [key, rec] : done) {
-    if (rec.wall_seconds >= 0.0) wall_done += rec.wall_seconds;
-  }
+  ShardRun run(store_, spec_.name, opt, summary.shards_total, done);
 
-  const std::size_t threads = harness::normalize_threads(opt.threads);
-  bool stopped = false;
+  std::vector<std::pair<const SweepPlan*, std::size_t>> pending;
   for (const auto& plan : all) {
-    if (stopped) break;
     for (std::size_t shard = 0; shard < plan.shard_count(); ++shard) {
-      if (done.count({plan.spec().name, shard}) != 0) continue;
-      // Polled only between shards, so an interrupt lets the in-flight
-      // shard finish and persist before the manifest checkpoint below.
-      if (opt.stop != nullptr && opt.stop->load(std::memory_order_relaxed)) {
-        summary.interrupted = true;
-        stopped = true;
-        if (opt.log != nullptr) {
-          *opt.log << "[campaign] stop requested; pausing after "
-                   << summary.shards_executed << " shards\n";
-          opt.log->flush();
-        }
-        break;
-      }
-      if (opt.max_shards != 0 && summary.shards_executed >= opt.max_shards) {
-        stopped = true;
-        break;
-      }
-      wall_done += execute_shard(plan, shard, threads, opt);
-      ++summary.shards_executed;
-      ++completed;
-      if (opt.checkpoint_every != 0 &&
-          summary.shards_executed % opt.checkpoint_every == 0) {
-        store_.write_manifest(
-            {spec_.name, summary.shards_total, completed, wall_done});
-      }
+      if (done.count({plan.spec().name, shard}) == 0) pending.emplace_back(&plan, shard);
     }
   }
 
-  summary.complete = completed == summary.shards_total;
-  store_.write_manifest({spec_.name, summary.shards_total, completed, wall_done});
+  // A worker that runs dry opens the next pending shard; polling the flag
+  // only there lets every open shard finish and persist.
+  std::size_t opened = 0;
+  harness::run_pipeline(
+      [&]() -> std::optional<harness::Batch> {
+        if (opened == pending.size()) return std::nullopt;
+        if (stop_requested(opt, opened)) {
+          summary.interrupted = true;
+          return std::nullopt;
+        }
+        if (opt.max_shards != 0 && opened == opt.max_shards) return std::nullopt;
+        const auto [plan, shard] = pending[opened++];
+        return run.open(*plan, shard, nullptr);
+      },
+      run.threads);
+
+  summary.shards_executed = run.persisted;
+  summary.complete = run.completed == summary.shards_total;
+  store_.write_manifest({spec_.name, summary.shards_total, run.completed, run.wall_done});
   if (opt.log != nullptr) {
-    *opt.log << "[campaign] " << completed << "/" << summary.shards_total
+    *opt.log << "[campaign] " << run.completed << "/" << summary.shards_total
              << " shards done (" << summary.shards_executed << " executed, "
              << summary.shards_skipped << " resumed)\n";
   }
@@ -214,7 +277,7 @@ RunSummary CampaignService::run_single(const ServiceOptions& opt) {
 
 namespace {
 
-/// Shared state between run_leased's claiming thread and its heartbeat
+/// Shared state between run_leased's pipeline workers and its heartbeat
 /// thread: `lease_mutex` serializes every LeaseManager call, `hb_mutex` /
 /// `hb_cv` carry the heartbeat shutdown signal.
 struct LeaseSync {
@@ -232,12 +295,20 @@ RunSummary CampaignService::run_leased(const ServiceOptions& opt) {
   LeaseManager leases(store_.dir(), opt.worker, opt.lease_ttl);
 
   RunSummary summary;
-  for (const auto& plan : all) summary.shards_total += plan.shard_count();
-  bool skipped_recorded = false;
+  std::vector<std::pair<const SweepPlan*, std::size_t>> shards;
+  for (const auto& plan : all) {
+    for (std::size_t shard = 0; shard < plan.shard_count(); ++shard) {
+      shards.emplace_back(&plan, shard);
+    }
+  }
+  summary.shards_total = shards.size();
+  auto done = store_.load_shards();
+  summary.shards_skipped = done.size();
+  ShardRun run(store_, spec_.name, opt, summary.shards_total, done);
 
-  // Heartbeat: re-stamp held leases every ttl/3 so a long shard is not
-  // reclaimed out from under us.  The lease mutex serializes the stamp
-  // against acquire/release on the main thread.
+  // Heartbeat: re-stamp every held lease every ttl/3 so a long shard is
+  // not reclaimed out from under us.  The lease mutex serializes the stamp
+  // against the workers' acquire and release.
   LeaseSync sync;
   std::thread heartbeat([&] {
     const auto period =
@@ -263,95 +334,55 @@ RunSummary CampaignService::run_leased(const ServiceOptions& opt) {
     if (heartbeat.joinable()) heartbeat.join();
   };
 
-  const std::size_t threads = harness::normalize_threads(opt.threads);
-  std::size_t completed = 0;
-  double wall_done = 0.0;
-  bool stopped = false;
-  try {
-    // Rescan until the campaign is complete or stopped: each pass reloads
-    // the shard logs (other workers persist shards concurrently), claims
-    // pending unleased shards in deterministic order, and when only other
-    // live workers' shards remain, waits a beat and rescans — a worker
-    // that crashed mid-shard leaves an expiring lease that a later pass
-    // reclaims.
-    while (!stopped) {
-      const auto done = store_.load_shards();
-      completed = done.size();
-      wall_done = 0.0;
-      for (const auto& [key, rec] : done) {
-        if (rec.wall_seconds >= 0.0) wall_done += rec.wall_seconds;
-      }
-      if (!skipped_recorded) {
-        summary.shards_skipped = completed;
-        skipped_recorded = true;
-      }
-      if (completed == summary.shards_total) break;
-
-      bool progress = false;
-      // Shards this pass found leased by another live worker.
-      std::vector<std::pair<std::string, std::size_t>> blocked;
-      for (const auto& plan : all) {
-        if (stopped) break;
-        for (std::size_t shard = 0; shard < plan.shard_count(); ++shard) {
-          if (done.count({plan.spec().name, shard}) != 0) continue;
-          if (opt.stop != nullptr &&
-              opt.stop->load(std::memory_order_relaxed)) {
-            summary.interrupted = true;
-            stopped = true;
-            if (opt.log != nullptr) {
-              *opt.log << "[campaign] stop requested; pausing after "
-                       << summary.shards_executed << " shards\n";
-              opt.log->flush();
-            }
-            break;
-          }
-          if (opt.max_shards != 0 &&
-              summary.shards_executed >= opt.max_shards) {
-            stopped = true;
-            break;
-          }
-          bool ours;
-          {
-            const util::MutexLock lg(sync.lease_mutex);
-            ours = leases.acquire(plan.spec().name, shard);
-          }
-          if (!ours) {
-            blocked.emplace_back(plan.spec().name, shard);
-            continue;
-          }
-          // A worker that finished this shard between our reload and this
-          // acquire makes us re-execute it; the keep-first log dedup makes
-          // the duplicate record harmless (deterministic replay).
-          wall_done += execute_shard(plan, shard, threads, opt);
-          {
-            const util::MutexLock lg(sync.lease_mutex);
-            leases.release(plan.spec().name, shard);
-          }
-          ++summary.shards_executed;
-          ++completed;
-          progress = true;
-          if (opt.checkpoint_every != 0 &&
-              summary.shards_executed % opt.checkpoint_every == 0) {
-            store_.write_manifest(
-                {spec_.name, summary.shards_total, completed, wall_done});
-          }
+  // The source walks the shards in passes.  Each pass skips shards the
+  // logs hold (other workers persist concurrently) and shards this run
+  // opened, claims a lease only for the shard it opens, and remembers the
+  // shards other live workers hold.  When a pass opened nothing and only
+  // such shards remain, it waits until one of their leases is released or
+  // goes stale (a crashed worker), at most ttl/3, then reloads the logs and
+  // starts the next pass.
+  std::size_t cursor = 0;
+  std::set<ShardKey> ours;
+  std::vector<ShardKey> blocked;
+  bool progress = false;
+  const auto next = [&]() -> std::optional<harness::Batch> {
+    for (;;) {
+      while (cursor < shards.size()) {
+        const auto [plan, shard] = shards[cursor++];
+        ShardKey key{plan->spec().name, shard};
+        if (done.count(key) != 0 || ours.count(key) != 0) continue;
+        if (stop_requested(opt, ours.size())) {
+          summary.interrupted = true;
+          return std::nullopt;
         }
+        if (opt.max_shards != 0 && ours.size() == opt.max_shards) return std::nullopt;
+        bool acquired;
+        {
+          const util::MutexLock lg(sync.lease_mutex);
+          acquired = leases.acquire(key.first, key.second);
+        }
+        if (!acquired) {
+          blocked.push_back(std::move(key));
+          continue;
+        }
+        // A worker that finished this shard since the logs were loaded
+        // makes us re-execute it; the keep-first log dedup makes the
+        // duplicate record harmless (deterministic replay).
+        ours.insert(key);
+        progress = true;
+        return run.open(*plan, shard, [&leases, &sync, key] {
+          const util::MutexLock lg(sync.lease_mutex);
+          leases.release(key.first, key.second);
+        });
       }
-      if (stopped) break;
-      if (blocked.empty() && !progress) break;  // nothing pending anywhere
+      if (blocked.empty() && !progress) return std::nullopt;  // nothing pending
       if (!progress) {
-        // Only other live workers' shards remain: wait (stop-aware) until
-        // one of the leases that blocked this pass is released or goes
-        // stale, at most ttl/3, then rescan.
         const double wait_s = std::max(opt.lease_ttl / 3.0, 0.2);
-        const auto deadline = std::chrono::steady_clock::now() +
-                              std::chrono::duration<double>(wait_s);
-        while (std::chrono::steady_clock::now() < deadline) {
-          if (opt.stop != nullptr &&
-              opt.stop->load(std::memory_order_relaxed)) {
+        const auto deadline = Clock::now() + std::chrono::duration<double>(wait_s);
+        while (Clock::now() < deadline) {
+          if (opt.stop != nullptr && opt.stop->load(std::memory_order_relaxed)) {
             summary.interrupted = true;
-            stopped = true;
-            break;
+            return std::nullopt;
           }
           std::this_thread::sleep_for(std::chrono::milliseconds(50));
           const auto held = scan_leases(store_.dir(), opt.lease_ttl);
@@ -363,7 +394,14 @@ RunSummary CampaignService::run_leased(const ServiceOptions& opt) {
           if (freed) break;
         }
       }
+      done = store_.load_shards();
+      cursor = 0;
+      blocked.clear();
+      progress = false;
     }
+  };
+  try {
+    harness::run_pipeline(next, run.threads);
   } catch (...) {
     stop_heartbeat();
     throw;
@@ -371,18 +409,12 @@ RunSummary CampaignService::run_leased(const ServiceOptions& opt) {
   stop_heartbeat();
 
   // Final truth from the logs: other workers kept finishing while we ran.
-  {
-    const auto done = store_.load_shards();
-    completed = done.size();
-    wall_done = 0.0;
-    for (const auto& [key, rec] : done) {
-      if (rec.wall_seconds >= 0.0) wall_done += rec.wall_seconds;
-    }
-  }
-  summary.complete = completed == summary.shards_total;
-  store_.write_manifest({spec_.name, summary.shards_total, completed, wall_done});
+  done = store_.load_shards();
+  summary.shards_executed = run.persisted;
+  summary.complete = done.size() == summary.shards_total;
+  store_.write_manifest({spec_.name, summary.shards_total, done.size(), wall_of(done)});
   if (opt.log != nullptr) {
-    *opt.log << "[campaign] worker " << opt.worker << ": " << completed << "/"
+    *opt.log << "[campaign] worker " << opt.worker << ": " << done.size() << "/"
              << summary.shards_total << " shards done ("
              << summary.shards_executed << " executed here)\n";
   }

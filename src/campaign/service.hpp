@@ -3,12 +3,15 @@
 // The campaign service: a long-running, resumable sweep driver.
 //
 // run() expands every sweep of the spec into deterministic shards and
-// executes the pending ones in (sweep, shard) order through
-// harness::run_tasks, appending each finished shard to the store's JSONL
-// log and checkpointing a manifest every few shards.  Because shards are
-// deterministic and persisted with full-precision doubles, a campaign
-// killed at any point resumes with zero re-execution of completed shards
-// and merges to byte-identical BENCH_*.json output — at any thread count.
+// feeds the pending ones, in (sweep, shard) order, to one
+// harness::run_pipeline: a worker that runs out of instances opens the next
+// shard while the others finish the open ones, so no worker waits at a
+// shard boundary.  Finished shards are appended to the store's JSONL log in
+// the order they opened, and a manifest is checkpointed every few.
+// Because shards are deterministic and persisted with full-precision
+// doubles, a campaign killed at any point resumes with zero re-execution
+// of completed shards and merges to byte-identical BENCH_*.json output —
+// at any thread count.
 //
 // merge() folds the shard log back into the BENCH_<name>.json documents the
 // one-shot bench_run_all emits, plus the spec's derived failure tables.
@@ -27,22 +30,28 @@ namespace spgcmp::campaign {
 
 struct ServiceOptions {
   std::size_t threads = 0;  ///< sweep threads; 0 = hardware concurrency
-  /// Stop after executing this many *new* shards (0 = no limit).  Used by
-  /// tests and the CI smoke to simulate a killed campaign, and by batch
-  /// schedulers to run a campaign in fixed-size quanta.
+  /// Open at most this many *new* shards (0 = no limit); every opened shard
+  /// runs and persists.  Used by tests and the CI smoke to simulate a
+  /// killed campaign, and by batch schedulers to run a campaign in
+  /// fixed-size quanta.
   std::size_t max_shards = 0;
-  /// Manifest refresh cadence in shards; 0 = only the final manifest.
+  /// Manifest refresh cadence in persisted shards; 0 = only the final
+  /// manifest.
   std::size_t checkpoint_every = 8;
-  std::ostream* log = nullptr;       ///< optional progress stream
+  /// Optional progress stream: one line as each shard opens, a summary at
+  /// the end.
+  std::ostream* log = nullptr;
   /// Cooperative stop flag (util::stop_signal's, or a test's atomic),
-  /// polled between shards: when raised, the in-flight shard finishes and
-  /// is persisted, the manifest is checkpointed, and run() returns with
-  /// `interrupted` set — the graceful-pause path behind SIGINT/SIGTERM.
+  /// polled as each shard would open: once raised, no shard opens, the open
+  /// ones finish and are persisted, the manifest is checkpointed, and run()
+  /// returns with `interrupted` set — the graceful-pause path behind
+  /// SIGINT/SIGTERM.
   const std::atomic<bool>* stop = nullptr;
   /// Multi-worker scale-out: a non-empty worker id makes this run claim
   /// shards through per-shard lease files (campaign/lease.hpp) so N
   /// processes can share one campaign directory, and routes its shard
-  /// records to <dir>/shards-<worker>.jsonl.  Results merge
+  /// records to <dir>/shards-<worker>.jsonl.  A lease is claimed as its
+  /// shard opens, never ahead, and released once the shard is persisted.  Results merge
   /// byte-identical to a single-process run.  Empty = classic
   /// single-worker execution, no leases.
   std::string worker;
@@ -107,10 +116,10 @@ class CampaignService {
   [[nodiscard]] const CampaignSpec& spec() const noexcept { return spec_; }
   [[nodiscard]] const CampaignStore& store() const noexcept { return store_; }
 
-  /// Execute pending shards in deterministic order; see ServiceOptions.
-  /// With a worker id set, shards are claimed through leases and the run
-  /// keeps rescanning until the campaign completes or only other live
-  /// workers' shards remain.
+  /// Execute pending shards, opened in deterministic order; see
+  /// ServiceOptions.  With a worker id set, shards are claimed through
+  /// leases and the run keeps rescanning until the campaign completes or
+  /// only other live workers' shards remain.
   RunSummary run(const ServiceOptions& opt);
 
   /// Progress snapshot; `lease_ttl` bounds which leases still count as
@@ -129,9 +138,6 @@ class CampaignService {
   [[nodiscard]] std::vector<SweepPlan> plans() const;
   RunSummary run_single(const ServiceOptions& opt);
   RunSummary run_leased(const ServiceOptions& opt);
-  /// Execute one shard and persist its record; returns its wall seconds.
-  double execute_shard(const SweepPlan& plan, std::size_t shard,
-                       std::size_t threads, const ServiceOptions& opt);
 
   CampaignSpec spec_;
   CampaignStore store_;

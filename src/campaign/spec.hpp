@@ -7,8 +7,8 @@
 // plus derived failure tables, all destined for BENCH_<name>.json reports.
 // The same spec drives three consumers:
 //
-//   * the one-shot bench_run_all (bench/run_all.cpp runs the paper spec
-//     sweep by sweep through the shared runner),
+//   * the one-shot bench_run_all (bench/run_all.cpp runs the paper spec's
+//     sweeps through the shared instance pipeline, one batch each),
 //   * the resumable campaign service (tools/spgcmp_campaign), and
 //   * tests, which replay tiny specs at several thread counts and demand
 //     byte-identical merged output.

@@ -66,10 +66,12 @@ class CampaignStore {
   /// Re-parse the stored spec.
   [[nodiscard]] CampaignSpec load_spec() const;
 
-  /// One persisted shard: its instance results plus the wall-clock seconds
-  /// the executing run spent on it (steady clock).  `wall_seconds < 0`
-  /// means the record predates shard timing — the field is optional on
-  /// read so logs written before it existed stay loadable.
+  /// One persisted shard: its instance results plus wall-clock seconds
+  /// (steady clock) from the previous record its run persisted, or the
+  /// run's start, to this one, so the records of one run add up to its
+  /// elapsed time however its shards overlapped.  `wall_seconds < 0` means
+  /// the record predates shard timing — the field is optional on read so
+  /// logs written before it existed stay loadable.
   struct ShardRecord {
     std::vector<InstanceResult> results;
     double wall_seconds = -1.0;

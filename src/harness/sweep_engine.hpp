@@ -3,25 +3,32 @@
 // Parallel experiment-sweep runner.
 //
 // Every table and figure of Section 6.2 is an aggregation over independent
-// (workload, platform, period-search) campaigns.  run_tasks batches those
-// campaigns through util::ThreadPool with three guarantees:
+// (workload, platform, period-search) campaigns.  They run through one
+// instance pipeline, run_pipeline, with three guarantees:
 //
 //   1. Deterministic per-instance seeding: task t draws all randomness from
 //      Rng(t.seed) (instance_seed derives such seeds), never from shared
 //      generator state, so which thread runs it is irrelevant.
-//   2. Thread-count independence: results are stored by task index, so a
+//   2. Thread-count independence: results are stored by task index and
+//      handed back batch by batch in the order the batches opened, so a
 //      1-thread and an 8-thread run produce byte-identical output.
 //   3. Structured emission: a BenchReport collects named cells and writes a
 //      BENCH_<name>.json document for downstream tooling.
 //
-// campaign::SweepPlan expands a sweep spec into tasks and is the one caller
-// that schedules whole figures; campaign::sweep_report folds its results
-// into BenchReports.
+// The pipeline has no barrier between batches: `threads` workers pull
+// instances from one queue, and a worker that finds it empty opens the
+// next batch (the campaign service's next pending shard, bench_run_all's
+// next sweep) while the others finish the batches already open.  Instances
+// still start in batch order, so only idle time moves, never solver work.
+//
+// campaign::SweepPlan expands a sweep spec into tasks and cuts them into
+// batches; campaign::sweep_report folds its results into BenchReports.
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -49,17 +56,39 @@ struct GeneratedTask {
   std::function<spg::Spg(util::Rng&)> make;
 };
 
-/// Run the period-search campaign of tasks [first, last) on `threads`
-/// workers (0 = hardware concurrency); result[0] is task `first`.  Each
-/// instance gets fresh solvers from `solvers`.  Results are independent of
-/// the thread count and of how a batch is cut into slices, which is what
-/// lets a resumed campaign skip completed shards and still merge
-/// byte-identically.
-[[nodiscard]] std::vector<Campaign> run_tasks(const std::vector<GeneratedTask>& tasks,
-                                              std::size_t first, std::size_t last,
-                                              const cmp::Platform& p,
-                                              const solve::SolverSet& solvers,
-                                              std::size_t threads);
+/// Run one task's period-search campaign on platform `p` with fresh solvers
+/// from `solvers`, under a `sweep.instance` span carrying `index`.
+[[nodiscard]] Campaign run_task(const GeneratedTask& task, std::size_t index,
+                                const cmp::Platform& p,
+                                const solve::SolverSet& solvers);
+
+/// One batch of independent instances for run_pipeline.
+struct Batch {
+  std::size_t size = 0;  ///< instances in the batch; 0 is allowed
+  /// Run instance i, 0 <= i < size: called once per i, on any worker, in
+  /// parallel with other instances (store the result by index).
+  std::function<void(std::size_t)> run;
+  /// Called once every instance has run and every batch opened earlier is
+  /// done: batches finish in the order they opened.  Runs on a worker,
+  /// never concurrently with another batch's `done`, but possibly while
+  /// other batches' instances run or the next batch opens.
+  std::function<void()> done;
+};
+
+/// Opens the next batch, or says there is none.  Called by the worker that
+/// finds every opened instance taken, never concurrently with itself;
+/// after it returns std::nullopt it is not called again.
+using BatchSource = std::function<std::optional<Batch>()>;
+
+/// Run batches from `next` on `threads` workers (0 = hardware concurrency;
+/// the calling thread is one of them) until `next` has none left and every
+/// opened batch is done.  The first exception thrown by an instance, by
+/// `next` or by `done` stops the pipeline: no batch opens or finishes after
+/// it, instances already running complete, and it is rethrown here.
+void run_pipeline(const BatchSource& next, std::size_t threads);
+
+/// run_pipeline over a fixed list of batches, opened in list order.
+void run_pipeline(std::vector<Batch> batches, std::size_t threads);
 
 // ------------------------------------------------------------------------
 // Structured bench output (BENCH_*.json).

@@ -30,12 +30,21 @@ struct ThreadBuffer {
   util::Mutex mutex;  // uncontended in steady state: owner appends, stop drains
   std::vector<Event> events SPGCMP_GUARDED_BY(mutex);
   std::uint32_t tid = 0;  // written once before publication, then immutable
+  const char* label = "thread";  // track name prefix; "lane" for lanes
 };
 
 struct BufferRegistry {
   util::Mutex mutex;
   std::vector<std::shared_ptr<ThreadBuffer>> buffers SPGCMP_GUARDED_BY(mutex);
   std::uint32_t next_tid SPGCMP_GUARDED_BY(mutex) = 1;
+};
+
+/// The tracks of Lane spans: buffers no thread owns, each held by at most
+/// one live Lane span, created on first need and reused lowest-first.
+struct LaneRegistry {
+  util::Mutex mutex;
+  std::vector<std::shared_ptr<ThreadBuffer>> lanes SPGCMP_GUARDED_BY(mutex);
+  std::vector<bool> busy SPGCMP_GUARDED_BY(mutex);
 };
 
 std::atomic<bool> g_enabled{false};
@@ -45,6 +54,11 @@ std::atomic<std::uint64_t> g_dropped{0};
 BufferRegistry& registry() {
   // Leaked: worker threads may emit events during static destruction.
   static BufferRegistry* reg = new BufferRegistry();
+  return *reg;
+}
+
+LaneRegistry& lane_registry() {
+  static LaneRegistry* reg = new LaneRegistry();  // leaked, as registry()
   return *reg;
 }
 
@@ -97,16 +111,57 @@ ThreadBuffer& local_buffer() {
   return *t_buffer;
 }
 
-void emit(char ph, const char* name, std::uint64_t ts, std::uint64_t dur,
-          std::string args) {
-  ThreadBuffer& buf = local_buffer();
-  const std::uint32_t parent = t_parent_tid == buf.tid ? 0 : t_parent_tid;
+void append(ThreadBuffer& buf, Event e) {
   const util::MutexLock lock(buf.mutex);
   if (buf.events.size() >= kMaxEventsPerThread) {
     g_dropped.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  buf.events.push_back(Event{name, std::move(args), ts, dur, parent, ph});
+  buf.events.push_back(std::move(e));
+}
+
+void emit(char ph, const char* name, std::uint64_t ts, std::uint64_t dur,
+          std::string args) {
+  ThreadBuffer& buf = local_buffer();
+  const std::uint32_t parent = t_parent_tid == buf.tid ? 0 : t_parent_tid;
+  append(buf, Event{name, std::move(args), ts, dur, parent, ph});
+}
+
+/// Hold the lowest free lane, registering a new track when all are held.
+std::size_t take_lane() {
+  LaneRegistry& lanes = lane_registry();
+  const util::MutexLock lock(lanes.mutex);
+  for (std::size_t i = 0; i < lanes.busy.size(); ++i) {
+    if (!lanes.busy[i]) {
+      lanes.busy[i] = true;
+      return i;
+    }
+  }
+  auto buf = std::make_shared<ThreadBuffer>();
+  buf->label = "lane";
+  {
+    BufferRegistry& reg = registry();
+    const util::MutexLock reg_lock(reg.mutex);
+    buf->tid = reg.next_tid++;
+    reg.buffers.push_back(buf);
+  }
+  lanes.lanes.push_back(std::move(buf));
+  lanes.busy.push_back(true);
+  return lanes.lanes.size() - 1;
+}
+
+/// Free a span's lane and append its "X" event there.  The span's end was
+/// read before the lane is freed, and a span reads its start only once it
+/// holds its lane, so the next span on the lane starts after this one ends.
+void close_lane(std::size_t lane, Event e) {
+  LaneRegistry& lanes = lane_registry();
+  std::shared_ptr<ThreadBuffer> buf;
+  {
+    const util::MutexLock lock(lanes.mutex);
+    buf = lanes.lanes[lane];
+    lanes.busy[lane] = false;
+  }
+  append(*buf, std::move(e));
 }
 
 void render_event(std::ostream& os, const Event& e, std::uint32_t tid) {
@@ -170,7 +225,7 @@ std::size_t trace_stop(std::ostream& os) {
     if (!first) os << ',';
     first = false;
     os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":" << buf->tid
-       << ",\"args\":{\"name\":\"thread-" << buf->tid << "\"}}";
+       << ",\"args\":{\"name\":\"" << buf->label << '-' << buf->tid << "\"}}";
     for (const Event& e : events) {
       os << ',';
       render_event(os, e, buf->tid);
@@ -193,27 +248,30 @@ void trace_instant(const char* name) noexcept {
 Span::Span(const char* name, SpanMode mode) noexcept {
   if (!g_enabled.load(std::memory_order_relaxed)) return;
   name_ = name;
-  start_us_ = now_us();
-  state_ = mode == SpanMode::Complete ? 1 : 2;
-  if (state_ == 2) {
-    try {
-      emit('B', name_, start_us_, 0, std::string());
-    } catch (...) {
-      g_dropped.fetch_add(1, std::memory_order_relaxed);
-      state_ = 0;
-    }
+  state_ = mode == SpanMode::Complete ? 1 : mode == SpanMode::BeginEnd ? 2 : 3;
+  try {
+    // The lane first, then the clock: the span then starts no earlier
+    // than the lane's previous span ended.
+    if (state_ == 3) lane_ = take_lane();
+    start_us_ = now_us();
+    if (state_ == 2) emit('B', name_, start_us_, 0, std::string());
+  } catch (...) {
+    g_dropped.fetch_add(1, std::memory_order_relaxed);
+    state_ = 0;
   }
 }
 
 Span::~Span() {
   if (state_ == 0) return;
   const std::uint64_t end = now_us();
+  const std::uint64_t dur = end > start_us_ ? end - start_us_ : 0;
   try {
     if (state_ == 1) {
-      emit('X', name_, start_us_, end > start_us_ ? end - start_us_ : 0,
-           std::move(args_));
-    } else {
+      emit('X', name_, start_us_, dur, std::move(args_));
+    } else if (state_ == 2) {
       emit('E', name_, end, 0, std::move(args_));
+    } else {
+      close_lane(lane_, Event{name_, std::move(args_), start_us_, dur, 0, 'X'});
     }
   } catch (...) {
     g_dropped.fetch_add(1, std::memory_order_relaxed);

@@ -23,6 +23,7 @@
 // live.
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -52,8 +53,12 @@ void trace_instant(const char* name) noexcept;
 /// RAII scope.  Complete mode (the default) emits one "X" event with the
 /// scope's duration at destruction; BeginEnd emits a "B" at construction
 /// and an "E" at destruction, which keeps long scopes visible in partial
-/// traces and is what the pool/campaign layers use.
-enum class SpanMode { Complete, BeginEnd };
+/// traces and is what the pool layer uses.  Lane emits one "X" event too,
+/// but on a track of its own instead of its thread's: the lowest lane no
+/// other live Lane span holds.  Spans that overlap without nesting, or end
+/// on another thread than they began on (a campaign's shards in the
+/// instance pipeline), so leave every track properly nested.
+enum class SpanMode { Complete, BeginEnd, Lane };
 
 class Span {
  public:
@@ -76,7 +81,8 @@ class Span {
   const char* name_ = nullptr;
   std::string args_;           // pre-rendered `"k":v` pairs, comma-joined
   std::uint64_t start_us_ = 0;
-  int state_ = 0;  // 0 inactive, 1 complete, 2 begin/end
+  std::size_t lane_ = 0;  // Lane mode: the lane this span holds
+  int state_ = 0;  // 0 inactive, 1 complete, 2 begin/end, 3 lane
 };
 
 }  // namespace spgcmp::obs

@@ -219,15 +219,25 @@ Engine::Result Engine::handle(const std::string& line, std::uint64_t s,
   // without touching the solve path.
   if (const util::JsonValue* st = doc.find("stats");
       st != nullptr && st->type == util::JsonValue::Type::Bool && st->boolean) {
-    register_turn(s, nullptr);
     {
-      // Snapshot only after every earlier request has completed: the
-      // answer's counters are then deterministic in request order instead
-      // of racing whatever solves happen to be in flight.
+      // Snapshot only after every earlier request has completed, and
+      // before this frame passes its registration turn on: every later
+      // request counts only after its own turn, so the counters are
+      // exactly those of the requests before the frame.
       const util::MutexLock lk(solve_mutex_);
-      while (*inflight_seqs_.begin() != s) cv_solved_.wait(solve_mutex_);
+      while (next_register_ != s || *inflight_seqs_.begin() != s) {
+        cv_solved_.wait(solve_mutex_);
+      }
     }
-    return {render_stats(id, stats_document(-1)), ResponseKind::Stats};
+    std::string snapshot;
+    try {
+      snapshot = stats_document(-1);
+    } catch (...) {
+      register_turn(s, nullptr);
+      throw;
+    }
+    register_turn(s, nullptr);
+    return {render_stats(id, snapshot), ResponseKind::Stats};
   }
   const auto t0 = Clock::now();
   // A repeat is recognised by its text before anything is materialized;

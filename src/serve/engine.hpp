@@ -152,9 +152,10 @@ class Engine {
       SPGCMP_GUARDED_BY(solve_mutex_);
   std::set<std::string> solving_ SPGCMP_GUARDED_BY(solve_mutex_);
   /// Submitted-but-unanswered sequence numbers.  A stats frame waits until
-  /// it is the lowest entry, so its snapshot deterministically reflects
-  /// every earlier request (the waits are on strictly earlier sequences,
-  /// which have all started — same deadlock-freedom argument as above).
+  /// it is the lowest entry and holds its registration turn until its
+  /// snapshot is taken, so the snapshot reflects exactly the earlier
+  /// requests (the waits are on strictly earlier sequences, which have all
+  /// started — same deadlock-freedom argument as above).
   std::set<std::uint64_t> inflight_seqs_ SPGCMP_GUARDED_BY(solve_mutex_);
 
   // Lifetime counters behind lifetime().

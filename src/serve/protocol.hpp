@@ -30,7 +30,12 @@
 // obs::Registry snapshot (counters/gauges/histograms), `deltas` the
 // per-window counter rates (obs::DeltaTracker).  A request carrying
 // "stats" is a control frame: its other members besides "id" are not
-// interpreted.
+// interpreted.  The frame waits for every earlier request and holds back
+// every later one until its snapshot is taken, so `summary` and `cache`
+// count exactly the requests before it.  `summary.accepted` and the
+// registry `metrics` stay "as of now": they count requests at submission
+// (`accepted`, `serve.requests`, `pool.tasks`), so a later request read
+// before the snapshot already shows in them.
 //
 // A repeated request is recognised by its text.  request_alias re-renders
 // the document compactly without its top-level "id" (object members

@@ -262,26 +262,48 @@ def check_two_workers_merge_to_oneshot(d):
     same_reports(os.path.join(d, "merged"), os.path.join(d, "oneshot"))
 
 
-def lease_holders(camp):
-    """Worker ids of the lease files under `camp` right now."""
-    holders = set()
-    leases = os.path.join(camp, "leases")
-    if not os.path.isdir(leases):
-        return holders
-    for name in os.listdir(leases):
+def leases(camp):
+    """{lease file name: worker id} under `camp` right now."""
+    held = {}
+    root = os.path.join(camp, "leases")
+    if not os.path.isdir(root):
+        return held
+    for name in os.listdir(root):
         try:
-            with open(os.path.join(leases, name)) as f:
-                holders.add(json.load(f)["worker"])
+            with open(os.path.join(root, name)) as f:
+                held[name] = json.load(f)["worker"]
         except (OSError, ValueError, KeyError):
             pass  # released, reclaimed or mid-create
-    return holders
+    return held
+
+
+def shard_keys(camp, worker):
+    """"<sweep>__<shard>" of every whole record in a worker's shard log."""
+    keys = set()
+    try:
+        lines = read(os.path.join(camp, "shards-%s.jsonl" % worker)).splitlines()
+    except OSError:
+        return keys
+    for line in lines:
+        try:
+            rec = json.loads(line)
+        except ValueError:
+            continue  # a torn tail
+        keys.add("%s__%d" % (rec["sweep"], rec["shard"]))
+    return keys
+
+
+def lease_holders(camp):
+    """Worker ids of the lease files under `camp` right now."""
+    return set(leases(camp).values())
 
 
 def check_killed_worker_is_reclaimed(d):
     # Two independently launched workers share one directory; one is
-    # kill -9'd while it holds a lease.  The survivor reclaims the dead
-    # worker's lease (pid liveness + TTL) and finishes, and the merge still
-    # equals the one-shot bytes.
+    # kill -9'd while it holds a lease.  A worker holds one lease per shard
+    # it has open, so the dead worker may leave several; the survivor
+    # reclaims every one of them (pid liveness + TTL) and finishes, and the
+    # merge still equals the one-shot bytes.
     ref = bench_bg(d, 2, "oneshot", *DENSE)
     camp = os.path.join(d, "camp")
 
@@ -300,6 +322,7 @@ def check_killed_worker_is_reclaimed(d):
         wait_for(lambda: "a" in lease_holders(camp), "worker a to hold a lease")
         a.kill()
         a.wait()
+        orphaned = sorted(n for n, w in leases(camp).items() if w == "a")
         rc = b.wait(timeout=DEADLINE_S)
     finally:
         for p in (a, b):
@@ -313,6 +336,11 @@ def check_killed_worker_is_reclaimed(d):
         run([CAMPAIGN, "resume", "--dir=camp", "--worker=b", "--lease-ttl=2",
              "--threads=2"], d)
         status(d, "camp")
+    # Every shard the dead worker held a lease on and had not persisted was
+    # reclaimed and run by the survivor.
+    lost = [n for n in orphaned if n[:-len(".lease")] not in shard_keys(camp, "a")]
+    missing = [n for n in lost if n[:-len(".lease")] not in shard_keys(camp, "b")]
+    check(not missing, "leases of the killed worker never reclaimed: %s" % missing)
     run([CAMPAIGN, "merge", "--dir=camp", "--out=merged"], d)
     finish(ref)
     same_reports(os.path.join(d, "merged"), os.path.join(d, "oneshot"))
@@ -324,7 +352,7 @@ def check_traced_campaign_records_shards(d):
          "--trace=camp.trace.json", "--metrics=camp.metrics.json"] + QUICK, d)
     trace = json.loads(read(os.path.join(d, "camp.trace.json")))
     names = {e["name"] for e in trace["traceEvents"]}
-    check({"campaign.shard", "solve"} <= names, sorted(names))
+    check({"campaign.shard", "campaign.persist", "solve"} <= names, sorted(names))
     m = json.loads(read(os.path.join(d, "camp.metrics.json")))
     check(m["counters"]["campaign.shards"] > 0, "no shard counter")
     # Every persisted shard record carries its wall_seconds.

@@ -68,6 +68,23 @@ namespace spgcmp::test {
   return tasks;
 }
 
+/// The campaigns of tasks [first, last), in task order, run through the
+/// instance pipeline as one batch on `threads` workers.
+[[nodiscard]] inline std::vector<harness::Campaign> run_tasks(
+    const std::vector<harness::GeneratedTask>& tasks, std::size_t first,
+    std::size_t last, const cmp::Platform& p, const solve::SolverSet& solvers,
+    std::size_t threads) {
+  std::vector<harness::Campaign> campaigns(last - first);
+  std::vector<harness::Batch> one;
+  one.push_back({last - first,
+                 [&](std::size_t i) {
+                   campaigns[i] = harness::run_task(tasks[first + i], first + i, p, solvers);
+                 },
+                 nullptr});
+  harness::run_pipeline(std::move(one), threads);
+  return campaigns;
+}
+
 /// The paper's reference platforms by shorthand.
 [[nodiscard]] inline cmp::Platform grid2x2() { return cmp::Platform::reference(2, 2); }
 [[nodiscard]] inline cmp::Platform grid4x4() { return cmp::Platform::reference(4, 4); }

@@ -12,7 +12,13 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <mutex>
+#include <optional>
+#include <set>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -22,9 +28,11 @@
 #include "campaign/lease.hpp"
 #include "campaign/service.hpp"
 #include "harness/sweep_engine.hpp"
+#include "obs/trace.hpp"
 #include "util/json.hpp"
 #include "util/jsonl.hpp"
 #include "util/spec.hpp"
+#include "util/thread_annotations.hpp"
 
 namespace {
 
@@ -39,6 +47,97 @@ TEST(NormalizeThreads, ZeroMeansHardwareConcurrencyAtLeastOne) {
   EXPECT_EQ(hw, std::max<std::size_t>(1, std::thread::hardware_concurrency()));
   EXPECT_EQ(harness::normalize_threads(1), 1u);
   EXPECT_EQ(harness::normalize_threads(7), 7u);
+}
+
+// ------------------------------------------------------------- pipeline --
+
+TEST(Pipeline, OpensTheNextBatchWhileASlowInstanceRuns) {
+  // Batch 0 holds one slow instance and one cheap one, batch 1 cheap ones.
+  // The slow instance waits until an instance of batch 1 has started, so
+  // the test does not hang on timing: with a barrier between batches that
+  // never happens, the wait runs out and the test fails.
+  util::Mutex mutex;
+  util::CondVar cv;
+  bool batch1_started = false;
+  bool slow_saw_batch1 = false;
+  std::vector<std::string> order;
+  std::vector<harness::Batch> batches;
+  batches.push_back({2,
+                     [&](std::size_t i) {
+                       if (i != 0) return;
+                       const auto deadline =
+                           std::chrono::steady_clock::now() + std::chrono::seconds(20);
+                       const util::MutexLock lk(mutex);
+                       while (!batch1_started && std::chrono::steady_clock::now() < deadline) {
+                         (void)cv.wait_for(mutex, std::chrono::milliseconds(50));
+                       }
+                       slow_saw_batch1 = batch1_started;
+                     },
+                     [&] { order.push_back("0"); }});
+  batches.push_back({3,
+                     [&](std::size_t) {
+                       {
+                         const util::MutexLock lk(mutex);
+                         batch1_started = true;
+                       }
+                       cv.notify_all();
+                     },
+                     [&] { order.push_back("1"); }});
+  harness::run_pipeline(std::move(batches), 2);
+  // An instance of batch 1 started before batch 0's slow instance ended,
+  // so before batch 0 was handed back; batch 1 may also finish first, but
+  // batches are handed back in open order.
+  EXPECT_TRUE(slow_saw_batch1);
+  EXPECT_EQ(order, (std::vector<std::string>{"0", "1"}));
+}
+
+TEST(Pipeline, HandsBatchesBackInOpenOrderWithEveryResult) {
+  // Batches of uneven sizes, empty ones among them, on 1, 2 and 4 workers:
+  // each `done` sees all of its own results and runs in open order.
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    const std::vector<std::size_t> sizes = {5, 0, 1, 7, 0, 0, 3, 16};
+    std::vector<std::vector<std::size_t>> results(sizes.size());
+    std::vector<std::size_t> order;
+    std::size_t opened = 0;
+    harness::run_pipeline(
+        [&]() -> std::optional<harness::Batch> {
+          if (opened == sizes.size()) return std::nullopt;
+          const std::size_t b = opened++;
+          results[b].assign(sizes[b], 0);
+          return harness::Batch{sizes[b],
+                                [&, b](std::size_t i) { results[b][i] = 100 * b + i; },
+                                [&, b] {
+                                  for (std::size_t i = 0; i < sizes[b]; ++i) {
+                                    EXPECT_EQ(results[b][i], 100 * b + i);
+                                  }
+                                  order.push_back(b);
+                                }};
+        },
+        threads);
+    EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4, 5, 6, 7})) << threads;
+  }
+}
+
+TEST(Pipeline, AnInstanceErrorStopsThePipelineAndSurfaces) {
+  std::atomic<std::size_t> opened{0};
+  std::atomic<bool> done_after_error{false};
+  EXPECT_THROW(
+      harness::run_pipeline(
+          [&]() -> std::optional<harness::Batch> {
+            const std::size_t b = opened++;
+            if (b == 100000) return std::nullopt;
+            return harness::Batch{4,
+                                  [b](std::size_t i) {
+                                    if (b == 1 && i == 2) throw std::runtime_error("boom");
+                                  },
+                                  [&, b] {
+                                    if (b >= 1) done_after_error = true;
+                                  }};
+          },
+          2),
+      std::runtime_error);
+  EXPECT_FALSE(done_after_error.load());
+  EXPECT_LT(opened.load(), 100000u);  // the source stopped being asked
 }
 
 TEST(JsonParser, RoundTripsWriterOutput) {
@@ -225,7 +324,6 @@ TEST(SweepPlan, ShardGridCoversAllInstancesExactlyOnce) {
     covered = last;
   }
   EXPECT_EQ(covered, plan.instance_count());
-  EXPECT_THROW((void)plan.run_shard(5, 1), std::out_of_range);
 }
 
 // -------------------------------------------------------------- service --
@@ -361,18 +459,25 @@ TEST(CampaignService, InterruptedCampaignResumesWithZeroReexecution) {
 }
 
 TEST(CampaignService, MergeMatchesOneShotBenchReportByteForByte) {
-  const auto spec = campaign::CampaignSpec::parse_string(tiny_spec_text());
-  CampaignDir dir("oneshot");
-  campaign::CampaignService service(spec, dir.str());
-  campaign::ServiceOptions opt;
-  opt.threads = 2;
-  ASSERT_TRUE(service.run(opt).complete);
-  const auto reports = service.merged_reports();
-  ASSERT_EQ(reports.size(), 2u);
-  EXPECT_EQ(reports[1].name, "tiny_failures");
+  // Shards of two instances, so at 2 and 4 threads the pipeline overlaps
+  // them; the merge still equals the one-shot path at every thread count.
+  auto spec = campaign::CampaignSpec::parse_string(tiny_spec_text());
+  spec.sweeps[0].shard_size = 2;
+  const auto want = oneshot_reports(spec, /*threads=*/1);
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    CampaignDir dir("oneshot" + std::to_string(threads));
+    campaign::CampaignService service(spec, dir.str());
+    campaign::ServiceOptions opt;
+    opt.threads = threads;
+    ASSERT_TRUE(service.run(opt).complete);
+    const auto reports = service.merged_reports();
+    ASSERT_EQ(reports.size(), 2u);
+    EXPECT_EQ(reports[1].name, "tiny_failures");
 
-  // The one-shot path over the same spec, derived table included.
-  expect_same_reports(reports, oneshot_reports(spec, /*threads=*/1));
+    // The one-shot path over the same spec, derived table included.
+    expect_same_reports(reports, oneshot_reports(spec, threads));
+    expect_same_reports(reports, want);
+  }
 }
 
 TEST(CampaignService, TruncatedShardLogTailIsReexecutedCleanly) {
@@ -543,6 +648,254 @@ TEST(CampaignService, StopFlagPausesWithValidManifestAndResumes) {
   EXPECT_EQ(resumed.shards_skipped, 0u);
 }
 
+/// A log stream that raises `stop` once a line holding `trigger` is
+/// flushed.  The service writes its log only while opening shards, which
+/// the pipeline never does on two workers at once.
+class TripwireLog : public std::stringbuf {
+ public:
+  TripwireLog(std::string trigger, std::atomic<bool>& stop)
+      : trigger_(std::move(trigger)), stop_(stop) {}
+
+ protected:
+  int sync() override {
+    if (str().find(trigger_) != std::string::npos) stop_.store(true);
+    return 0;
+  }
+
+ private:
+  std::string trigger_;
+  std::atomic<bool>& stop_;
+};
+
+/// The (sweep, shard) keys of a shard log, in append order.
+std::vector<std::pair<std::string, std::size_t>> log_order(const std::string& path) {
+  std::vector<std::pair<std::string, std::size_t>> keys;
+  for (const auto& rec : util::read_jsonl(path)) {
+    keys.emplace_back(rec.at("sweep").as_string("sweep"),
+                      static_cast<std::size_t>(rec.at("shard").as_number("shard")));
+  }
+  return keys;
+}
+
+TEST(CampaignService, StopMidRunPersistsTheOpenShardsInOrderAndResumes) {
+  const auto spec = campaign::CampaignSpec::parse_string(tiny_spec_text());
+  CampaignDir ref_dir("stop_ref");
+  campaign::CampaignService ref(spec, ref_dir.str());
+  campaign::ServiceOptions one;
+  one.threads = 1;
+  ASSERT_TRUE(ref.run(one).complete);
+
+  // The flag goes up as the second shard opens, while the first may still
+  // run: both open shards finish and persist, in open order, and no third
+  // shard opens.
+  CampaignDir dir("stop_mid");
+  std::atomic<bool> stop{false};
+  TripwireLog buf("shard 2/3", stop);
+  std::ostream log(&buf);
+  campaign::ServiceOptions opt;
+  opt.threads = 2;
+  opt.stop = &stop;
+  opt.log = &log;
+  campaign::CampaignService service(spec, dir.str());
+  const auto paused = service.run(opt);
+  EXPECT_TRUE(paused.interrupted);
+  EXPECT_FALSE(paused.complete);
+  EXPECT_EQ(paused.shards_executed, 2u);
+  EXPECT_EQ(log_order(service.store().shards_path()),
+            (std::vector<std::pair<std::string, std::size_t>>{{"tiny_random", 0},
+                                                              {"tiny_random", 1}}));
+  EXPECT_NE(buf.str().find("stop requested; pausing after 2 shards"), std::string::npos)
+      << buf.str();
+  const auto manifest = service.store().read_manifest();
+  ASSERT_TRUE(manifest.has_value());
+  EXPECT_EQ(manifest->shards_done, 2u);
+
+  // Resume re-executes nothing that was persisted and merges byte for byte.
+  auto resumed = campaign::CampaignService::open(dir.str());
+  campaign::ServiceOptions rest;
+  rest.threads = 2;
+  const auto s = resumed.run(rest);
+  EXPECT_TRUE(s.complete);
+  EXPECT_EQ(s.shards_skipped, 2u);
+  EXPECT_EQ(s.shards_executed, 1u);
+  EXPECT_EQ(merged_bytes(resumed), merged_bytes(ref));
+}
+
+TEST(CampaignService, ShardSpansOverlapOnLanesAndEveryTrackNests) {
+  // A traced two-thread run: one campaign.shard span per shard, from open
+  // to persisted, with its sweep and shard args, and one campaign.persist
+  // span per record.  Shards overlap, so their spans sit on lanes; every
+  // track of the trace, lane or thread, must still nest.
+  auto spec = campaign::CampaignSpec::parse_string(tiny_spec_text());
+  spec.sweeps[0].shard_size = 2;
+  CampaignDir dir("trace");
+  campaign::CampaignService service(spec, dir.str());
+  campaign::ServiceOptions opt;
+  opt.threads = 2;
+  obs::trace_start();
+  ASSERT_TRUE(service.run(opt).complete);
+  std::ostringstream os;
+  obs::trace_stop(os);
+
+  struct Interval {
+    std::uint64_t begin, end;
+  };
+  std::map<std::uint64_t, std::vector<Interval>> tracks;
+  std::map<std::uint64_t, std::vector<std::uint64_t>> open_begins;
+  std::set<std::size_t> shard_spans;
+  std::size_t persist_spans = 0;
+  const auto trace = util::parse_json(os.str());
+  for (const auto& e : trace.at("traceEvents").as_array("events")) {
+    const std::string ph = e.at("ph").as_string("ph");
+    const auto tid = static_cast<std::uint64_t>(e.at("tid").as_number("tid"));
+    if (ph == "M" || ph == "i") continue;
+    const auto ts = static_cast<std::uint64_t>(e.at("ts").as_number("ts"));
+    if (ph == "B") {
+      open_begins[tid].push_back(ts);
+      continue;
+    }
+    if (ph == "E") {
+      ASSERT_FALSE(open_begins[tid].empty()) << "an E without its B on " << tid;
+      tracks[tid].push_back({open_begins[tid].back(), ts});
+      open_begins[tid].pop_back();
+      continue;
+    }
+    ASSERT_EQ(ph, "X");
+    const auto dur = static_cast<std::uint64_t>(e.at("dur").as_number("dur"));
+    tracks[tid].push_back({ts, ts + dur});
+    const std::string name = e.at("name").as_string("name");
+    if (name == "campaign.shard") {
+      EXPECT_EQ(e.at("args").at("sweep").as_string("sweep"), "tiny_random");
+      shard_spans.insert(static_cast<std::size_t>(e.at("args").at("shard").as_number("shard")));
+    }
+    if (name == "campaign.persist") ++persist_spans;
+  }
+  EXPECT_EQ(shard_spans, (std::set<std::size_t>{0, 1, 2, 3, 4, 5}));
+  EXPECT_EQ(persist_spans, 6u);
+  for (auto& [tid, spans] : tracks) {
+    EXPECT_TRUE(open_begins[tid].empty()) << "an open B on " << tid;
+    std::sort(spans.begin(), spans.end(), [](const Interval& a, const Interval& b) {
+      return a.begin != b.begin ? a.begin < b.begin : a.end > b.end;
+    });
+    std::vector<Interval> stack;
+    for (const auto& span : spans) {
+      while (!stack.empty() && stack.back().end <= span.begin) stack.pop_back();
+      if (!stack.empty()) {
+        EXPECT_LE(span.end, stack.back().end)
+            << "track " << tid << ": [" << span.begin << ", " << span.end
+            << "] overlaps [" << stack.back().begin << ", " << stack.back().end << "]";
+      }
+      stack.push_back(span);
+    }
+  }
+}
+
+/// A log stream several threads may write and read at once.
+class SharedLog : public std::streambuf {
+ public:
+  [[nodiscard]] std::string str() const {
+    const std::lock_guard<std::mutex> lk(mutex_);
+    return text_;
+  }
+
+ protected:
+  int_type overflow(int_type c) override {
+    if (c != traits_type::eof()) {
+      const std::lock_guard<std::mutex> lk(mutex_);
+      text_.push_back(traits_type::to_char_type(c));
+    }
+    return c;
+  }
+  std::streamsize xsputn(const char* s, std::streamsize n) override {
+    const std::lock_guard<std::mutex> lk(mutex_);
+    text_.append(s, static_cast<std::size_t>(n));
+    return n;
+  }
+
+ private:
+  mutable std::mutex mutex_;
+  std::string text_;
+};
+
+/// The shards a service log says were opened: "<sweep> shard K/N" lines.
+std::set<std::pair<std::string, std::size_t>> opened_shards(const std::string& log) {
+  std::set<std::pair<std::string, std::size_t>> out;
+  std::istringstream is(log);
+  for (std::string line; std::getline(is, line);) {
+    std::istringstream words(line);
+    std::string tag, sweep, shard_word, frac;
+    if (!(words >> tag >> sweep >> shard_word >> frac) || shard_word != "shard") continue;
+    out.emplace(sweep, std::stoul(frac.substr(0, frac.find('/'))) - 1);
+  }
+  return out;
+}
+
+TEST(CampaignService, LeasedWorkersHoldLeasesOnlyForShardsTheyOpened) {
+  // Two leased workers of two threads each.  A lease is claimed only as
+  // its shard opens, never ahead: sampled at any moment, each worker's
+  // leases are shards its log says it opened, except at most the one it
+  // is opening (claimed, not yet logged).  Leases are read before the
+  // logs, so a lease seen is either logged by then or that one shard.
+  auto spec = campaign::CampaignSpec::parse_string(tiny_spec_text());
+  spec.sweeps[0].shard_size = 2;
+  CampaignDir ref_dir("lease_bound_ref");
+  campaign::CampaignService ref(spec, ref_dir.str());
+  campaign::ServiceOptions one;
+  one.threads = 1;
+  ASSERT_TRUE(ref.run(one).complete);
+
+  CampaignDir dir("lease_bound");
+  campaign::CampaignService bind(spec, dir.str());
+  auto w1 = campaign::CampaignService::open(dir.str());
+  auto w2 = campaign::CampaignService::open(dir.str());
+  SharedLog buf1, buf2;
+  std::ostream log1(&buf1), log2(&buf2);
+  std::atomic<int> running{2};
+  std::atomic<bool> stop{false};  // raised only if the workers never finish
+  campaign::RunSummary s1, s2;
+  const auto run_worker = [&](campaign::CampaignService& svc, const std::string& name,
+                              std::ostream& log, campaign::RunSummary& out) {
+    campaign::ServiceOptions o;
+    o.threads = 2;
+    o.worker = name;
+    o.log = &log;
+    o.stop = &stop;
+    out = svc.run(o);
+    --running;
+  };
+  std::thread t1(run_worker, std::ref(w1), "w1", std::ref(log1), std::ref(s1));
+  std::thread t2(run_worker, std::ref(w2), "w2", std::ref(log2), std::ref(s2));
+  std::size_t samples = 0;
+  std::size_t worst_unopened = 0;
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (running.load() > 0) {
+    if (!stop.load() && std::chrono::steady_clock::now() > deadline) {
+      ADD_FAILURE() << "the workers did not finish within 60 s";
+      stop.store(true);
+    }
+    const auto leases = campaign::scan_leases(dir.str(), 30.0);
+    const std::map<std::string, std::set<std::pair<std::string, std::size_t>>> opened = {
+        {"w1", opened_shards(buf1.str())}, {"w2", opened_shards(buf2.str())}};
+    std::map<std::string, std::size_t> unopened;
+    for (const auto& [key, info] : leases) {
+      const auto it = opened.find(info.worker);
+      ASSERT_NE(it, opened.end()) << info.worker;
+      if (it->second.count(key) == 0) ++unopened[info.worker];
+    }
+    for (const auto& [worker, n] : unopened) worst_unopened = std::max(worst_unopened, n);
+    ++samples;
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  t1.join();
+  t2.join();
+  EXPECT_GT(samples, 0u);
+  EXPECT_LE(worst_unopened, 1u);
+  EXPECT_TRUE(s1.complete);
+  EXPECT_TRUE(s2.complete);
+  EXPECT_EQ(merged_bytes(w1), merged_bytes(ref));
+  EXPECT_TRUE(campaign::scan_leases(dir.str(), 30.0).empty());
+}
+
 TEST(CampaignStore, WriteManifestSurfacesUnwritableDirectory) {
   // The durability path must report failures instead of silently
   // installing nothing (the old code ignored the stream state entirely).
@@ -617,11 +970,18 @@ TEST(CampaignStore, ShardWallSecondsPersistAndOldLogsStayLoadable) {
   CampaignDir dir("walltime");
   campaign::CampaignService service(spec, dir.str());
   campaign::ServiceOptions opt;
-  opt.threads = 1;
+  opt.threads = 2;
+  const auto t0 = std::chrono::steady_clock::now();
   ASSERT_TRUE(service.run(opt).complete);
+  const double elapsed =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 
   // Every freshly executed shard carries a nonnegative wall timing, and
-  // the manifest checkpoints their sum.
+  // the manifest checkpoints their sum.  A record times the run from its
+  // previous record (or the start) to its own persistence, so however the
+  // two workers overlap shards, the records add up to the run's elapsed
+  // time less its set-up and final manifest: never more.  (No lower bound:
+  // on a run this short, the final manifest's fsync can take half of it.)
   const auto shards = service.store().load_shards();
   ASSERT_EQ(shards.size(), 3u);
   double sum = 0.0;
@@ -629,6 +989,8 @@ TEST(CampaignStore, ShardWallSecondsPersistAndOldLogsStayLoadable) {
     EXPECT_GE(rec.wall_seconds, 0.0) << key.first;
     sum += rec.wall_seconds;
   }
+  EXPECT_GT(sum, 0.0);
+  EXPECT_LE(sum, elapsed);
   const auto manifest = service.store().read_manifest();
   ASSERT_TRUE(manifest.has_value());
   EXPECT_DOUBLE_EQ(manifest->wall_seconds_done, sum);

@@ -25,7 +25,7 @@ bool same_bits(double a, double b) {
 
 std::vector<Campaign> run(const std::vector<harness::GeneratedTask>& tasks,
                           std::size_t threads) {
-  return harness::run_tasks(tasks, 0, tasks.size(), test::grid2x2(),
+  return test::run_tasks(tasks, 0, tasks.size(), test::grid2x2(),
                             solve::SolverSet::paper(9), threads);
 }
 

@@ -1,16 +1,20 @@
 // Tests for the observability layer (src/obs/): histogram bucket edges,
 // registry snapshot JSON round-trips, Chrome trace-event well-formedness
 // (balanced B/E pairs under pool load, tid metadata, parent_tid
-// propagation onto workers) and the disabled-by-default contract — no
+// propagation onto workers, lane tracks for overlapping spans) and the
+// disabled-by-default contract — no
 // tracing, no events, zero effect on instrumented code paths.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
+#include <algorithm>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -224,6 +228,42 @@ TEST(Trace, BeginEndPairsBalanceUnderPoolLoad) {
   for (const auto& [key, n] : open) EXPECT_EQ(n, 0) << key.second;
   EXPECT_EQ(pool_tasks, 64u);
   EXPECT_EQ(inner_spans, 64u);
+}
+
+TEST(Trace, LaneSpansOverlapOnTracksOfTheirOwn) {
+  // Two Lane spans that overlap without nesting, the first closed on
+  // another thread, then a third once both are gone: the first two get
+  // tracks of their own (not the thread's), and the third reuses the
+  // lowest free one.
+  obs::trace_start();
+  obs::trace_instant("test_obs.owner");
+  {
+    auto a = std::make_unique<obs::Span>("test_obs.a", obs::SpanMode::Lane);
+    obs::Span b("test_obs.b", obs::SpanMode::Lane);
+    std::thread([&a] { a.reset(); }).join();
+  }
+  { const obs::Span c("test_obs.c", obs::SpanMode::Lane); }
+  std::ostringstream os;
+  obs::trace_stop(os);
+
+  double owner = -1.0;
+  std::map<std::string, double> tid;
+  std::map<double, std::string> track_names;
+  for (const auto& e : trace_events(os.str())) {
+    const auto& name = e.at("name").as_string("name");
+    const double t = e.at("tid").as_number("tid");
+    if (name == "test_obs.owner") owner = t;
+    if (name.rfind("test_obs.", 0) == 0 && e.at("ph").as_string("ph") == "X") {
+      tid[name] = t;
+    }
+    if (name == "thread_name") track_names[t] = e.at("args").at("name").as_string("name");
+  }
+  ASSERT_EQ(tid.size(), 3u);
+  EXPECT_NE(tid["test_obs.a"], tid["test_obs.b"]);
+  EXPECT_NE(tid["test_obs.a"], owner);
+  EXPECT_NE(tid["test_obs.b"], owner);
+  EXPECT_EQ(tid["test_obs.c"], std::min(tid["test_obs.a"], tid["test_obs.b"]));
+  EXPECT_EQ(track_names[tid["test_obs.a"]].rfind("lane-", 0), 0u);
 }
 
 TEST(Trace, PoolTasksCarryTheSubmittersParentTid) {

@@ -903,9 +903,9 @@ TEST(Alias, CountersMatchTheCanonicalPath) {
       R"({"id":"s2","stats":true})"};
   const std::vector<std::string> expected_cache = {
       "miss", "hit", "hit", "hit", "miss", "", "", "", "", "hit", "miss", ""};
-  // One pool thread: a stats frame waits for every earlier request, but
-  // with more threads a later hit may land before its snapshot.
-  Stack stack(1);
+  // Two pool threads: a stats frame holds back every later request until
+  // its snapshot is taken, so its counters do not depend on the pool.
+  Stack stack(2);
   const auto run = run_lines(stack.engine, script);
   ASSERT_EQ(run.lines.size(), script.size());
   for (std::size_t i = 0; i < script.size(); ++i) {
@@ -939,6 +939,58 @@ TEST(Alias, CountersMatchTheCanonicalPath) {
     EXPECT_EQ(got.answered, want.answered);
     EXPECT_EQ(got.ok, want.ok);
     EXPECT_EQ(got.errors, want.errors);
+  }
+}
+
+TEST(Stats, FramesCountExactlyTheRequestsBeforeThemAtAnyPoolSize) {
+  // Misses, repeats under new ids and stats frames, many times over: every
+  // frame's summary and cache counters must be the ones of the requests
+  // before it, whatever the pool size and however the pool interleaves
+  // them.  `accepted` is left out: it counts requests at submission, so it
+  // reads "as of now".
+  std::vector<std::string> script;
+  int id = 0;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    script.push_back(gen_request(++id, seed, "greedy"));      // miss
+    script.push_back(gen_request(++id, seed, "greedy"));      // hit
+    script.push_back(R"({"id":"s)" + std::to_string(seed) + R"(","stats":true})");
+    script.push_back(gen_request(++id, seed, "greedy"));      // hit
+    script.push_back(gen_request(++id, seed + 100, "greedy", 0.5));  // miss
+  }
+  script.push_back(R"({"id":"last","stats":true})");
+  const auto frames = [&](const ServeRun& run) {
+    std::vector<std::string> out;
+    for (const auto& line : run.lines) {
+      const auto doc = util::parse_json(line);
+      const auto* stats = doc.find("stats");
+      if (stats == nullptr) continue;
+      std::ostringstream os;
+      for (const char* k : {"answered", "ok", "hits", "errors", "shutdown_refused",
+                            "stats_requests"}) {
+        os << k << '=' << stats->at("summary").at(k).number << ' ';
+      }
+      for (const char* k : {"hits", "misses", "evictions", "size"}) {
+        os << "cache." << k << '=' << stats->at("cache").at(k).number << ' ';
+      }
+      out.push_back(os.str());
+    }
+    return out;
+  };
+  std::vector<std::string> want;
+  {
+    Stack one(1);
+    want = frames(run_lines(one.engine, script));
+  }
+  ASSERT_EQ(want.size(), 5u);
+  EXPECT_EQ(want.back(),
+            "answered=20 ok=20 hits=8 errors=0 shutdown_refused=0 stats_requests=4 "
+            "cache.hits=8 cache.misses=8 cache.evictions=0 cache.size=8 ");
+  for (const std::size_t threads : {2u, 4u}) {
+    for (int round = 0; round < 50; ++round) {
+      Stack stack(threads);
+      ASSERT_EQ(frames(run_lines(stack.engine, script)), want)
+          << threads << " threads, round " << round;
+    }
   }
 }
 

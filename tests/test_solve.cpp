@@ -334,8 +334,8 @@ TEST(Anneal, ByteIdenticalAcrossSweepThreadCounts) {
   const auto p = cmp::Platform::reference(2, 2);
   const auto tasks = test::random_tasks(6, 7, 12, 3, 1.0);
   const auto set = solve::SolverSet::parse("anneal(iters=300),peft");
-  const auto a = harness::run_tasks(tasks, 0, tasks.size(), p, set, 1);
-  const auto b = harness::run_tasks(tasks, 0, tasks.size(), p, set, 8);
+  const auto a = test::run_tasks(tasks, 0, tasks.size(), p, set, 1);
+  const auto b = test::run_tasks(tasks, 0, tasks.size(), p, set, 8);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t w = 0; w < a.size(); ++w) {
     EXPECT_EQ(a[w].period, b[w].period) << w;
@@ -382,11 +382,11 @@ TEST(Peft, RunsThroughACampaignNextToThePaperSet) {
 
 TEST(SolveRun, FourThreadSweepReportsNonzeroPerSolverEvalCounts) {
   // Regression: SolveReport deltas used to read the calling thread's
-  // counters; under harness::run_tasks every solve runs on a pool worker, and
+  // counters; under the instance pipeline every solve runs on a pool worker, and
   // per-solve sinks must keep attributing counts there.
   const auto p = cmp::Platform::reference(2, 2);
   const auto tasks = test::random_tasks(8, 11, 10, 3, 1.0);
-  const auto campaigns = harness::run_tasks(
+  const auto campaigns = test::run_tasks(
       tasks, 0, tasks.size(), p,
       solve::SolverSet::parse("greedy,dpa2d1d,anneal(iters=200),peft"), 4);
   for (const auto& c : campaigns) {

@@ -1,5 +1,5 @@
 // Tests for the parallel sweep runner and its structured JSON emission:
-// seed derivation, task order of harness::run_tasks, the cells
+// seed derivation, task order through the instance pipeline, the cells
 // campaign::sweep_report folds results into, and the JSON writer's
 // escaping/number formatting.
 
@@ -42,9 +42,9 @@ TEST(RunTasks, KeepsTaskOrder) {
   const auto p = test::grid2x2();
   const auto solvers = solve::SolverSet::paper(5);
   const auto tasks = test::random_tasks(4, 1, 8, 2, 10.0);
-  const auto all = harness::run_tasks(tasks, 0, tasks.size(), p, solvers, 4);
+  const auto all = test::run_tasks(tasks, 0, tasks.size(), p, solvers, 4);
   // A slice starts at its first task, as a campaign shard does.
-  const auto slice = harness::run_tasks(tasks, 1, 3, p, solvers, 4);
+  const auto slice = test::run_tasks(tasks, 1, 3, p, solvers, 4);
   ASSERT_EQ(all.size(), tasks.size());
   ASSERT_EQ(slice.size(), 2u);
   for (std::size_t w = 0; w < tasks.size(); ++w) {

@@ -42,7 +42,8 @@
 // registry.
 //
 // `status` reports progress plus throughput (shards/sec over the persisted
-// per-shard wall timings) and an ETA; `status --json` emits the same data
+// per-shard wall timings, which add up to each run's elapsed time) and an
+// ETA; `status --json` emits the same data
 // as one stable JSON document for machine consumers (render_status_json —
 // golden-tested, so its shape is part of this tool's contract).
 //
@@ -50,7 +51,8 @@
 // solver/topology/spec key (with the matching listing; see tool_common.hpp),
 // 3 = run/resume stopped early with shards still pending — either the
 // --max-shards quantum was reached or a SIGINT/SIGTERM paused the run
-// (the in-flight shard finishes, the manifest is checkpointed and fsynced;
+// (no shard opens, the open ones finish and persist, the manifest is
+// checkpointed and fsynced;
 // a second signal hard-kills, which torn-tail recovery survives).
 // `status` mirrors that convention: 0 when the campaign is complete, 3
 // while shards are still pending, so schedulers can poll it directly.
@@ -115,8 +117,8 @@ campaign::ServiceOptions service_options(const util::Args& args) {
   // from an independently launched process.
   opt.worker = args.get_string("worker", "", "");
   opt.lease_ttl = args.get_double("lease-ttl", "", 30.0);
-  // Graceful pause on SIGINT/SIGTERM: the in-flight shard finishes and is
-  // persisted, the manifest is checkpointed, and the tool exits 3 — resume
+  // Graceful pause on SIGINT/SIGTERM: no shard opens, the open ones finish
+  // and are persisted, the manifest is checkpointed, and the tool exits 3 — resume
   // continues with zero re-execution.  A second signal hard-kills (the
   // torn-JSONL-tail recovery covers that path).
   util::install_stop_handlers();
