@@ -149,22 +149,12 @@ int run(const util::Args& args) {
   const auto obs_files = obs::ScopedFiles::from_args(args);
   const auto threads =
       static_cast<std::size_t>(args.get_int("threads", "REPRO_THREADS", 0));
-  const auto apps = static_cast<std::size_t>(args.get_int("apps", "REPRO_APPS", 5));
-  const auto apps150 =
-      static_cast<std::size_t>(args.get_int("apps150", "REPRO_APPS150", 3));
-  const int step = static_cast<int>(args.get_int("step", "REPRO_STEP", 3));
-  const int step150 = static_cast<int>(args.get_int("step150", "REPRO_STEP150", 5));
-  const std::string out = args.get_string("out", "REPRO_OUT", ".");
-  const std::string topology = args.get_string("topology", "REPRO_TOPOLOGY", "mesh");
-  const std::string csv = args.get_string("heuristics", "REPRO_HEURISTICS", "");
-
   // The whole run is one declarative campaign; this driver only schedules
   // it in-process and renders the console tables.
-  auto spec = campaign::CampaignSpec::paper(apps, apps150, step, step150, topology);
-  if (!csv.empty()) {
-    const auto solvers = solve::SolverSet::parse(csv).specs();
-    for (auto& sweep : spec.sweeps) sweep.solvers = solvers;
-  }
+  auto spec = tools::paper_spec(args);
+  const std::string topology = spec.topology;
+  const std::string out = args.get_string("out", "REPRO_OUT", ".");
+  tools::apply_solver_override(args, spec);
   // Expand every plan before printing anything: an unknown topology fails
   // here, not after the first tables.
   std::vector<campaign::SweepPlan> plans;

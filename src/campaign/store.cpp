@@ -1,7 +1,6 @@
 #include "campaign/store.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -11,27 +10,9 @@
 #include "util/json.hpp"
 #include "util/jsonl.hpp"
 
-#include <unistd.h>
-
 namespace spgcmp::campaign {
 
 namespace fs = std::filesystem;
-
-namespace {
-
-// Temp-file name for an atomic rename install, unique per *writer*, not
-// per process: in-process worker threads share a pid, so pid alone would
-// make them share one temp file and the first rename would strand the
-// others with ENOENT.  pid keeps independent worker processes sharing a
-// campaign directory apart; the atomic sequence keeps threads apart.
-std::string unique_tmp_path(const std::string& base) {
-  static std::atomic<unsigned> tmp_seq{0};
-  const unsigned seq = tmp_seq.fetch_add(1, std::memory_order_relaxed);
-  return base + ".tmp." + std::to_string(static_cast<long>(::getpid())) + "." +
-         std::to_string(seq);
-}
-
-}  // namespace
 
 CampaignStore::CampaignStore(std::string dir) : dir_(std::move(dir)) {
   if (dir_.empty()) throw std::invalid_argument("campaign directory is empty");
@@ -72,26 +53,11 @@ void CampaignStore::initialize(const CampaignSpec& spec) {
     }
     return;  // same spec: idempotent init, keep completed shards
   }
-  // Written to a per-writer temp and renamed into place: N workers
-  // initializing the same directory concurrently each install a complete
-  // spec (same bytes — they parsed the same input), and no reader ever
-  // sees a half-written one.
-  const std::string tmp = unique_tmp_path(spec_path());
-  {
-    std::ofstream os(tmp, std::ios::trunc);
-    if (!os) throw std::runtime_error("cannot write " + tmp);
-    os << text;
-    os.flush();
-    if (!os.good()) throw std::runtime_error("error writing " + tmp);
-  }
-  util::fsync_file(tmp);
-  std::error_code ec;
-  fs::rename(tmp, spec_path(), ec);
-  if (ec) {
-    throw std::runtime_error("cannot install " + spec_path() + ": " +
-                             ec.message());
-  }
-  util::fsync_parent_dir(spec_path());
+  // Installed durably through a per-writer temp: N workers initializing
+  // the same directory concurrently each install a complete spec (same
+  // bytes — they parsed the same input), and no reader ever sees a
+  // half-written one.
+  util::write_file_durable(spec_path(), text);
 }
 
 CampaignSpec CampaignStore::load_spec() const {
@@ -190,40 +156,18 @@ void CampaignStore::append_shard(const std::string& sweep, std::size_t shard,
 }
 
 void CampaignStore::write_manifest(const Manifest& m) const {
-  // Per-writer temp name: concurrent leased workers (threads or
-  // processes) checkpoint the manifest independently; a shared temp
-  // would let one writer's rename strand another's with ENOENT.
-  const std::string tmp = unique_tmp_path(manifest_path());
-  {
-    // Truncate explicitly: a stale larger tmp from an earlier failed
-    // attempt must not leave trailing bytes behind the new document.
-    std::ofstream os(tmp, std::ios::trunc);
-    if (!os) throw std::runtime_error("cannot write " + tmp);
-    util::JsonWriter w(os);
-    w.begin_object();
-    w.kv("campaign", m.campaign);
-    w.kv("shards_total", static_cast<std::uint64_t>(m.shards_total));
-    w.kv("shards_done", static_cast<std::uint64_t>(m.shards_done));
-    w.kv("wall_seconds_done", m.wall_seconds_done);
-    w.end_object();
-    // The stream never threw, so a full disk surfaces only here: check
-    // before the rename installs a truncated manifest over a good one.
-    os.flush();
-    if (!os.good()) {
-      throw std::runtime_error("error writing " + tmp + " (disk full?)");
-    }
-  }
-  // Durable atomic install: data to disk, then rename, then the directory
-  // mutation to disk — a crash leaves either the old or the new manifest,
-  // never a torn or vanished one.
-  util::fsync_file(tmp);
-  std::error_code ec;
-  fs::rename(tmp, manifest_path(), ec);
-  if (ec) {
-    throw std::runtime_error("cannot install " + manifest_path() + ": " +
-                             ec.message());
-  }
-  util::fsync_parent_dir(manifest_path());
+  std::ostringstream os;
+  util::JsonWriter w(os);
+  w.begin_object();
+  w.kv("campaign", m.campaign);
+  w.kv("shards_total", static_cast<std::uint64_t>(m.shards_total));
+  w.kv("shards_done", static_cast<std::uint64_t>(m.shards_done));
+  w.kv("wall_seconds_done", m.wall_seconds_done);
+  w.end_object();
+  // Per-writer temp: concurrent leased workers (threads or processes)
+  // checkpoint the manifest independently, and a crash leaves either the
+  // old or the new manifest, never a torn or vanished one.
+  util::write_file_durable(manifest_path(), os.str());
 }
 
 std::optional<CampaignStore::Manifest> CampaignStore::read_manifest() const {

@@ -12,7 +12,6 @@
 #include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/thread_annotations.hpp"
-#include "util/thread_pool.hpp"
 
 namespace spgcmp::harness {
 
@@ -53,45 +52,26 @@ class Pipeline {
  public:
   explicit Pipeline(const BatchSource& next) : next_(next) {}
 
-  /// One worker's loop: take an instance, or open a batch, until the
-  /// source is exhausted or an error stops the pipeline.
+  /// One worker's loop, under one `harness.worker` span: take an instance,
+  /// or open a batch, until the source is exhausted or an error stops the
+  /// pipeline.  Every error it hits is kept for rethrow().
   void work() SPGCMP_EXCLUDES(mutex_) {
-    for (;;) {
-      OpenBatch* batch = nullptr;
-      std::size_t index = 0;
-      {
-        const util::MutexLock lk(mutex_);
-        for (;;) {
-          if (error_ || (exhausted_ && taken_all())) return;
-          if (!taken_all()) {
-            batch = &open_.back();
-            index = batch->taken++;
-            break;
-          }
-          if (!opening_) {
-            opening_ = true;
-            break;
-          }
-          cv_.wait(mutex_);
-        }
-      }
-      if (batch == nullptr) {
-        open();
-        continue;
-      }
-      try {
-        batch->batch.run(index);
-      } catch (...) {
-        fail(std::current_exception());
-        return;
-      }
-      bool complete = false;
-      {
-        const util::MutexLock lk(mutex_);
-        complete = ++batch->finished == batch->batch.size;
-      }
-      if (complete) deliver();
+    const obs::Span span("harness.worker", obs::SpanMode::BeginEnd);
+    try {
+      loop();
+    } catch (...) {
+      fail(std::current_exception());
     }
+  }
+
+  /// Stop the pipeline with `e` unless an earlier error already did: no
+  /// batch opens or finishes after it, and rethrow() throws the first.
+  void fail(std::exception_ptr e) SPGCMP_EXCLUDES(mutex_) {
+    {
+      const util::MutexLock lk(mutex_);
+      if (!error_) error_ = std::move(e);
+    }
+    cv_.notify_all();
   }
 
   /// The first error any role hit, if any (after every worker returned).
@@ -115,14 +95,42 @@ class Pipeline {
     return open_.empty() || open_.back().taken == open_.back().batch.size;
   }
 
-  void open() SPGCMP_EXCLUDES(mutex_) {
-    std::optional<Batch> batch;
-    try {
-      batch = next_();
-    } catch (...) {
-      fail(std::current_exception());
-      return;
+  void loop() SPGCMP_EXCLUDES(mutex_) {
+    for (;;) {
+      OpenBatch* batch = nullptr;
+      std::size_t index = 0;
+      {
+        const util::MutexLock lk(mutex_);
+        for (;;) {
+          if (error_ || (exhausted_ && taken_all())) return;
+          if (!taken_all()) {
+            batch = &open_.back();
+            index = batch->taken++;
+            break;
+          }
+          if (!opening_) {
+            opening_ = true;
+            break;
+          }
+          cv_.wait(mutex_);
+        }
+      }
+      if (batch == nullptr) {
+        open();
+        continue;
+      }
+      batch->batch.run(index);
+      bool complete = false;
+      {
+        const util::MutexLock lk(mutex_);
+        complete = ++batch->finished == batch->batch.size;
+      }
+      if (complete) deliver();
     }
+  }
+
+  void open() SPGCMP_EXCLUDES(mutex_) {
+    std::optional<Batch> batch = next_();
     const bool empty = batch && batch->size == 0;
     {
       const util::MutexLock lk(mutex_);
@@ -157,21 +165,8 @@ class Pipeline {
         done = std::move(open_.front().batch.done);
         open_.pop_front();
       }
-      try {
-        if (done) done();
-      } catch (...) {
-        fail(std::current_exception());  // nothing is delivered after it
-        return;
-      }
+      if (done) done();
     }
-  }
-
-  void fail(std::exception_ptr e) SPGCMP_EXCLUDES(mutex_) {
-    {
-      const util::MutexLock lk(mutex_);
-      if (!error_) error_ = std::move(e);
-    }
-    cv_.notify_all();
   }
 
   const BatchSource& next_;
@@ -190,9 +185,20 @@ class Pipeline {
 
 void run_pipeline(const BatchSource& next, std::size_t threads) {
   Pipeline pipeline(next);
+  // The calling thread is one of the workers.  A thread that cannot start
+  // stops the pipeline like any other error, after the started ones join.
   const std::size_t workers = normalize_threads(threads);
-  // One parallel_for item per worker: each runs the pipeline loop once.
-  util::parallel_for(0, workers, [&](std::size_t) { pipeline.work(); }, workers);
+  std::vector<std::thread> others;
+  others.reserve(workers - 1);
+  try {
+    while (others.size() + 1 < workers) {
+      others.emplace_back([&pipeline] { pipeline.work(); });
+    }
+  } catch (...) {
+    pipeline.fail(std::current_exception());
+  }
+  pipeline.work();
+  for (auto& t : others) t.join();
   pipeline.rethrow();
 }
 

@@ -81,10 +81,11 @@ struct Batch {
 using BatchSource = std::function<std::optional<Batch>()>;
 
 /// Run batches from `next` on `threads` workers (0 = hardware concurrency;
-/// the calling thread is one of them) until `next` has none left and every
-/// opened batch is done.  The first exception thrown by an instance, by
-/// `next` or by `done` stops the pipeline: no batch opens or finishes after
-/// it, instances already running complete, and it is rethrown here.
+/// the calling thread is one of them, and the call starts and joins the
+/// others) until `next` has none left and every opened batch is done.  The
+/// first exception thrown by an instance, by `next` or by `done` stops the
+/// pipeline: no batch opens or finishes after it, instances already running
+/// complete, and it is rethrown here.
 void run_pipeline(const BatchSource& next, std::size_t threads);
 
 /// run_pipeline over a fixed list of batches, opened in list order.

@@ -5,8 +5,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "util/thread_pool.hpp"
-
 namespace spgcmp::mapping {
 
 namespace {
@@ -54,15 +52,13 @@ void copy_scalars(Evaluation& dst, const Evaluation& src) {
   dst.active_cores = src.active_cores;
 }
 
-thread_local EvalCounterSink* tl_eval_sink = nullptr;
+thread_local EvalCounters* tl_eval_sink = nullptr;
 
 /// Add `n` calls of one kind to the per-solve sink installed on this
 /// thread, if any.
-inline void count_eval(std::atomic<std::uint64_t> EvalCounterSink::*cell,
+inline void count_eval(std::uint64_t EvalCounters::*cell,
                        std::uint64_t n = 1) noexcept {
-  if (EvalCounterSink* sink = tl_eval_sink) {
-    (sink->*cell).fetch_add(n, std::memory_order_relaxed);
-  }
+  if (EvalCounters* sink = tl_eval_sink) sink->*cell += n;
 }
 
 void to_score(const Evaluation& ev, BatchScore& out) noexcept {
@@ -77,28 +73,9 @@ void to_score(const Evaluation& ev, BatchScore& out) noexcept {
   out.active_cores = ev.active_cores;
 }
 
-// Registered when this TU is linked (i.e. whenever the evaluator exists in
-// the program): pool workers adopt the spawning thread's sink, so solvers
-// that parallelize internally keep exact per-solve attribution.
-const bool kEvalSinkPropagatorRegistered = [] {
-  util::register_thread_context(
-      {[]() noexcept -> void* { return tl_eval_sink; },
-       [](void* sink) noexcept -> void* {
-         void* prev = tl_eval_sink;
-         tl_eval_sink = static_cast<EvalCounterSink*>(sink);
-         return prev;
-       },
-       [](void* prev) noexcept {
-         tl_eval_sink = static_cast<EvalCounterSink*>(prev);
-       }});
-  return true;
-}();
-
 }  // namespace
 
-EvalCounterSink* eval_sink() noexcept { return tl_eval_sink; }
-
-ScopedEvalSink::ScopedEvalSink(EvalCounterSink* sink) noexcept
+ScopedEvalSink::ScopedEvalSink(EvalCounters* sink) noexcept
     : prev_(tl_eval_sink) {
   tl_eval_sink = sink;
 }
@@ -191,7 +168,7 @@ const Evaluation& Evaluator::aggregate_scalars(
 }
 
 const Evaluation& Evaluator::evaluate_full(const Mapping& m) {
-  count_eval(&EvalCounterSink::full);
+  count_eval(&EvalCounters::full);
   bound_ = false;
   have_pending_ = false;
   reset_scalars(ev_);
@@ -273,7 +250,7 @@ const Evaluation& Evaluator::evaluate_full(const Mapping& m) {
 
 const Evaluation& Evaluator::evaluate_placement(
     const std::vector<int>& core_of, const std::vector<std::size_t>& mode_of_core) {
-  count_eval(&EvalCounterSink::placement);
+  count_eval(&EvalCounters::placement);
   bound_ = false;
   have_pending_ = false;
   reset_scalars(ev_);
@@ -400,7 +377,7 @@ void Evaluator::materialize_default_routes(spg::StageId s, int to) {
 
 const Evaluation& Evaluator::evaluate_move(spg::StageId s, int to) {
   if (!bound_) throw std::logic_error("Evaluator: evaluate_move without bind");
-  count_eval(&EvalCounterSink::incremental);
+  count_eval(&EvalCounters::incremental);
   if (to < 0 || to >= p_->grid().core_count()) {
     throw std::out_of_range("Evaluator: move target outside the grid");
   }
@@ -563,7 +540,7 @@ void Evaluator::apply_move(spg::StageId s, int to) {
 
 const Evaluation& Evaluator::refresh() {
   if (!bound_) throw std::logic_error("Evaluator: refresh without bind");
-  count_eval(&EvalCounterSink::incremental);
+  count_eval(&EvalCounters::incremental);
   have_pending_ = false;
   accumulate_work(m_.core_of);
   const int cores = p_->grid().core_count();
@@ -616,7 +593,7 @@ const std::vector<BatchScore>& Evaluator::evaluate_move_batch(
       throw std::invalid_argument("Evaluator: stage already on the target core");
     }
   }
-  count_eval(&EvalCounterSink::batch, targets.size());
+  count_eval(&EvalCounters::batch, targets.size());
   have_pending_ = false;  // any pending evaluate_move is invalidated
 
   // Cache the incident edges in the scalar processing order (in-edges, then

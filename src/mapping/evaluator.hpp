@@ -41,7 +41,6 @@
 // Evaluators are cheap to construct (no routing-table build; tables live in
 // the Topology) but are not thread-safe; use one per thread.
 
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -49,7 +48,11 @@
 
 namespace spgcmp::mapping {
 
-/// Evaluator call counts by path: the value type of EvalCounterSink::totals().
+/// Evaluator call counts by path, and the per-solve accumulation target:
+/// solve::run installs one on the calling thread for the duration of a
+/// solve (ScopedEvalSink), and every evaluator call on that thread counts
+/// into it.  A solver runs on the thread that calls solve::run; evaluator
+/// calls on threads a solver starts itself are not counted.
 struct EvalCounters {
   std::uint64_t full = 0;         ///< evaluate_full / bind / free evaluate()
   std::uint64_t placement = 0;    ///< evaluate_placement
@@ -57,42 +60,18 @@ struct EvalCounters {
   std::uint64_t batch = 0;        ///< candidates scored by evaluate_move_batch
 };
 
-/// Explicit per-solve accumulation target.  solve::run installs one on the
-/// calling thread for the duration of a solve (ScopedEvalSink); every
-/// evaluator call on a thread with a sink installed counts into it.
-/// The util thread-pool layers re-install the spawning thread's sink around
-/// worker tasks (see util::register_thread_context), so a solver that fans
-/// work out to a ThreadPool or parallel_for still attributes every
-/// evaluation to its own solve.
-struct EvalCounterSink {
-  std::atomic<std::uint64_t> full{0};
-  std::atomic<std::uint64_t> placement{0};
-  std::atomic<std::uint64_t> incremental{0};
-  std::atomic<std::uint64_t> batch{0};
-
-  [[nodiscard]] EvalCounters totals() const noexcept {
-    return EvalCounters{full.load(std::memory_order_relaxed),
-                        placement.load(std::memory_order_relaxed),
-                        incremental.load(std::memory_order_relaxed),
-                        batch.load(std::memory_order_relaxed)};
-  }
-};
-
-/// The sink installed on the calling thread, or null when none is active.
-[[nodiscard]] EvalCounterSink* eval_sink() noexcept;
-
 /// RAII installation of a sink on the calling thread; restores the previous
 /// sink (nesting solves is legal — the innermost sink collects, and its
 /// scope exit does not fold counts upward; each solve::run owns its own).
 class ScopedEvalSink {
  public:
-  explicit ScopedEvalSink(EvalCounterSink* sink) noexcept;
+  explicit ScopedEvalSink(EvalCounters* sink) noexcept;
   ~ScopedEvalSink();
   ScopedEvalSink(const ScopedEvalSink&) = delete;
   ScopedEvalSink& operator=(const ScopedEvalSink&) = delete;
 
  private:
-  EvalCounterSink* prev_;
+  EvalCounters* prev_;
 };
 
 /// Scalar result of one batched candidate: the scalar subset of Evaluation.

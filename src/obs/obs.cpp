@@ -1,7 +1,5 @@
 #include "obs/obs.hpp"
 
-#include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <utility>
@@ -11,34 +9,10 @@
 
 namespace spgcmp::obs {
 
-namespace fs = std::filesystem;
-
 bool write_text_file_durable(const std::string& path,
                              std::string_view content) noexcept {
   try {
-    const std::string tmp = path + ".tmp";
-    {
-      std::ofstream os(tmp, std::ios::trunc);
-      if (!os) {
-        std::cerr << "obs: cannot write " << tmp << "\n";
-        return false;
-      }
-      os << content;
-      os.flush();
-      if (!os.good()) {
-        std::cerr << "obs: error writing " << tmp << " (disk full?)\n";
-        return false;
-      }
-    }
-    util::fsync_file(tmp);
-    std::error_code ec;
-    fs::rename(tmp, path, ec);
-    if (ec) {
-      std::cerr << "obs: cannot install " << path << ": " << ec.message()
-                << "\n";
-      return false;
-    }
-    util::fsync_parent_dir(path);
+    util::write_file_durable(path, content);
     return true;
   } catch (const std::exception& e) {
     std::cerr << "obs: failed to write " << path << ": " << e.what() << "\n";

@@ -10,8 +10,8 @@
 //
 // If a trace path was given, tracing starts immediately; at scope exit the
 // Chrome trace-event document and/or the metrics registry snapshot are
-// written durably (tmp + fsync + rename, the CampaignStore manifest
-// pattern).  With neither flag set the object is inert and the
+// written durably (util::write_file_durable, as the CampaignStore
+// manifest is).  With neither flag set the object is inert and the
 // instrumentation layer stays on its disabled fast path.
 
 #include <string>
@@ -26,8 +26,8 @@ class Args;
 
 namespace spgcmp::obs {
 
-/// Durably install `content` at `path`: write `path + ".tmp"`, flush-check,
-/// fsync the data, rename over the target, fsync the parent directory.
+/// Durably install `content` at `path` (util::write_file_durable: a
+/// per-writer temp, flush-check, fsync, rename, parent-directory fsync).
 /// Returns false (after a stderr diagnostic) instead of throwing — callers
 /// are exit paths that must not die on a full disk.
 bool write_text_file_durable(const std::string& path,

@@ -7,7 +7,6 @@
 
 #include "util/json.hpp"
 #include "util/thread_annotations.hpp"
-#include "util/thread_pool.hpp"
 
 namespace spgcmp::obs {
 
@@ -18,7 +17,6 @@ struct Event {
   std::string args;     // pre-rendered `"k":v` pairs, comma-joined; may be empty
   std::uint64_t ts_us;  // microseconds since trace_start
   std::uint64_t dur_us; // "X" events only
-  std::uint32_t parent_tid;  // submitting thread's track, 0 when none/self
   char ph;              // 'X', 'B', 'E', 'i'
 };
 
@@ -63,32 +61,6 @@ LaneRegistry& lane_registry() {
 }
 
 thread_local std::shared_ptr<ThreadBuffer> t_buffer;
-thread_local std::uint32_t t_tid = 0;         // 0 until a buffer is assigned
-thread_local std::uint32_t t_parent_tid = 0;  // submitting thread, via propagator
-
-/// The pool/parallel_for propagator: carry the submitting thread's tid onto
-/// workers so fanned-out events can point back at the submitting track.
-/// capture() runs on every submit even with tracing off, so it is a bare
-/// thread-local read.
-[[maybe_unused]] const bool g_propagator_registered = [] {
-  util::ThreadContextPropagator p;
-  p.capture = []() noexcept -> void* {
-    return reinterpret_cast<void*>(static_cast<std::uintptr_t>(t_tid));
-  };
-  p.install = [](void* ctx) noexcept -> void* {
-    void* prev =
-        reinterpret_cast<void*>(static_cast<std::uintptr_t>(t_parent_tid));
-    t_parent_tid =
-        static_cast<std::uint32_t>(reinterpret_cast<std::uintptr_t>(ctx));
-    return prev;
-  };
-  p.restore = [](void* prev) noexcept {
-    t_parent_tid =
-        static_cast<std::uint32_t>(reinterpret_cast<std::uintptr_t>(prev));
-  };
-  util::register_thread_context(p);
-  return true;
-}();
 
 std::uint64_t now_us() noexcept {
   const auto now = std::chrono::steady_clock::now().time_since_epoch();
@@ -106,7 +78,6 @@ ThreadBuffer& local_buffer() {
     buf->tid = reg.next_tid++;
     reg.buffers.push_back(buf);
     t_buffer = std::move(buf);
-    t_tid = t_buffer->tid;
   }
   return *t_buffer;
 }
@@ -122,9 +93,7 @@ void append(ThreadBuffer& buf, Event e) {
 
 void emit(char ph, const char* name, std::uint64_t ts, std::uint64_t dur,
           std::string args) {
-  ThreadBuffer& buf = local_buffer();
-  const std::uint32_t parent = t_parent_tid == buf.tid ? 0 : t_parent_tid;
-  append(buf, Event{name, std::move(args), ts, dur, parent, ph});
+  append(local_buffer(), Event{name, std::move(args), ts, dur, ph});
 }
 
 /// Hold the lowest free lane, registering a new track when all are held.
@@ -170,16 +139,7 @@ void render_event(std::ostream& os, const Event& e, std::uint32_t tid) {
      << ",\"ts\":" << e.ts_us;
   if (e.ph == 'X') os << ",\"dur\":" << e.dur_us;
   if (e.ph == 'i') os << ",\"s\":\"t\"";
-  const bool has_parent = e.parent_tid != 0;
-  if (has_parent || !e.args.empty()) {
-    os << ",\"args\":{";
-    if (has_parent) os << "\"parent_tid\":" << e.parent_tid;
-    if (!e.args.empty()) {
-      if (has_parent) os << ',';
-      os << e.args;
-    }
-    os << '}';
-  }
+  if (!e.args.empty()) os << ",\"args\":{" << e.args << '}';
   os << '}';
 }
 
@@ -271,7 +231,7 @@ Span::~Span() {
     } else if (state_ == 2) {
       emit('E', name_, end, 0, std::move(args_));
     } else {
-      close_lane(lane_, Event{name_, std::move(args_), start_us_, dur, 0, 'X'});
+      close_lane(lane_, Event{name_, std::move(args_), start_us_, dur, 'X'});
     }
   } catch (...) {
     g_dropped.fetch_add(1, std::memory_order_relaxed);

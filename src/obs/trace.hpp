@@ -13,10 +13,10 @@
 // (solver runs, pool task dispatch, serve requests) without perturbing the
 // paper outputs or the evaluator benchmarks.
 //
-// Threads are tagged with small sequential tids; a context propagator
-// (util::register_thread_context) carries the submitting thread's tid onto
-// pool workers, so events a solver fans out internally carry a
-// `parent_tid` arg pointing back at the submitting thread's track.
+// Threads are tagged with small sequential tids.  Work is parallel only
+// across independent units (pool tasks, pipeline workers), and a solver runs
+// on the thread that calls solve::run, so a thread's events need no link to
+// the thread that handed it the work.
 //
 // Spans still alive when trace_stop() runs are not closed in the output;
 // callers stop tracing at top level (obs::ScopedFiles) where no span is

@@ -23,23 +23,20 @@ SolveReport run(const heuristics::Heuristic& solver,
   if (request.spg == nullptr || request.platform == nullptr) {
     throw std::invalid_argument("solve::run: request needs spg and platform");
   }
-  // Explicit per-solve sink, not a thread-local before/after snapshot: a
-  // solver whose work runs on ThreadPool / parallel_for workers still
-  // counts here, because the pool layers re-install this thread's sink
-  // around each worker task (util::register_thread_context).
-  mapping::EvalCounterSink sink;
+  // The solver runs on this thread, so every evaluator call it makes
+  // counts into this sink while the scope below installs it.
+  mapping::EvalCounters calls;
   const auto t0 = std::chrono::steady_clock::now();
 
   SolveReport report;
   {
     obs::Span span("solve");
     if (span.active()) span.detail("solver", solver.name());
-    const mapping::ScopedEvalSink scope(&sink);
+    const mapping::ScopedEvalSink scope(&calls);
     report.result = solver.run(*request.spg, *request.platform, request.period);
   }
 
   const auto t1 = std::chrono::steady_clock::now();
-  const mapping::EvalCounters calls = sink.totals();
   report.stats.wall_seconds =
       std::chrono::duration<double>(t1 - t0).count();
   report.stats.full_evals = calls.full;
@@ -48,7 +45,7 @@ SolveReport run(const heuristics::Heuristic& solver,
   report.stats.batch_evals = calls.batch;
 
   // Handles resolved once; steady-state cost per solve is a few relaxed
-  // atomic adds on top of the sink totals already gathered above.
+  // atomic adds on top of the counts already gathered above.
   static auto& m_solves = obs::Registry::instance().counter("solve.count");
   static auto& m_failures = obs::Registry::instance().counter("solve.failures");
   static auto& m_full = obs::Registry::instance().counter("solve.evals.full");

@@ -5,11 +5,10 @@
 // stop re-deriving wall time and evaluator throughput ad hoc.
 //
 // Stats come from two sources: a steady-clock fence around Heuristic::run,
-// and an explicit per-solve mapping::EvalCounterSink installed for the
-// duration of the run.  The sink follows the solve onto pool workers (the
-// util thread-pool layers propagate it), so counts stay exact even for
-// solvers that parallelize internally; sweep workers collect per-solver
-// trajectories for free.
+// and a per-solve mapping::EvalCounters installed on the calling thread for
+// the duration of the run.  A solver runs on the thread that calls
+// solve::run: evaluator calls on threads a solver starts itself are not
+// counted.  Sweep workers collect per-solver trajectories for free.
 
 #include <cstdint>
 

@@ -9,6 +9,7 @@
 // file after a crash must fsync both the file and its parent directory.
 
 #include <string>
+#include <string_view>
 
 namespace spgcmp::util {
 
@@ -20,5 +21,13 @@ void fsync_file(const std::string& path);
 /// some network mounts) are treated as best-effort success; real I/O
 /// errors throw std::runtime_error.
 void fsync_parent_dir(const std::string& path);
+
+/// Durably install `content` at `path`: write a temp file unique to this
+/// writer (`path.tmp.<pid>.<seq>`, so concurrent threads and processes never
+/// share one), check the flush, fsync the data, rename over `path`, then
+/// fsync the parent directory.  A crash leaves the old file or the new one,
+/// never a torn or vanished one.  Throws std::runtime_error on failure,
+/// after removing the temp.
+void write_file_durable(const std::string& path, std::string_view content);
 
 }  // namespace spgcmp::util

@@ -1,12 +1,12 @@
 #pragma once
 
-// A small fixed-size thread pool plus a `parallel_for` helper.
+// A small fixed-size thread pool: the serve engine's solve workers.
 //
-// The experiment harness sweeps hundreds of (workflow, CCR, heuristic)
-// combinations; each combination is independent, so we parallelize at that
-// granularity with a shared-nothing work distribution (atomic index, no
-// per-item locking).  Heuristics themselves stay single-threaded so that
-// their internal behaviour is deterministic and comparable to the paper.
+// Work is parallel only across independent units: serve requests here, and
+// campaign instances in harness::run_pipeline, which starts its own worker
+// threads.  A solver runs on the thread that calls solve::run, so a task
+// carries no per-thread state from its submitter; heuristics stay
+// single-threaded, deterministic and comparable to the paper.
 
 #include <cstddef>
 #include <functional>
@@ -48,38 +48,5 @@ class ThreadPool {
   std::size_t in_flight_ SPGCMP_GUARDED_BY(mutex_) = 0;
   bool stop_ SPGCMP_GUARDED_BY(mutex_) = false;
 };
-
-/// Run `body(i)` for every i in [begin, end) across `threads` workers.
-/// Items are claimed from a shared atomic counter so uneven item costs
-/// (e.g. DPA1D blowing its budget on one graph) still load-balance.
-/// `threads == 0` selects hardware concurrency.  Exceptions thrown by the
-/// body are rethrown (first one wins) after all workers stop.
-void parallel_for(std::size_t begin, std::size_t end,
-                  const std::function<void(std::size_t)>& body,
-                  std::size_t threads = 0);
-
-/// Worker-thread context propagation.
-///
-/// Layers that keep attribution state in a thread-local (e.g. the mapping
-/// layer's per-solve evaluator-call sink) register a propagator once, at
-/// static initialization.  parallel_for and ThreadPool then capture() the
-/// spawning/submitting thread's context and install() it on each worker
-/// around its task(s), restore()-ing the worker's previous value afterwards
-/// — so work a solver fans out internally is still attributed to the solve
-/// that issued it instead of vanishing into the worker's own thread-local.
-///
-/// install() returns the worker's previous value, which is what restore()
-/// receives.  All three hooks must be set.  The registry is append-only and
-/// written only during static initialization, so workers read it without
-/// locking.
-struct ThreadContextPropagator {
-  void* (*capture)() noexcept = nullptr;   ///< runs on the spawning thread
-  void* (*install)(void*) noexcept = nullptr;  ///< runs on the worker
-  void (*restore)(void*) noexcept = nullptr;   ///< undoes install on the worker
-};
-
-/// Register a propagator; throws std::invalid_argument on null hooks and
-/// std::length_error beyond the small fixed capacity.
-void register_thread_context(const ThreadContextPropagator& propagator);
 
 }  // namespace spgcmp::util

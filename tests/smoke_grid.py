@@ -187,7 +187,7 @@ def check_traced_equals_untraced(d):
     json.loads(read(os.path.join(d, "run1.metrics.json")))
     trace = json.loads(read(os.path.join(d, "run8.trace.json")))
     names = {e["name"] for e in trace["traceEvents"]}
-    check({"solve", "sweep.instance", "pool.parallel_for"} <= names, sorted(names))
+    check({"solve", "sweep.instance", "harness.worker"} <= names, sorted(names))
     m = json.loads(read(os.path.join(d, "run8.metrics.json")))
     check(m["counters"]["solve.count"] > 0, m["counters"])
     check("solve.wall_us" in m["histograms"], list(m["histograms"]))

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -28,6 +29,7 @@
 #include "campaign/lease.hpp"
 #include "campaign/service.hpp"
 #include "harness/sweep_engine.hpp"
+#include "obs/obs.hpp"
 #include "obs/trace.hpp"
 #include "util/json.hpp"
 #include "util/jsonl.hpp"
@@ -933,36 +935,53 @@ TEST(CampaignStore, WriteManifestReplacesStaleTmpAtomically) {
 
 TEST(CampaignStore, ConcurrentManifestWritersNeverStrandEachOther) {
   // Regression: the manifest temp name used to be the fixed
-  // MANIFEST.json.tmp, so two leased workers checkpointing concurrently
-  // (threads sharing a pid, or independent processes) shared one temp
-  // file and the loser's rename failed with ENOENT.  Per-writer names
-  // make every install independent.
+  // MANIFEST.json.tmp, and obs's writer used `path + ".tmp"`, so two
+  // writers installing one file concurrently (threads sharing a pid, or
+  // independent processes: leased workers checkpointing, tools sharing a
+  // REPRO_METRICS path) shared one temp file and the loser's rename failed
+  // with ENOENT.  Per-writer names make every install independent.
   const auto spec = campaign::CampaignSpec::parse_string(tiny_spec_text());
   CampaignDir dir("manifest_race");
   campaign::CampaignService service(spec, dir.str());
   const auto& store = service.store();
+  const std::string metrics = dir.str() + "/metrics.json";
 
-  std::atomic<bool> failed{false};
-  std::vector<std::thread> writers;
-  writers.reserve(4);
-  for (std::size_t t = 0; t < 4; ++t) {
-    writers.emplace_back([&store, &failed] {
-      for (int i = 0; i < 50 && !failed.load(); ++i) {
-        try {
-          store.write_manifest({"tiny", 3, 1});
-        } catch (const std::exception&) {
-          failed.store(true);
+  // 4 threads x 50 installs of one file; false once any install failed.
+  const auto race = [](const std::function<bool()>& install) {
+    std::atomic<bool> failed{false};
+    std::vector<std::thread> writers;
+    writers.reserve(4);
+    for (std::size_t t = 0; t < 4; ++t) {
+      writers.emplace_back([&install, &failed] {
+        for (int i = 0; i < 50 && !failed.load(); ++i) {
+          if (!install()) failed.store(true);
         }
-      }
-    });
-  }
-  for (auto& w : writers) w.join();
-  EXPECT_FALSE(failed.load());
+      });
+    }
+    for (auto& w : writers) w.join();
+    return !failed.load();
+  };
+  EXPECT_TRUE(race([&store] {
+    try {
+      store.write_manifest({"tiny", 3, 1});
+      return true;
+    } catch (const std::exception&) {
+      return false;
+    }
+  })) << "CampaignStore::write_manifest";
+  EXPECT_TRUE(race([&metrics] {
+    return obs::write_text_file_durable(metrics, "{}\n");
+  })) << "obs::write_text_file_durable";
+
   const auto m = store.read_manifest();
   ASSERT_TRUE(m.has_value());
   EXPECT_EQ(m->campaign, "tiny");
   EXPECT_EQ(m->shards_total, 3u);
   EXPECT_EQ(m->shards_done, 1u);
+  std::ifstream is(metrics);
+  std::ostringstream text;
+  text << is.rdbuf();
+  EXPECT_EQ(text.str(), "{}\n");
 }
 
 TEST(CampaignStore, ShardWallSecondsPersistAndOldLogsStayLoadable) {

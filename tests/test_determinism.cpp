@@ -68,6 +68,17 @@ void expect_identical(const std::vector<Campaign>& a, const std::vector<Campaign
       EXPECT_TRUE(same_bits(ra.eval.comm_energy, rb.eval.comm_energy));
       EXPECT_EQ(ra.eval.active_cores, rb.eval.active_cores);
     }
+    // Each solve counts its own evaluator calls, whichever worker ran it.
+    ASSERT_EQ(a[w].stats.size(), b[w].stats.size()) << who;
+    for (std::size_t h = 0; h < a[w].stats.size(); ++h) {
+      const auto& sa = a[w].stats[h];
+      const auto& sb = b[w].stats[h];
+      EXPECT_EQ(sa.full_evals, sb.full_evals) << who << " w" << w << " h" << h;
+      EXPECT_EQ(sa.placement_evals, sb.placement_evals) << who << " w" << w << " h" << h;
+      EXPECT_EQ(sa.incremental_evals, sb.incremental_evals)
+          << who << " w" << w << " h" << h;
+      EXPECT_EQ(sa.batch_evals, sb.batch_evals) << who << " w" << w << " h" << h;
+    }
   }
 }
 

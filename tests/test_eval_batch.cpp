@@ -233,18 +233,18 @@ TEST(EvalBatch, BatchCallsCountCandidates) {
   const double T = test::pick_period(g, p);
   Evaluator ev(g, p, T);
 
-  mapping::EvalCounterSink sink;
+  mapping::EvalCounters calls;
   {
-    const mapping::ScopedEvalSink scope(&sink);
+    const mapping::ScopedEvalSink scope(&calls);
     ev.bind(block_mapping(g, p, T));
     const std::vector<int> targets = other_cores(ev, 0, p.grid().core_count());
     ASSERT_EQ(targets.size(), 3u);
     ev.evaluate_move_batch(0, targets);
     ev.evaluate_move_batch(0, {targets[0]});
   }
-  EXPECT_EQ(sink.totals().batch, 4u);  // 3 + 1 move candidates
-  EXPECT_EQ(sink.totals().full, 1u);   // the bind
-  EXPECT_EQ(sink.totals().incremental, 0u);
+  EXPECT_EQ(calls.batch, 4u);  // 3 + 1 move candidates
+  EXPECT_EQ(calls.full, 1u);   // the bind
+  EXPECT_EQ(calls.incremental, 0u);
 }
 
 }  // namespace

@@ -1,8 +1,7 @@
 // Tests for the observability layer (src/obs/): histogram bucket edges,
 // registry snapshot JSON round-trips, Chrome trace-event well-formedness
-// (balanced B/E pairs under pool load, tid metadata, parent_tid
-// propagation onto workers, lane tracks for overlapping spans) and the
-// disabled-by-default contract — no
+// (balanced B/E pairs under pool load, tid metadata, lane tracks for
+// overlapping spans) and the disabled-by-default contract — no
 // tracing, no events, zero effect on instrumented code paths.
 
 #include <gtest/gtest.h>
@@ -264,42 +263,6 @@ TEST(Trace, LaneSpansOverlapOnTracksOfTheirOwn) {
   EXPECT_NE(tid["test_obs.b"], owner);
   EXPECT_EQ(tid["test_obs.c"], std::min(tid["test_obs.a"], tid["test_obs.b"]));
   EXPECT_EQ(track_names[tid["test_obs.a"]].rfind("lane-", 0), 0u);
-}
-
-TEST(Trace, PoolTasksCarryTheSubmittersParentTid) {
-  obs::trace_start();
-  // Tids are assigned at a thread's first emitted event, and the pool
-  // captures the submitter's tid at submit() — so tag this thread with an
-  // instant event *before* submitting anything.
-  obs::trace_instant("test_obs.submitter");
-  {
-    util::ThreadPool pool(2);
-    for (int i = 0; i < 8; ++i) {
-      pool.submit([] { const obs::Span s("test_obs.child"); });
-    }
-    pool.wait_idle();
-  }
-  std::ostringstream os;
-  obs::trace_stop(os);
-
-  double submitter_tid = -1.0;
-  std::size_t tagged = 0;
-  for (const auto& e : trace_events(os.str())) {
-    if (e.at("ph").as_string("ph") == "i" &&
-        e.at("name").as_string("name") == "test_obs.submitter") {
-      submitter_tid = e.at("tid").as_number("tid");
-    }
-  }
-  ASSERT_GE(submitter_tid, 0.0);
-  for (const auto& e : trace_events(os.str())) {
-    if (e.at("name").as_string("name") != "test_obs.child") continue;
-    const auto* args = e.find("args");
-    ASSERT_NE(args, nullptr);
-    EXPECT_EQ(args->at("parent_tid").as_number("parent_tid"), submitter_tid);
-    EXPECT_NE(e.at("tid").as_number("tid"), submitter_tid);
-    ++tagged;
-  }
-  EXPECT_EQ(tagged, 8u);
 }
 
 }  // namespace

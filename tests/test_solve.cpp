@@ -20,7 +20,6 @@
 #include "spg/generator.hpp"
 #include "support/fixtures.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -397,46 +396,6 @@ TEST(SolveRun, FourThreadSweepReportsNonzeroPerSolverEvalCounts) {
       }
     }
   }
-}
-
-TEST(SolveRun, InternallyParallelSolverKeepsItsEvaluatorCounts) {
-  // A solver that fans its evaluations out to parallel_for workers: the
-  // per-solve sink follows the solve onto those workers, so the report sees
-  // every call — a thread-local before/after snapshot would report zero.
-  class FanOut final : public heuristics::Heuristic {
-   public:
-    [[nodiscard]] std::string name() const override { return "FanOut"; }
-    [[nodiscard]] heuristics::Result run(const spg::Spg& g,
-                                         const cmp::Platform& p,
-                                         double T) const override {
-      util::parallel_for(
-          0, 8,
-          [&](std::size_t) {
-            mapping::Mapping m;
-            m.core_of.assign(g.size(), 0);
-            m.mode_of_core.assign(
-                static_cast<std::size_t>(p.grid().core_count()), 0);
-            m.edge_paths.assign(g.edge_count(), {});
-            (void)mapping::evaluate(g, p, m, T);
-          },
-          4);
-      mapping::Mapping m;
-      m.core_of.assign(g.size(), 0);
-      m.mode_of_core.assign(static_cast<std::size_t>(p.grid().core_count()), 0);
-      m.edge_paths.assign(g.edge_count(), {});
-      return heuristics::finalize_with_paths(g, p, T, std::move(m), true);
-    }
-  };
-
-  const spg::Spg g = small_workload();
-  const auto p = cmp::Platform::reference(2, 2);
-  solve::SolveRequest req;
-  req.spg = &g;
-  req.platform = &p;
-  req.period = 1.0;
-  const auto report = solve::run(FanOut{}, req);
-  // 8 fanned-out evaluations plus the finalizing one.
-  EXPECT_GE(report.stats.full_evals, 9u);
 }
 
 // ----------------------------------------------------------- extension --

@@ -1,16 +1,22 @@
 // Unit tests for src/util: RNG determinism and distribution sanity, the
-// dynamic bitset, thread pool / parallel_for, table formatting and CLI
-// parsing.
+// dynamic bitset, thread pool, durable file installs, table formatting and
+// CLI parsing.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
+#include <fstream>
 #include <numeric>
 #include <set>
 #include <sstream>
+#include <stdexcept>
+
+#include <unistd.h>
 
 #include "util/bitset.hpp"
 #include "util/cli.hpp"
+#include "util/fsync.hpp"
 #include "util/parse.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
@@ -166,24 +172,30 @@ TEST(ThreadPool, ExecutesAllTasks) {
   EXPECT_EQ(counter.load(), 100);
 }
 
-TEST(ParallelFor, CoversRangeExactlyOnce) {
-  std::vector<std::atomic<int>> hits(1000);
-  parallel_for(0, 1000, [&](std::size_t i) { hits[i].fetch_add(1); }, 8);
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ParallelFor, EmptyRangeIsNoop) {
-  parallel_for(5, 5, [&](std::size_t) { FAIL(); });
-}
-
-TEST(ParallelFor, PropagatesExceptions) {
-  EXPECT_THROW(
-      parallel_for(0, 100,
-                   [&](std::size_t i) {
-                     if (i == 37) throw std::runtime_error("boom");
-                   },
-                   4),
-      std::runtime_error);
+TEST(WriteFileDurable, InstallsAndAFailedInstallLeavesNoTemp) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() /
+                       ("spgcmp_durable_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  fs::create_directories(dir / "taken");
+  const auto temps = [&dir] {
+    std::size_t n = 0;
+    for (const auto& e : fs::directory_iterator(dir)) {
+      n += e.path().filename().string().find(".tmp.") != std::string::npos;
+    }
+    return n;
+  };
+  write_file_durable((dir / "doc").string(), "v1");
+  write_file_durable((dir / "doc").string(), "v2");
+  std::ifstream is(dir / "doc");
+  std::ostringstream text;
+  text << is.rdbuf();
+  EXPECT_EQ(text.str(), "v2");
+  // A directory in the way: the rename fails, and so does the install.
+  EXPECT_THROW(write_file_durable((dir / "taken").string(), "x"),
+               std::runtime_error);
+  EXPECT_EQ(temps(), 0u);
+  fs::remove_all(dir);
 }
 
 TEST(Table, AlignedOutputContainsCells) {

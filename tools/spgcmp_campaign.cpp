@@ -131,29 +131,10 @@ campaign::CampaignSpec load_spec(const util::Args& args) {
   if (!spec || spec->empty()) {
     throw std::runtime_error("missing --spec=<file> (or --spec=paper)");
   }
-  if (*spec == "paper") {
-    const auto apps = static_cast<std::size_t>(args.get_int("apps", "REPRO_APPS", 5));
-    const auto apps150 =
-        static_cast<std::size_t>(args.get_int("apps150", "REPRO_APPS150", 3));
-    const int step = static_cast<int>(args.get_int("step", "REPRO_STEP", 3));
-    const int step150 =
-        static_cast<int>(args.get_int("step150", "REPRO_STEP150", 5));
-    const std::string topology =
-        args.get_string("topology", "REPRO_TOPOLOGY", "mesh");
-    return campaign::CampaignSpec::paper(apps, apps150, step, step150, topology);
-  }
+  if (*spec == "paper") return tools::paper_spec(args);
   std::ifstream is(*spec);
   if (!is) throw std::runtime_error("cannot open spec file " + *spec);
   return campaign::CampaignSpec::parse(is);
-}
-
-/// Apply a --heuristics=L override to every sweep of the spec (validated
-/// through the registry before any shard runs).
-void apply_solver_override(const util::Args& args, campaign::CampaignSpec& spec) {
-  const std::string csv = args.get_string("heuristics", "REPRO_HEURISTICS", "");
-  if (csv.empty()) return;
-  const auto solvers = solve::SolverSet::parse(csv).specs();
-  for (auto& sweep : spec.sweeps) sweep.solvers = solvers;
 }
 
 int finish_run(const campaign::RunSummary& summary) {
@@ -247,7 +228,7 @@ int run_workers(const util::Args& args, const std::string& dir,
 
 int cmd_run(const util::Args& args) {
   auto spec = load_spec(args);
-  apply_solver_override(args, spec);
+  tools::apply_solver_override(args, spec);
   const std::string dir = dir_arg(args);
   const auto workers =
       static_cast<std::size_t>(args.get_int("workers", "", 0));

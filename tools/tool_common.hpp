@@ -1,6 +1,6 @@
 #pragma once
 
-// Shared CLI conventions of spgcmp_cli and spgcmp_campaign.
+// Shared CLI conventions of spgcmp_cli, spgcmp_campaign and bench_run_all.
 //
 // Both tools answer configuration mistakes the same way:
 //
@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <sstream>
 
+#include "campaign/spec.hpp"
 #include "cmp/cmp.hpp"
 #include "solve/registry.hpp"
 #include "util/cli.hpp"
@@ -49,6 +50,29 @@ inline solve::SolverSet solvers_of(const util::Args& args, std::uint64_t seed) {
   const std::string csv = args.get_string("heuristics", "REPRO_HEURISTICS", "");
   if (csv.empty()) return solve::SolverSet::paper(seed);
   return solve::SolverSet::parse(csv, solve::SolveContext{seed});
+}
+
+/// The paper grid at --apps/--apps150/--step/--step150/--topology
+/// (REPRO_APPS, REPRO_APPS150, REPRO_STEP, REPRO_STEP150, REPRO_TOPOLOGY;
+/// defaults 5/3/3/5/mesh).
+inline campaign::CampaignSpec paper_spec(const util::Args& args) {
+  const auto apps = static_cast<std::size_t>(args.get_int("apps", "REPRO_APPS", 5));
+  const auto apps150 =
+      static_cast<std::size_t>(args.get_int("apps150", "REPRO_APPS150", 3));
+  const int step = static_cast<int>(args.get_int("step", "REPRO_STEP", 3));
+  const int step150 = static_cast<int>(args.get_int("step150", "REPRO_STEP150", 5));
+  const std::string topology = args.get_string("topology", "REPRO_TOPOLOGY", "mesh");
+  return campaign::CampaignSpec::paper(apps, apps150, step, step150, topology);
+}
+
+/// Copy a --heuristics=L override (REPRO_HEURISTICS) into every sweep of
+/// `spec`, validated through the registry before any instance runs.
+inline void apply_solver_override(const util::Args& args,
+                                  campaign::CampaignSpec& spec) {
+  const std::string csv = args.get_string("heuristics", "REPRO_HEURISTICS", "");
+  if (csv.empty()) return;
+  const auto solvers = solve::SolverSet::parse(csv).specs();
+  for (auto& sweep : spec.sweeps) sweep.solvers = solvers;
 }
 
 template <typename Fn>
